@@ -25,31 +25,40 @@ fi
 
 # Perf trajectory: quick control-plane tick and fault-overhead benches,
 # then list every machine-readable BENCH_*.json produced under the build
-# dir.
+# dir. A bench that exits non-zero fails the script, after the listing:
+# bench_fleet and bench_hetero gate themselves.
+failed_benches=()
+run_bench() {
+  local name=$1
+  shift
+  (cd "$BUILD_DIR" && "$@") || {
+    echo "run_tier1.sh: $name failed" >&2
+    failed_benches+=("$name")
+  }
+}
 if [ "$status" -eq 0 ]; then
-  (cd "$BUILD_DIR" && ./bench/bench_runner_tick --quick) ||
-    echo "run_tier1.sh: bench_runner_tick failed (non-fatal)" >&2
-  (cd "$BUILD_DIR" && ./bench/bench_fault_overhead --quick) ||
-    echo "run_tier1.sh: bench_fault_overhead failed (non-fatal)" >&2
+  run_bench bench_runner_tick ./bench/bench_runner_tick --quick
+  run_bench bench_fault_overhead ./bench/bench_fault_overhead --quick
   # Fleet stepper: worker-count sweep with a hard digest-equality gate
   # (exits non-zero on any determinism break), writes BENCH_fleet.json.
-  (cd "$BUILD_DIR" && ./bench/bench_fleet) ||
-    echo "run_tier1.sh: bench_fleet failed (non-fatal)" >&2
+  run_bench bench_fleet ./bench/bench_fleet
   # Heterogeneous cores + SCHED_DEADLINE: capacity-aware vs capacity-blind
   # placement, mixed-criticality SLO check, and deadline admission
   # micro-bench. Self-gating (non-zero when aware placement stops beating
   # blind or the deadline variant misses its SLO), writes
   # BENCH_hetero.json.
-  (cd "$BUILD_DIR" && LACHESIS_BENCH_MODE=quick ./bench/bench_hetero) ||
-    echo "run_tier1.sh: bench_hetero failed (non-fatal)" >&2
+  run_bench bench_hetero env LACHESIS_BENCH_MODE=quick ./bench/bench_hetero
   # Native SPE executor: lock-free ring throughput (same-thread and
   # cross-thread) and tuples/sec through 1/2/4-operator chains; records
   # hw_cores so single-core CI numbers are not misread. Writes
   # BENCH_native.json.
-  (cd "$BUILD_DIR" && LACHESIS_BENCH_MODE=quick ./bench/bench_native_spe) ||
-    echo "run_tier1.sh: bench_native_spe failed (non-fatal)" >&2
+  run_bench bench_native_spe env LACHESIS_BENCH_MODE=quick ./bench/bench_native_spe
   echo "run_tier1.sh: BENCH artifacts:"
   find "$BUILD_DIR" -maxdepth 1 -name 'BENCH_*.json' -print | sort |
     sed 's/^/  /'
+  if [ "${#failed_benches[@]}" -ne 0 ]; then
+    echo "run_tier1.sh: failed benches: ${failed_benches[*]}" >&2
+    status=1
+  fi
 fi
 exit "$status"

@@ -7,7 +7,9 @@
 #ifndef LACHESIS_CORE_METRIC_H_
 #define LACHESIS_CORE_METRIC_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -37,6 +39,9 @@ enum class MetricId : std::uint8_t {
   kQueueHighWater,   // peak input-queue length since deployment (leaf; only
                      // engines whose registry tracks it provide it)
 };
+// Number of metric ids; kQueueHighWater must stay the last enumerator.
+inline constexpr std::size_t kMetricCount =
+    static_cast<std::size_t>(MetricId::kQueueHighWater) + 1;
 
 inline const char* MetricName(MetricId id) {
   switch (id) {
@@ -65,11 +70,16 @@ class MetricResolver {
  public:
   virtual ~MetricResolver() = default;
   virtual double Get(MetricId metric, const EntityInfo& entity) = 0;
-  // Entities of the same query (for path metrics).
-  virtual const std::vector<EntityInfo>& QueryEntities(QueryId query) = 0;
+  // Entities of the same query (for path metrics), in snapshot order. The
+  // pointers stay valid for the current resolution pass.
+  virtual std::span<const EntityInfo* const> QueryEntities(QueryId query) = 0;
   virtual const LogicalTopology& Topology(QueryId query) = 0;
   // The provider's update window (policies' period GCD).
   [[nodiscard]] virtual SimDuration window() const = 0;
+  // Distinct for every resolution pass (one driver in one provider Update).
+  // A derived metric that aggregates over a whole query may keep per-query
+  // results while the generation stays the same.
+  [[nodiscard]] virtual std::uint64_t generation() const = 0;
 };
 
 // A derived metric: dependencies plus a combine function.

@@ -9,14 +9,17 @@
 #ifndef LACHESIS_CORE_METRIC_PROVIDER_H_
 #define LACHESIS_CORE_METRIC_PROVIDER_H_
 
+#include <array>
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <set>
 #include <stdexcept>
 #include <string>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
+#include "common/hash_index.h"
 #include "core/driver.h"
 #include "core/entities.h"
 #include "core/metric.h"
@@ -68,13 +71,32 @@ class MetricProvider {
   friend class DriverResolver;
 
   std::set<MetricId> registered_;
-  std::map<MetricId, std::unique_ptr<DerivedMetric>> derived_;
+  std::array<std::unique_ptr<DerivedMetric>, kMetricCount> derived_;
+  std::uint64_t generation_ = 0;
 
+  // One driver's snapshot and values. Every container keeps its capacity
+  // across Updates, so a warm Update of an unchanged deployment allocates
+  // nothing beyond the driver's own Entities() copy.
   struct DriverState {
     std::vector<EntityInfo> entities;
-    std::unordered_map<QueryId, std::vector<EntityInfo>> by_query;
-    // (metric, entity) -> value; rebuilt each Update.
-    std::map<std::pair<MetricId, OperatorId>, double> values;
+    // Entity id -> index of its first entry in `entities`.
+    FlatMap<OperatorId, std::uint32_t> index;
+    // Entities grouped by query: query -> ordinal of first appearance; the
+    // ordinal's members are members[query_begin[o] .. query_begin[o + 1]),
+    // in snapshot order.
+    FlatMap<QueryId, std::uint32_t> query_ordinal;
+    std::vector<std::uint32_t> query_begin;
+    std::vector<const EntityInfo*> members;
+    // This Update's values, kMetricCount per entity index; `known` marks
+    // the cells computed so far.
+    std::vector<double> values;
+    std::vector<std::uint8_t> known;
+    // (metric, entity) pairs whose derivation is in progress, innermost
+    // last: a derived metric that reaches one of them again is cyclic.
+    std::vector<std::pair<MetricId, OperatorId>> in_flight;
+
+    // Takes a new snapshot and forgets the previous Update's values.
+    void Reset(std::vector<EntityInfo> snapshot);
   };
   std::map<const SpeDriver*, DriverState> states_;
 };

@@ -111,7 +111,8 @@ class OsAdapter {
 };
 
 // Drives the simulated machines. Cgroups are created lazily per (machine,
-// name) under a per-machine "lachesis" root group.
+// name) under a per-machine "lachesis" root group. Groups are indexed by
+// name, so a shares or quota write touches only that name's cgroups.
 class SimOsAdapter final : public OsAdapter {
  public:
   void SetNice(const ThreadHandle& thread, int nice) override {
@@ -119,9 +120,10 @@ class SimOsAdapter final : public OsAdapter {
   }
 
   void SetGroupShares(const std::string& group, std::uint64_t shares) override {
-    desired_shares_[group] = shares;
-    for (auto& [key, cgroup] : groups_) {
-      if (key.second == group) key.first->SetShares(cgroup, shares);
+    NamedGroup& named = groups_[group];
+    named.shares = shares;
+    for (const auto& [machine, cgroup] : named.cgroups) {
+      machine->SetShares(cgroup, shares);
     }
   }
 
@@ -136,9 +138,10 @@ class SimOsAdapter final : public OsAdapter {
 
   void SetGroupQuota(const std::string& group, SimDuration quota,
                      SimDuration period) override {
-    desired_quota_[group] = {quota, period};
-    for (auto& [key, cgroup] : groups_) {
-      if (key.second == group) key.first->SetQuota(cgroup, quota, period);
+    NamedGroup& named = groups_[group];
+    named.quota = {quota, period};
+    for (const auto& [machine, cgroup] : named.cgroups) {
+      machine->SetQuota(cgroup, quota, period);
     }
   }
 
@@ -172,10 +175,13 @@ class SimOsAdapter final : public OsAdapter {
   // Restart reconciliation against the simulated kernel: reads each
   // thread's actual nice/RT/cgroup/deadline from its Machine and each
   // Lachesis-owned group's shares from machine truth (quota comes from the
-  // adapter's desired map -- the sim has no per-group quota getter). This
+  // adapter's desired values -- the sim has no per-group quota getter). This
   // is what lets a rebooted fleet agent seed its delta cache instead of
   // re-applying the whole schedule, mirroring LinuxOsAdapter's procfs/
-  // cgroupfs snapshot.
+  // cgroupfs snapshot. A name on several machines reports the shares of
+  // its cgroup on the highest machine pointer, and `groups` lists names
+  // machine by machine (pointer order), each name once, by name within a
+  // machine.
   bool SnapshotState(const std::vector<ThreadHandle>& threads,
                      OsStateSnapshot& out) override {
     out = OsStateSnapshot{};
@@ -190,34 +196,50 @@ class SimOsAdapter final : public OsAdapter {
         state.deadline = thread.machine->GetDeadline(thread.sim_tid);
       }
       const CgroupId cgroup = thread.machine->GetCgroup(thread.sim_tid);
-      for (const auto& [key, group_id] : groups_) {
-        if (key.first == thread.machine && group_id == cgroup) {
-          state.group = key.second;
-          break;
-        }
+      const std::string& name = thread.machine->CgroupName(cgroup);
+      if (const auto it = groups_.find(name);
+          it != groups_.end() && it->second.Find(thread.machine) == cgroup) {
+        state.group = name;
       }
       out.threads.push_back(std::move(state));
     }
-    for (const auto& [key, group_id] : groups_) {
-      out.group_shares[key.second] = key.first->GetShares(group_id);
-      if (const auto qit = desired_quota_.find(key.second);
-          qit != desired_quota_.end() && qit->second.first > 0) {
-        out.group_quota[key.second] = qit->second;
+    std::vector<std::pair<sim::Machine*, const std::string*>> first_seen;
+    for (const auto& [name, named] : groups_) {
+      if (named.cgroups.empty()) continue;
+      const auto& [last_machine, last_cgroup] = named.cgroups.back();
+      out.group_shares[name] = last_machine->GetShares(last_cgroup);
+      if (named.quota && named.quota->first > 0) {
+        out.group_quota[name] = *named.quota;
       }
-      if (std::find(out.groups.begin(), out.groups.end(), key.second) ==
-          out.groups.end()) {
-        out.groups.push_back(key.second);
-      }
+      first_seen.emplace_back(named.cgroups.front().first, &name);
     }
+    std::stable_sort(first_seen.begin(), first_seen.end(),
+                     [](const auto& a, const auto& b) { return a.first < b.first; });
+    out.groups.reserve(first_seen.size());
+    for (const auto& [machine, name] : first_seen) out.groups.push_back(*name);
     return true;
   }
 
  private:
-  CgroupId EnsureGroup(sim::Machine& machine, const std::string& group) {
-    const auto key = std::make_pair(&machine, group);
-    if (const auto it = groups_.find(key); it != groups_.end()) {
-      return it->second;
+  // Everything known about one group name: the desired shares and quota,
+  // which also apply to cgroups created later, and the name's cgroup on
+  // each machine in machine-pointer order.
+  struct NamedGroup {
+    std::optional<std::uint64_t> shares;
+    std::optional<std::pair<SimDuration, SimDuration>> quota;
+    std::vector<std::pair<sim::Machine*, CgroupId>> cgroups;
+
+    [[nodiscard]] std::optional<CgroupId> Find(const sim::Machine* machine) const {
+      for (const auto& [m, cgroup] : cgroups) {
+        if (m == machine) return cgroup;
+      }
+      return std::nullopt;
     }
+  };
+
+  CgroupId EnsureGroup(sim::Machine& machine, const std::string& group) {
+    NamedGroup& named = groups_[group];
+    if (const auto existing = named.Find(&machine)) return *existing;
     CgroupId root;
     if (const auto rit = roots_.find(&machine); rit != roots_.end()) {
       root = rit->second;
@@ -225,23 +247,19 @@ class SimOsAdapter final : public OsAdapter {
       root = machine.CreateCgroup("lachesis", machine.root_cgroup());
       roots_.emplace(&machine, root);
     }
-    std::uint64_t shares = sim::kNice0Weight;
-    if (const auto sit = desired_shares_.find(group); sit != desired_shares_.end()) {
-      shares = sit->second;
-    }
-    const CgroupId cgroup = machine.CreateCgroup(group, root, shares);
-    if (const auto qit = desired_quota_.find(group); qit != desired_quota_.end()) {
-      machine.SetQuota(cgroup, qit->second.first, qit->second.second);
-    }
-    groups_.emplace(key, cgroup);
+    const CgroupId cgroup =
+        machine.CreateCgroup(group, root, named.shares.value_or(sim::kNice0Weight));
+    if (named.quota) machine.SetQuota(cgroup, named.quota->first, named.quota->second);
+    const auto pos = std::find_if(
+        named.cgroups.begin(), named.cgroups.end(),
+        [&machine](const auto& entry) { return entry.first > &machine; });
+    named.cgroups.emplace(pos, &machine, cgroup);
     return cgroup;
   }
 
-  std::map<std::pair<sim::Machine*, std::string>, CgroupId> groups_;
+  std::map<std::string, NamedGroup> groups_;
   std::map<sim::Machine*, CgroupId> roots_;
   std::map<std::pair<sim::Machine*, std::uint64_t>, CpuPreference> affinity_;
-  std::map<std::string, std::uint64_t> desired_shares_;
-  std::map<std::string, std::pair<SimDuration, SimDuration>> desired_quota_;
 };
 
 }  // namespace lachesis::core

@@ -1,16 +1,15 @@
 // Schedules: the output of scheduling policies (paper §5.3).
 //
 // A single-priority schedule maps entities (threads) to real-valued
-// priorities; a grouping schedule maps group ids to a priority plus member
-// entities. Policies produce single-priority schedules over physical
+// priorities. Policies produce single-priority schedules over physical
 // operators (Def 3.2); translators turn them into OS parameters, optionally
-// forming groups first.
+// forming groups first (the paper's grouping schedule: group id -> the max
+// priority of its members; see EntryGrouping in translators.h).
 #ifndef LACHESIS_CORE_SCHEDULE_H_
 #define LACHESIS_CORE_SCHEDULE_H_
 
 #include <cstdint>
 #include <map>
-#include <string>
 #include <vector>
 
 #include "core/entities.h"
@@ -39,19 +38,6 @@ struct ScheduleEntry {
 
 struct Schedule {
   std::vector<ScheduleEntry> entries;
-  PrioritySpacing spacing = PrioritySpacing::kLinear;
-};
-
-// Grouping schedule: gid -> (priority, member threads); produced by
-// translators that group entities (per query, per operator, ...).
-struct ScheduleGroup {
-  std::string gid;
-  double priority;
-  std::vector<EntityInfo> members;
-};
-
-struct GroupingSchedule {
-  std::vector<ScheduleGroup> groups;
   PrioritySpacing spacing = PrioritySpacing::kLinear;
 };
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <numeric>
 
 #include "core/normalize.h"
 
@@ -34,52 +35,74 @@ void NiceTranslator::Apply(const Schedule& schedule, OsAdapter& os) {
   }
 }
 
-CpuSharesTranslator::CpuSharesTranslator(GroupKeyFn group_of)
-    : group_of_(std::move(group_of)) {
-  if (!group_of_) {
-    group_of_ = [](const EntityInfo& e) { return "op-" + e.path; };
+void EntryGrouping::Build(const Schedule& schedule) {
+  const std::size_t n = schedule.entries.size();
+  if (keys_.size() < n) keys_.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const EntityInfo& entity = schedule.entries[i].entity;
+    if (group_of_) {
+      keys_[i] = group_of_(entity);
+    } else {
+      keys_[i].assign("op-");
+      keys_[i].append(entity.path);
+    }
+  }
+  order_.resize(n);
+  std::iota(order_.begin(), order_.end(), 0u);
+  std::sort(order_.begin(), order_.end(),
+            [this](std::uint32_t a, std::uint32_t b) {
+              const int c = keys_[a].compare(keys_[b]);
+              return c != 0 ? c < 0 : a < b;
+            });
+  groups_.clear();
+  for (std::size_t begin = 0; begin < n;) {
+    const std::string& gid = keys_[order_[begin]];
+    double priority = schedule.entries[order_[begin]].priority;
+    std::size_t end = begin + 1;
+    for (; end < n && keys_[order_[end]] == gid; ++end) {
+      priority = std::max(priority, schedule.entries[order_[end]].priority);
+    }
+    groups_.push_back({priority, begin, end});
+    begin = end;
   }
 }
 
-GroupingSchedule CpuSharesTranslator::BuildGroups(const Schedule& schedule) const {
-  std::map<std::string, ScheduleGroup> groups;
-  for (const ScheduleEntry& entry : schedule.entries) {
-    const std::string gid = group_of_(entry.entity);
-    auto [it, inserted] = groups.try_emplace(gid);
-    if (inserted) {
-      it->second.gid = gid;
-      it->second.priority = entry.priority;
-    } else {
-      it->second.priority = std::max(it->second.priority, entry.priority);
-    }
-    it->second.members.push_back(entry.entity);
+namespace {
+
+// Min-max normalized group priorities, on their logarithms for log-spaced
+// schedules.
+std::vector<double> NormalizedGroupPriorities(const EntryGrouping& grouping,
+                                              PrioritySpacing spacing) {
+  std::vector<double> priorities;
+  priorities.reserve(grouping.groups().size());
+  for (const EntryGrouping::Group& g : grouping.groups()) {
+    priorities.push_back(g.priority);
   }
-  GroupingSchedule result;
-  result.spacing = schedule.spacing;
-  result.groups.reserve(groups.size());
-  for (auto& [gid, group] : groups) result.groups.push_back(std::move(group));
-  return result;
+  return spacing == PrioritySpacing::kLogarithmic
+             ? LogMinMaxNormalize(priorities, 0.0, 1.0)
+             : MinMaxNormalize(priorities, 0.0, 1.0);
 }
+
+// Moves every member of `group` into its cgroup.
+void MoveMembers(const Schedule& schedule, const EntryGrouping& grouping,
+                 const EntryGrouping::Group& group, OsAdapter& os) {
+  const std::string& gid = grouping.gid(group);
+  for (const std::uint32_t entry : grouping.members(group)) {
+    os.MoveToGroup(schedule.entries[entry].entity.thread, gid);
+  }
+}
+
+}  // namespace
 
 void CpuSharesTranslator::Apply(const Schedule& schedule, OsAdapter& os) {
   if (schedule.entries.empty()) return;
-  const GroupingSchedule grouping = BuildGroups(schedule);
-
-  std::vector<double> priorities;
-  priorities.reserve(grouping.groups.size());
-  for (const ScheduleGroup& g : grouping.groups) priorities.push_back(g.priority);
-
-  const auto normalized = grouping.spacing == PrioritySpacing::kLogarithmic
-                              ? LogMinMaxNormalize(priorities, 0.0, 1.0)
-                              : MinMaxNormalize(priorities, 0.0, 1.0);
-  const auto shares = PrioritiesToShares(normalized);
-
-  for (std::size_t i = 0; i < grouping.groups.size(); ++i) {
-    const ScheduleGroup& group = grouping.groups[i];
-    os.SetGroupShares(group.gid, shares[i]);
-    for (const EntityInfo& member : group.members) {
-      os.MoveToGroup(member.thread, group.gid);
-    }
+  grouping_.Build(schedule);
+  const auto shares = PrioritiesToShares(
+      NormalizedGroupPriorities(grouping_, schedule.spacing));
+  for (std::size_t i = 0; i < grouping_.groups().size(); ++i) {
+    const EntryGrouping::Group& group = grouping_.groups()[i];
+    os.SetGroupShares(grouping_.gid(group), shares[i]);
+    MoveMembers(schedule, grouping_, group, os);
   }
 }
 
@@ -88,27 +111,20 @@ QuotaTranslator::QuotaTranslator(double min_cores, double max_cores,
     : min_cores_(min_cores),
       max_cores_(max_cores),
       period_(period),
-      grouping_helper_(std::move(group_of)) {}
+      grouping_(std::move(group_of)) {}
 
 void QuotaTranslator::Apply(const Schedule& schedule, OsAdapter& os) {
   if (schedule.entries.empty()) return;
-  const GroupingSchedule grouping = grouping_helper_.BuildGroups(schedule);
-  std::vector<double> priorities;
-  priorities.reserve(grouping.groups.size());
-  for (const ScheduleGroup& g : grouping.groups) priorities.push_back(g.priority);
-  const auto normalized = grouping.spacing == PrioritySpacing::kLogarithmic
-                              ? LogMinMaxNormalize(priorities, 0.0, 1.0)
-                              : MinMaxNormalize(priorities, 0.0, 1.0);
-  for (std::size_t i = 0; i < grouping.groups.size(); ++i) {
-    const ScheduleGroup& group = grouping.groups[i];
+  grouping_.Build(schedule);
+  const auto normalized = NormalizedGroupPriorities(grouping_, schedule.spacing);
+  for (std::size_t i = 0; i < grouping_.groups().size(); ++i) {
+    const EntryGrouping::Group& group = grouping_.groups()[i];
     const double cores =
         min_cores_ + normalized[i] * (max_cores_ - min_cores_);
-    os.SetGroupQuota(group.gid, static_cast<SimDuration>(
-                                    cores * static_cast<double>(period_)),
+    os.SetGroupQuota(grouping_.gid(group),
+                     static_cast<SimDuration>(cores * static_cast<double>(period_)),
                      period_);
-    for (const EntityInfo& member : group.members) {
-      os.MoveToGroup(member.thread, group.gid);
-    }
+    MoveMembers(schedule, grouping_, group, os);
   }
 }
 

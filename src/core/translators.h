@@ -7,10 +7,13 @@
 #ifndef LACHESIS_CORE_TRANSLATORS_H_
 #define LACHESIS_CORE_TRANSLATORS_H_
 
+#include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "core/op_health.h"
 #include "core/os_adapter.h"
@@ -55,15 +58,51 @@ class NiceTranslator final : public Translator {
   std::string name_ = "nice";
 };
 
+// Groups a schedule's entries by a key function without copying them. The
+// key of every entry is computed once per Build into reused strings; groups
+// come out in gid order (std::string ordering), each group's members in
+// schedule order, and a group's priority is the max over its members.
+class EntryGrouping {
+ public:
+  using GroupKeyFn = std::function<std::string(const EntityInfo&)>;
+
+  // A null key function groups per operator: gid "op-" + entity path.
+  explicit EntryGrouping(GroupKeyFn group_of = nullptr)
+      : group_of_(std::move(group_of)) {}
+
+  struct Group {
+    double priority;
+    std::size_t begin;  // position of the first member in the grouped order
+    std::size_t end;
+  };
+
+  void Build(const Schedule& schedule);
+  [[nodiscard]] const std::vector<Group>& groups() const { return groups_; }
+  [[nodiscard]] const std::string& gid(const Group& group) const {
+    return keys_[order_[group.begin]];
+  }
+  // The group's schedule entry indices; valid until the next Build.
+  [[nodiscard]] std::span<const std::uint32_t> members(const Group& group) const {
+    return {order_.data() + group.begin, group.end - group.begin};
+  }
+
+ private:
+  GroupKeyFn group_of_;
+  std::vector<std::string> keys_;      // per entry index
+  std::vector<std::uint32_t> order_;   // entry indices by (gid, index)
+  std::vector<Group> groups_;
+};
+
 // Grouping schedules -> cgroup cpu.shares. Entities are grouped by
 // `group_of` (default: one cgroup per operator, as in the paper's
 // multi-query experiment where 100 operators exceed nice's 40 levels);
 // each group's priority is the max over members.
 class CpuSharesTranslator final : public Translator {
  public:
-  using GroupKeyFn = std::function<std::string(const EntityInfo&)>;
+  using GroupKeyFn = EntryGrouping::GroupKeyFn;
 
-  explicit CpuSharesTranslator(GroupKeyFn group_of = nullptr);
+  explicit CpuSharesTranslator(GroupKeyFn group_of = nullptr)
+      : grouping_(std::move(group_of)) {}
   [[nodiscard]] const std::string& name() const override { return name_; }
   void Apply(const Schedule& schedule, OsAdapter& os) override;
 
@@ -72,11 +111,8 @@ class CpuSharesTranslator final : public Translator {
            OpClassBit(OpClass::kMoveToGroup);
   }
 
-  // Builds the grouping schedule without applying it (exposed for tests).
-  [[nodiscard]] GroupingSchedule BuildGroups(const Schedule& schedule) const;
-
  private:
-  GroupKeyFn group_of_;
+  EntryGrouping grouping_;
   std::string name_ = "cpu.shares";
 };
 
@@ -87,7 +123,7 @@ class CpuSharesTranslator final : public Translator {
 // is otherwise idle -- useful for strict multi-tenant isolation.
 class QuotaTranslator final : public Translator {
  public:
-  using GroupKeyFn = std::function<std::string(const EntityInfo&)>;
+  using GroupKeyFn = EntryGrouping::GroupKeyFn;
 
   // Normalized priority 0 maps to `min_cores`, 1 to `max_cores` worth of CPU
   // per `period`.
@@ -105,7 +141,7 @@ class QuotaTranslator final : public Translator {
   double min_cores_;
   double max_cores_;
   SimDuration period_;
-  CpuSharesTranslator grouping_helper_;  // reuses the grouping logic
+  EntryGrouping grouping_;
   std::string name_ = "cpu.quota";
 };
 

@@ -3,9 +3,10 @@
 // The storage-layer refactor (common/stable_pool.h, common/hash_index.h,
 // common/arena.h) exists to make the per-tick control loop allocation-free
 // once warm: the delta cache's skip-or-forward probe, the health tracker's
-// allow/record cycle, and recorder interning must not touch the heap in
-// steady state, or a million-target deployment spends its ticks inside the
-// allocator. This binary overrides global operator new to count every heap
+// allow/record cycle, recorder interning and the metric provider's Update
+// (outside the driver's by-value Entities() snapshot) must not touch the
+// heap in steady state, or a million-target deployment spends its ticks
+// inside the allocator. This binary overrides global operator new to count every heap
 // allocation and asserts the count stays at ZERO across steady-state ticks
 // after warmup. If a future change sneaks a std::map, a std::string build,
 // or a rehash into the hot path, this test fails with the allocation count.
@@ -21,9 +22,11 @@
 #include <string>
 #include <vector>
 
+#include "core/metric_provider.h"
 #include "core/op_health.h"
 #include "core/schedule_delta.h"
 #include "obs/recorder.h"
+#include "tests/fake_driver.h"
 
 namespace {
 std::atomic<std::uint64_t> g_alloc_count{0};
@@ -188,6 +191,79 @@ TEST(AllocRegressionTest, RecorderInternLookupAllocatesNothingWhenWarm) {
   EXPECT_EQ(AllocCount() - before, 0u)
       << "re-interning a known string must not touch the heap";
   EXPECT_TRUE(all_found);
+}
+
+// Forwards to a FakeDriver and counts the allocations made inside
+// Entities(): its by-value snapshot is the driver's cost, not the
+// provider's.
+class EntitiesCountingDriver final : public SpeDriver {
+ public:
+  explicit EntitiesCountingDriver(testing::FakeDriver& inner) : inner_(&inner) {}
+
+  [[nodiscard]] const std::string& name() const override { return inner_->name(); }
+  std::vector<EntityInfo> Entities() override {
+    const std::uint64_t before = AllocCount();
+    std::vector<EntityInfo> snapshot = inner_->Entities();
+    entities_allocs_ += AllocCount() - before;
+    return snapshot;
+  }
+  const LogicalTopology& Topology(QueryId query) override {
+    return inner_->Topology(query);
+  }
+  [[nodiscard]] bool Provides(MetricId metric) const override {
+    return inner_->Provides(metric);
+  }
+  double Fetch(MetricId metric, const EntityInfo& entity) override {
+    return inner_->Fetch(metric, entity);
+  }
+
+  [[nodiscard]] std::uint64_t entities_allocs() const { return entities_allocs_; }
+
+ private:
+  testing::FakeDriver* inner_;
+  std::uint64_t entities_allocs_ = 0;
+};
+
+// Allocations one warm MetricProvider::Update makes with Highest Rate
+// registered over `queries` 5-operator chains, not counting those inside
+// driver->Entities().
+std::uint64_t WarmProviderUpdateAllocs(int queries) {
+  testing::FakeDriver fake;
+  fake.Provide(MetricId::kCost);
+  fake.Provide(MetricId::kSelectivity);
+  LogicalTopology chain;
+  chain.names = {"src", "a", "b", "c", "sink"};
+  chain.base_costs = {1000, 1000, 1000, 1000, 1000};
+  chain.edges = {{0, 1}, {1, 2}, {2, 3}, {3, 4}};
+  for (int q = 0; q < queries; ++q) {
+    const QueryId query(static_cast<std::uint64_t>(q));
+    fake.SetTopology(query, chain);
+    for (int l = 0; l < 5; ++l) {
+      const EntityInfo& e = fake.AddEntity(query, {l});
+      fake.SetValue(MetricId::kCost, e.id, 1000.0 + 10 * (q + l));
+      fake.SetValue(MetricId::kSelectivity, e.id, 0.5 + 0.1 * l);
+    }
+  }
+  EntitiesCountingDriver driver(fake);
+  const std::vector<SpeDriver*> drivers = {&driver};
+  MetricProvider provider;
+  provider.Register(MetricId::kHighestRate);
+  provider.Update(drivers, Seconds(1));
+  provider.Update(drivers, Seconds(1));
+
+  const std::uint64_t entities_before = driver.entities_allocs();
+  const std::uint64_t before = AllocCount();
+  provider.Update(drivers, Seconds(1));
+  const std::uint64_t total = AllocCount() - before;
+  return total - (driver.entities_allocs() - entities_before);
+}
+
+TEST(AllocRegressionTest, WarmProviderUpdateAllocsDoNotGrowWithQueries) {
+  const std::uint64_t small = WarmProviderUpdateAllocs(10);
+  const std::uint64_t large = WarmProviderUpdateAllocs(100);
+  EXPECT_EQ(small, large)
+      << "a warm provider Update must not allocate per entity or query";
+  EXPECT_EQ(large, 0u) << "a warm provider Update must not touch the heap";
 }
 
 }  // namespace

@@ -1,10 +1,11 @@
 // Tests of the translators (paper §5.3): nice for single-priority
-// schedules, cpu.shares for grouping schedules, and the combined
+// schedules, cpu.shares and quotas over entity groups, and the combined
 // multi-dimensional scheme, against a recording OS adapter.
 #include "core/translators.h"
 
 #include <limits>
 #include <memory>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -179,17 +180,34 @@ TEST(CpuSharesTranslatorTest, CustomGroupingAggregatesMaxPriority) {
   EXPECT_EQ(os.thread_group.at(2), "qb");
 }
 
-TEST(CpuSharesTranslatorTest, BuildGroupsExposesGroupingSchedule) {
-  CpuSharesTranslator translator(
-      [](const EntityInfo& e) { return e.query_name; });
+TEST(EntryGroupingTest, GroupsInGidOrderWithMaxPriority) {
+  EntryGrouping grouping([](const EntityInfo& e) { return e.query_name; });
   Schedule s;
-  s.entries.push_back({Entity(0, "qa"), 1.0});
-  s.entries.push_back({Entity(1, "qa"), 9.0});
-  const GroupingSchedule grouping = translator.BuildGroups(s);
-  ASSERT_EQ(grouping.groups.size(), 1u);
-  EXPECT_EQ(grouping.groups[0].gid, "qa");
-  EXPECT_DOUBLE_EQ(grouping.groups[0].priority, 9.0);
-  EXPECT_EQ(grouping.groups[0].members.size(), 2u);
+  s.entries.push_back({Entity(0, "qb"), 4.0});
+  s.entries.push_back({Entity(1, "qa"), 1.0});
+  s.entries.push_back({Entity(2, "qb"), 2.0});
+  s.entries.push_back({Entity(3, "qa"), 9.0});
+  grouping.Build(s);
+  ASSERT_EQ(grouping.groups().size(), 2u);
+  const EntryGrouping::Group& qa = grouping.groups()[0];
+  const EntryGrouping::Group& qb = grouping.groups()[1];
+  EXPECT_EQ(grouping.gid(qa), "qa");
+  EXPECT_DOUBLE_EQ(qa.priority, 9.0);
+  EXPECT_EQ(grouping.gid(qb), "qb");
+  EXPECT_DOUBLE_EQ(qb.priority, 4.0);
+  // Members in schedule order within each group.
+  const auto members = [&grouping](const EntryGrouping::Group& g) {
+    const auto span = grouping.members(g);
+    return std::vector<std::uint32_t>(span.begin(), span.end());
+  };
+  EXPECT_EQ(members(qa), (std::vector<std::uint32_t>{1, 3}));
+  EXPECT_EQ(members(qb), (std::vector<std::uint32_t>{0, 2}));
+
+  // The default key is one group per operator path.
+  EntryGrouping per_operator;
+  per_operator.Build(s);
+  ASSERT_EQ(per_operator.groups().size(), 4u);
+  EXPECT_EQ(per_operator.gid(per_operator.groups()[0]), "op-spe.qa.op1");
 }
 
 TEST(DeadlineTranslatorTest, TaggedCriticalEntriesGetReservations) {
