@@ -72,7 +72,7 @@ Outcome Run(bool coordinated, double rate, SimTime duration,
     binding.translator = std::make_unique<core::NiceTranslator>();
     binding.period = Seconds(1);
     binding.drivers = {&driver};
-    runner.AddBinding(std::move(binding));
+    runner.AddQuery(std::move(binding));
   } else {
     // One isolated binding per node (the paper's §6.5 deployment).
     for (sim::Machine* node : machines) {
@@ -84,7 +84,7 @@ Outcome Run(bool coordinated, double rate, SimTime duration,
       binding.filter = [node](const core::EntityInfo& e) {
         return e.thread.machine == node;
       };
-      runner.AddBinding(std::move(binding));
+      runner.AddQuery(std::move(binding));
     }
   }
   runner.Start(duration);

@@ -64,7 +64,7 @@ BranchLatencies Run(bool prioritize_tolls) {
     binding.translator = std::make_unique<core::NiceTranslator>();
     binding.period = Seconds(1);
     binding.drivers = {&driver};
-    lachesis.AddBinding(std::move(binding));
+    lachesis.AddQuery(std::move(binding));
     lachesis.Start(duration);
   }
 

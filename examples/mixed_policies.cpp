@@ -60,7 +60,7 @@ int main() {
     binding.filter = [lr_id](const core::EntityInfo& e) {
       return e.query == lr_id;
     };
-    lachesis.AddBinding(std::move(binding));
+    lachesis.AddQuery(std::move(binding));
   }
   const QueryId syn_id = syn_query.id;
   {
@@ -72,7 +72,7 @@ int main() {
     binding.filter = [syn_id](const core::EntityInfo& e) {
       return e.query == syn_id;
     };
-    lachesis.AddBinding(std::move(binding));
+    lachesis.AddQuery(std::move(binding));
   }
   lachesis.Start(duration);
   sim.RunUntil(duration);

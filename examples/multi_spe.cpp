@@ -75,7 +75,7 @@ int main() {
   binding.translator = std::make_unique<core::QuerySharesPlusNiceTranslator>();
   binding.period = Seconds(1);
   binding.drivers = {&storm_driver, &flink_driver, &liebre_driver};
-  lachesis.AddBinding(std::move(binding));
+  lachesis.AddQuery(std::move(binding));
   lachesis.Start(duration);
 
   sim.RunUntil(duration);

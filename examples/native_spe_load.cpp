@@ -37,6 +37,7 @@
 #include "osctl/native_runtime_driver.h"
 #include "osctl/nice.h"
 #include "spe/native_runtime.h"
+#include "tsdb/tsdb.h"
 
 using namespace lachesis;
 
@@ -229,8 +230,9 @@ int main(int argc, char** argv) {
     double scraped_tps = 0;
     for (const core::EntityInfo& e : driver.Entities()) {
       if (!e.is_ingress) continue;
-      const auto d = driver.store().Delta(e.path + ".tuples_in",
-                                          static_cast<SimDuration>(seconds * 1e9));
+      const auto d = driver.store().Delta(
+          tsdb::SeriesName(e.path, spe::RawMetric::kTuplesIn),
+          static_cast<SimDuration>(seconds * 1e9));
       if (d) scraped_tps += *d / seconds;
     }
     std::printf("native_spe_load: ticks=%d nice_ops=%llu pin_failures=%d\n",

@@ -70,7 +70,7 @@ int main() {
   binding.translator = std::make_unique<core::NiceTranslator>();
   binding.period = Seconds(1);
   binding.drivers = {&driver};
-  lachesis.AddBinding(std::move(binding));
+  lachesis.AddQuery(std::move(binding));
   lachesis.Start(duration);
 
   // Report the active policy once per simulated second.

@@ -62,7 +62,7 @@ void Run(bool with_lachesis, double rate, SimTime duration,
     binding.translator = std::make_unique<core::NiceTranslator>();
     binding.period = Seconds(1);
     binding.drivers = {&driver};
-    lachesis.AddBinding(std::move(binding));
+    lachesis.AddQuery(std::move(binding));
     lachesis.Start(duration);
   }
 

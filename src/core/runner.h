@@ -75,11 +75,6 @@ class LachesisRunner {
   // dynamically). Returns the binding's index, usable with
   // SetBindingEnabled / RemoveQuery.
   std::size_t AddQuery(PolicyBinding binding);
-  // Historical name for AddQuery; kept because a "binding" and an attached
-  // query are the same object to the runner.
-  std::size_t AddBinding(PolicyBinding binding) {
-    return AddQuery(std::move(binding));
-  }
 
   // Detaches a binding: it stops running, and metrics no remaining
   // attached binding requires are unregistered from the provider. The

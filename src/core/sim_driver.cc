@@ -3,23 +3,15 @@
 #include <algorithm>
 #include <cassert>
 
-#include "tsdb/scraper.h"
-
 namespace lachesis::core {
-
-namespace {
-std::string SeriesPath(const EntityInfo& e, spe::RawMetric m) {
-  return e.path + "." + tsdb::RawMetricName(m);
-}
-}  // namespace
 
 SimSpeDriver::SimSpeDriver(spe::SpeInstance& instance,
                            const tsdb::TimeSeriesStore& store,
                            SimDuration delta_window)
     : instance_(&instance),
       store_(&store),
-      delta_window_(delta_window),
-      name_(instance.name()) {}
+      name_(instance.name()),
+      reader_(instance.flavor().exposed_metrics, delta_window) {}
 
 std::vector<EntityInfo> SimSpeDriver::Entities() {
   std::vector<EntityInfo> result;
@@ -50,115 +42,26 @@ const LogicalTopology& SimSpeDriver::Topology(QueryId query) {
   assert(query.value() < instance_->queries().size());
   const spe::DeployedQuery& deployed =
       *instance_->queries()[static_cast<std::size_t>(query.value())];
-  LogicalTopology topo;
-  for (int i = 0; i < static_cast<int>(deployed.logical.operators.size()); ++i) {
-    const auto& op = deployed.logical.operators[static_cast<std::size_t>(i)];
-    topo.names.push_back(op.name);
-    topo.base_costs.push_back(static_cast<double>(op.cost));
-    if (op.role == spe::OperatorRole::kIngress) topo.ingress_indices.push_back(i);
-    if (op.role == spe::OperatorRole::kEgress) topo.egress_indices.push_back(i);
-  }
-  for (const auto& edge : deployed.logical.edges) {
-    topo.edges.emplace_back(edge.from, edge.to);
-  }
-  return topologies_.emplace(query, std::move(topo)).first->second;
+  return topologies_.emplace(query, TopologyOf(deployed.logical)).first->second;
 }
 
 bool SimSpeDriver::Provides(MetricId metric) const {
-  const auto& exposed = instance_->flavor().exposed_metrics;
-  const auto has = [&](spe::RawMetric m) { return exposed.count(m) > 0; };
-  switch (metric) {
-    case MetricId::kTuplesInTotal:
-      return has(spe::RawMetric::kTuplesIn);
-    case MetricId::kTuplesOutTotal:
-      return has(spe::RawMetric::kTuplesOut);
-    case MetricId::kTuplesInDelta:
-      return has(spe::RawMetric::kTuplesIn);
-    case MetricId::kTuplesOutDelta:
-      return has(spe::RawMetric::kTuplesOut);
-    case MetricId::kBusyDeltaNs:
-      return has(spe::RawMetric::kBusyTimeNs);
-    case MetricId::kBufferUsage:
-      return has(spe::RawMetric::kBufferUsage);
-    case MetricId::kBufferCapacity:
-      return has(spe::RawMetric::kBufferCapacity);
-    case MetricId::kQueueSize:
-      return has(spe::RawMetric::kQueueSize);
-    case MetricId::kCost:
-      // Liebre exposes cost directly; Storm's rolling execute latency is a
-      // unit conversion away.
-      return has(spe::RawMetric::kCost) || has(spe::RawMetric::kAvgExecLatencyUs);
-    case MetricId::kSelectivity:
-      return has(spe::RawMetric::kSelectivity);
-    case MetricId::kHeadTupleAge:
-      return has(spe::RawMetric::kHeadTupleAgeNs);
-    case MetricId::kQueueHighWater:
-      return has(spe::RawMetric::kQueueHighWater);
-    case MetricId::kCpuPressure:
-      // PSI-style pressure comes from the OS, not the SPE; available for
-      // every engine.
-      return true;
-    case MetricId::kInputRate:
-    case MetricId::kHighestRate:
-      return false;  // always derived
-  }
-  return false;
+  // PSI-style pressure comes from the OS, not the SPE: every engine has it.
+  return metric == MetricId::kCpuPressure || reader_.Provides(metric);
 }
 
 double SimSpeDriver::Fetch(MetricId metric, const EntityInfo& entity) {
-  const auto latest = [&](spe::RawMetric m) {
-    const auto sample = store_->Latest(SeriesPath(entity, m));
-    return sample ? sample->value : 0.0;
-  };
-  const auto delta = [&](spe::RawMetric m) {
-    const auto d = store_->Delta(SeriesPath(entity, m), delta_window_);
-    return d ? std::max(*d, 0.0) : 0.0;
-  };
-  const auto& exposed = instance_->flavor().exposed_metrics;
-  switch (metric) {
-    case MetricId::kTuplesInTotal:
-      return latest(spe::RawMetric::kTuplesIn);
-    case MetricId::kTuplesOutTotal:
-      return latest(spe::RawMetric::kTuplesOut);
-    case MetricId::kTuplesInDelta:
-      return delta(spe::RawMetric::kTuplesIn);
-    case MetricId::kTuplesOutDelta:
-      return delta(spe::RawMetric::kTuplesOut);
-    case MetricId::kBusyDeltaNs:
-      return delta(spe::RawMetric::kBusyTimeNs);
-    case MetricId::kBufferUsage:
-      return latest(spe::RawMetric::kBufferUsage);
-    case MetricId::kBufferCapacity:
-      return latest(spe::RawMetric::kBufferCapacity);
-    case MetricId::kQueueSize:
-      return latest(spe::RawMetric::kQueueSize);
-    case MetricId::kCost:
-      if (exposed.count(spe::RawMetric::kCost) > 0) {
-        return latest(spe::RawMetric::kCost);
-      }
-      return latest(spe::RawMetric::kAvgExecLatencyUs) * 1000.0;  // us -> ns
-    case MetricId::kSelectivity:
-      return latest(spe::RawMetric::kSelectivity);
-    case MetricId::kHeadTupleAge:
-      return latest(spe::RawMetric::kHeadTupleAgeNs);
-    case MetricId::kQueueHighWater:
-      return latest(spe::RawMetric::kQueueHighWater);
-    case MetricId::kCpuPressure: {
-      // Fresh read from the (simulated) kernel's per-task accounting.
-      if (entity.thread.machine == nullptr) return 0.0;
-      const auto total = static_cast<double>(
-          entity.thread.machine->GetStats(entity.thread.sim_tid).wait_time);
-      double& last = last_wait_ns_[entity.id];
-      const double delta = std::max(total - last, 0.0);
-      last = total;
-      return delta;
-    }
-    case MetricId::kInputRate:
-    case MetricId::kHighestRate:
-      break;
+  if (metric != MetricId::kCpuPressure) {
+    return reader_.Read(*store_, metric, entity.path);
   }
-  assert(false && "Fetch called for non-provided metric");
-  return 0.0;
+  // Fresh read from the (simulated) kernel's per-task accounting.
+  if (entity.thread.machine == nullptr) return 0.0;
+  const auto total = static_cast<double>(
+      entity.thread.machine->GetStats(entity.thread.sim_tid).wait_time);
+  double& last = last_wait_ns_[entity.id];
+  const double delta = std::max(total - last, 0.0);
+  last = total;
+  return delta;
 }
 
 }  // namespace lachesis::core

@@ -1,7 +1,8 @@
 // Driver for the simulated SPE flavors (paper §4, "SPE Drivers").
 //
 // One driver class serves Storm-, Flink- and Liebre-flavored instances: the
-// flavor's exposed raw metrics determine which Lachesis metrics the driver
+// flavor's exposed raw metrics, resolved against the shared raw-metric table
+// (core/registry_driver.h), determine which Lachesis metrics the driver
 // Provides(); everything else is derived by the metric provider (the paper's
 // Fig 4 example: the same HR policy resolves differently per SPE). Metric
 // values are read from the Graphite-like store the engine reports to -- not
@@ -15,6 +16,7 @@
 #include <vector>
 
 #include "core/driver.h"
+#include "core/registry_driver.h"
 #include "spe/runtime.h"
 #include "tsdb/tsdb.h"
 
@@ -34,8 +36,8 @@ class SimSpeDriver final : public SpeDriver {
  private:
   spe::SpeInstance* instance_;
   const tsdb::TimeSeriesStore* store_;
-  SimDuration delta_window_;
   std::string name_;
+  RawMetricReader reader_;
   mutable std::unordered_map<QueryId, LogicalTopology> topologies_;
   // Previous runnable-wait snapshot per entity, for the PSI delta. Pressure
   // is an OS facility (read fresh from the kernel, not scraped via the

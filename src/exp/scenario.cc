@@ -200,7 +200,7 @@ RunResult RunScenario(const ScenarioSpec& spec) {
         binding.translator = MakeTranslatorFor(spec.scheduler);
         binding.period = spec.scheduler.period;
         binding.drivers = driver_ptrs;
-        runner->AddBinding(std::move(binding));
+        runner->AddQuery(std::move(binding));
       } else {
         // Scale-out (§6.5): independent Lachesis instances per node, each
         // scheduling only the local operators (no global knowledge).
@@ -214,7 +214,7 @@ RunResult RunScenario(const ScenarioSpec& spec) {
           binding.filter = [node](const core::EntityInfo& e) {
             return e.thread.machine == node;
           };
-          runner->AddBinding(std::move(binding));
+          runner->AddQuery(std::move(binding));
         }
       }
       runner->Start(end);

@@ -73,24 +73,20 @@ double ParseDouble(const std::string& value, int line, const std::string& key) {
   return parsed;
 }
 
+// A `provides` name is the metric's MetricName, the suffix NativeSpeDriver
+// reads the series under. Rates and pressure are never fetched from the
+// metrics file (derived, or read from the OS), so they are not accepted.
 core::MetricId MetricFromName(const std::string& name, int line) {
-  static const std::map<std::string, core::MetricId> kNames = {
-      {"tuples_in_total", core::MetricId::kTuplesInTotal},
-      {"tuples_out_total", core::MetricId::kTuplesOutTotal},
-      {"tuples_in_delta", core::MetricId::kTuplesInDelta},
-      {"tuples_out_delta", core::MetricId::kTuplesOutDelta},
-      {"busy_delta_ns", core::MetricId::kBusyDeltaNs},
-      {"buffer_usage", core::MetricId::kBufferUsage},
-      {"buffer_capacity", core::MetricId::kBufferCapacity},
-      {"queue_size", core::MetricId::kQueueSize},
-      {"cost", core::MetricId::kCost},
-      {"selectivity", core::MetricId::kSelectivity},
-      {"head_tuple_age", core::MetricId::kHeadTupleAge},
-      {"queue_high_water", core::MetricId::kQueueHighWater},
-  };
-  const auto it = kNames.find(name);
-  if (it == kNames.end()) Fail(line, "unknown metric '" + name + "'");
-  return it->second;
+  for (std::size_t i = 0; i < core::kMetricCount; ++i) {
+    const auto id = static_cast<core::MetricId>(i);
+    if (id == core::MetricId::kInputRate ||
+        id == core::MetricId::kHighestRate ||
+        id == core::MetricId::kCpuPressure) {
+      continue;
+    }
+    if (name == core::MetricName(id)) return id;
+  }
+  Fail(line, "unknown metric '" + name + "'");
 }
 
 }  // namespace

@@ -104,8 +104,6 @@ bool NativeSpeDriver::Provides(core::MetricId metric) const {
 
 double NativeSpeDriver::Fetch(core::MetricId metric,
                               const core::EntityInfo& entity) {
-  const std::string series =
-      entity.path + "." + core::MetricName(metric);
   switch (metric) {
     // Windowed metrics come from counter deltas over the last second.
     case core::MetricId::kTuplesInDelta:
@@ -122,7 +120,8 @@ double NativeSpeDriver::Fetch(core::MetricId metric,
       return delta ? std::max(*delta, 0.0) : 0.0;
     }
     default: {
-      const auto sample = store_.Latest(series);
+      const auto sample =
+          store_.Latest(entity.path + "." + core::MetricName(metric));
       return sample ? sample->value : 0.0;
     }
   }

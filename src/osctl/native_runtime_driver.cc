@@ -1,16 +1,12 @@
 #include "osctl/native_runtime_driver.h"
 
-#include <algorithm>
-
-#include "tsdb/scraper.h"
-
 namespace lachesis::osctl {
 
 NativeRuntimeDriver::NativeRuntimeDriver(spe::NativeRuntime& runtime,
                                          SimDuration delta_window)
     : runtime_(&runtime),
-      delta_window_(delta_window),
-      name_(runtime.name()) {}
+      name_(runtime.name()),
+      reader_(spe::NativeRuntime::ExposedMetrics(), delta_window) {}
 
 std::string NativeRuntimeDriver::SeriesPrefix(
     const spe::NativeRuntime& runtime, const spe::NativeOperator& op) {
@@ -21,9 +17,8 @@ std::string NativeRuntimeDriver::SeriesPrefix(
 void NativeRuntimeDriver::Poll(SimTime now) {
   runtime_->ForEachRawMetric([this, now](const spe::NativeOperator& op,
                                          spe::RawMetric metric, double value) {
-    store_.Append(SeriesPrefix(*runtime_, op) + "." +
-                      tsdb::RawMetricName(metric),
-                  now, value);
+    store_.Append(tsdb::SeriesName(SeriesPrefix(*runtime_, op), metric), now,
+                  value);
   });
 }
 
@@ -52,102 +47,19 @@ const core::LogicalTopology& NativeRuntimeDriver::Topology(QueryId query) {
   if (const auto it = topologies_.find(query); it != topologies_.end()) {
     return it->second;
   }
-  const spe::LogicalQuery& logical =
-      runtime_->query(static_cast<std::size_t>(query.value()));
-  core::LogicalTopology topo;
-  for (int i = 0; i < static_cast<int>(logical.operators.size()); ++i) {
-    const auto& op = logical.operators[static_cast<std::size_t>(i)];
-    topo.names.push_back(op.name);
-    topo.base_costs.push_back(static_cast<double>(op.cost));
-    if (op.role == spe::OperatorRole::kIngress) {
-      topo.ingress_indices.push_back(i);
-    }
-    if (op.role == spe::OperatorRole::kEgress) topo.egress_indices.push_back(i);
-  }
-  for (const auto& edge : logical.edges) {
-    topo.edges.emplace_back(edge.from, edge.to);
-  }
-  return topologies_.emplace(query, std::move(topo)).first->second;
+  return topologies_
+      .emplace(query, core::TopologyOf(runtime_->query(
+                          static_cast<std::size_t>(query.value()))))
+      .first->second;
 }
 
 bool NativeRuntimeDriver::Provides(core::MetricId metric) const {
-  const auto& exposed = spe::NativeRuntime::ExposedMetrics();
-  const auto has = [&](spe::RawMetric m) { return exposed.count(m) > 0; };
-  switch (metric) {
-    case core::MetricId::kTuplesInTotal:
-    case core::MetricId::kTuplesInDelta:
-      return has(spe::RawMetric::kTuplesIn);
-    case core::MetricId::kTuplesOutTotal:
-    case core::MetricId::kTuplesOutDelta:
-      return has(spe::RawMetric::kTuplesOut);
-    case core::MetricId::kBusyDeltaNs:
-      return has(spe::RawMetric::kBusyTimeNs);
-    case core::MetricId::kBufferUsage:
-      return has(spe::RawMetric::kBufferUsage);
-    case core::MetricId::kBufferCapacity:
-      return has(spe::RawMetric::kBufferCapacity);
-    case core::MetricId::kQueueSize:
-      return has(spe::RawMetric::kQueueSize);
-    case core::MetricId::kCost:
-      return has(spe::RawMetric::kCost) ||
-             has(spe::RawMetric::kAvgExecLatencyUs);
-    case core::MetricId::kSelectivity:
-      return has(spe::RawMetric::kSelectivity);
-    case core::MetricId::kHeadTupleAge:
-      return has(spe::RawMetric::kHeadTupleAgeNs);
-    case core::MetricId::kQueueHighWater:
-      return has(spe::RawMetric::kQueueHighWater);
-    case core::MetricId::kCpuPressure:
-    case core::MetricId::kInputRate:
-    case core::MetricId::kHighestRate:
-      return false;  // derived (rates) or OS-side (pressure)
-  }
-  return false;
+  return reader_.Provides(metric);
 }
 
 double NativeRuntimeDriver::Fetch(core::MetricId metric,
                                   const core::EntityInfo& entity) {
-  const auto latest = [&](spe::RawMetric m) {
-    const auto sample =
-        store_.Latest(entity.path + "." + tsdb::RawMetricName(m));
-    return sample ? sample->value : 0.0;
-  };
-  const auto delta = [&](spe::RawMetric m) {
-    const auto d =
-        store_.Delta(entity.path + "." + tsdb::RawMetricName(m), delta_window_);
-    return d ? std::max(*d, 0.0) : 0.0;
-  };
-  switch (metric) {
-    case core::MetricId::kTuplesInTotal:
-      return latest(spe::RawMetric::kTuplesIn);
-    case core::MetricId::kTuplesOutTotal:
-      return latest(spe::RawMetric::kTuplesOut);
-    case core::MetricId::kTuplesInDelta:
-      return delta(spe::RawMetric::kTuplesIn);
-    case core::MetricId::kTuplesOutDelta:
-      return delta(spe::RawMetric::kTuplesOut);
-    case core::MetricId::kBusyDeltaNs:
-      return delta(spe::RawMetric::kBusyTimeNs);
-    case core::MetricId::kBufferUsage:
-      return latest(spe::RawMetric::kBufferUsage);
-    case core::MetricId::kBufferCapacity:
-      return latest(spe::RawMetric::kBufferCapacity);
-    case core::MetricId::kQueueSize:
-      return latest(spe::RawMetric::kQueueSize);
-    case core::MetricId::kCost:
-      return latest(spe::RawMetric::kCost);
-    case core::MetricId::kSelectivity:
-      return latest(spe::RawMetric::kSelectivity);
-    case core::MetricId::kHeadTupleAge:
-      return latest(spe::RawMetric::kHeadTupleAgeNs);
-    case core::MetricId::kQueueHighWater:
-      return latest(spe::RawMetric::kQueueHighWater);
-    case core::MetricId::kCpuPressure:
-    case core::MetricId::kInputRate:
-    case core::MetricId::kHighestRate:
-      break;
-  }
-  return 0.0;
+  return reader_.Read(store_, metric, entity.path);
 }
 
 }  // namespace lachesis::osctl

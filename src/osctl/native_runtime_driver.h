@@ -4,7 +4,8 @@
 // discovery via /proc, metrics via a graphite file), this driver hosts the
 // executor in-process: Poll() live-scrapes the runtime's raw-metric
 // registry (NativeRuntime::ForEachRawMetric) into an owned TimeSeriesStore
-// -- the same reporting pipeline shape as the sim's tsdb::Scraper -- and
+// -- the same reporting pipeline shape as the sim's tsdb::Scraper, read
+// through the same raw-metric table (core/registry_driver.h) -- and
 // Entities() hands the control plane ThreadHandles carrying the real
 // kernel tids of the operator threads. The runner/policies/translators are
 // untouched: they see one more SpeDriver whose nice/cgroup decisions a
@@ -17,6 +18,7 @@
 #include <vector>
 
 #include "core/driver.h"
+#include "core/registry_driver.h"
 #include "spe/native_runtime.h"
 #include "tsdb/tsdb.h"
 
@@ -42,15 +44,15 @@ class NativeRuntimeDriver final : public core::SpeDriver {
 
   [[nodiscard]] const tsdb::TimeSeriesStore& store() const { return store_; }
 
+ private:
   // Series prefix for one operator: "<query>.<op>" (names are only unique
   // per query).
   [[nodiscard]] static std::string SeriesPrefix(
       const spe::NativeRuntime& runtime, const spe::NativeOperator& op);
 
- private:
   spe::NativeRuntime* runtime_;
-  SimDuration delta_window_;
   std::string name_;
+  core::RawMetricReader reader_;
   tsdb::TimeSeriesStore store_;
   std::map<QueryId, core::LogicalTopology> topologies_;
 };

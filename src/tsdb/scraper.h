@@ -19,24 +19,6 @@
 
 namespace lachesis::tsdb {
 
-// Human-readable series suffix for each raw metric.
-inline const char* RawMetricName(spe::RawMetric m) {
-  switch (m) {
-    case spe::RawMetric::kTuplesIn: return "tuples_in";
-    case spe::RawMetric::kTuplesOut: return "tuples_out";
-    case spe::RawMetric::kQueueSize: return "queue_size";
-    case spe::RawMetric::kBufferUsage: return "buffer_usage";
-    case spe::RawMetric::kBufferCapacity: return "buffer_capacity";
-    case spe::RawMetric::kAvgExecLatencyUs: return "avg_exec_latency_us";
-    case spe::RawMetric::kBusyTimeNs: return "busy_time_ns";
-    case spe::RawMetric::kCost: return "cost_ns";
-    case spe::RawMetric::kSelectivity: return "selectivity";
-    case spe::RawMetric::kHeadTupleAgeNs: return "head_tuple_age_ns";
-    case spe::RawMetric::kQueueHighWater: return "queue_high_water";
-  }
-  return "unknown";
-}
-
 class Scraper {
  public:
   Scraper(sim::Simulator& sim, TimeSeriesStore& store, SimDuration period)
@@ -61,7 +43,7 @@ class Scraper {
       target.instance->ForEachRawMetric(
           [this](const spe::DeployedQuery&, const spe::DeployedOp& op,
                  spe::RawMetric metric, double value) {
-            store_->Append(op.op->config().name + "." + RawMetricName(metric),
+            store_->Append(SeriesName(op.op->config().name, metric),
                            sim_->now(), value);
           },
           target.machine_index);

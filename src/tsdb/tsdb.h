@@ -15,8 +15,36 @@
 #include <unordered_map>
 
 #include "common/sim_time.h"
+#include "spe/flavor.h"
 
 namespace lachesis::tsdb {
+
+// Human-readable series suffix for each raw metric.
+inline const char* RawMetricName(spe::RawMetric m) {
+  switch (m) {
+    case spe::RawMetric::kTuplesIn: return "tuples_in";
+    case spe::RawMetric::kTuplesOut: return "tuples_out";
+    case spe::RawMetric::kQueueSize: return "queue_size";
+    case spe::RawMetric::kBufferUsage: return "buffer_usage";
+    case spe::RawMetric::kBufferCapacity: return "buffer_capacity";
+    case spe::RawMetric::kAvgExecLatencyUs: return "avg_exec_latency_us";
+    case spe::RawMetric::kBusyTimeNs: return "busy_time_ns";
+    case spe::RawMetric::kCost: return "cost_ns";
+    case spe::RawMetric::kSelectivity: return "selectivity";
+    case spe::RawMetric::kHeadTupleAgeNs: return "head_tuple_age_ns";
+    case spe::RawMetric::kQueueHighWater: return "queue_high_water";
+  }
+  return "unknown";
+}
+
+// The series an engine reports raw metric `m` of one operator under:
+// "<path>.<suffix>", where `path` is the operator's series prefix. Taken by
+// value so a temporary prefix is extended in place.
+inline std::string SeriesName(std::string path, spe::RawMetric m) {
+  path += '.';
+  path += RawMetricName(m);
+  return path;
+}
 
 struct Sample {
   SimTime time;
@@ -55,26 +83,6 @@ class TimeSeriesStore {
     }
     // No sample old enough: fall back to the oldest available.
     return last.value - points.front().value;
-  }
-
-  // Delta divided by the actual elapsed time between the samples used, in
-  // units of 1/second; nullopt mirrors Delta.
-  [[nodiscard]] std::optional<double> Rate(const std::string& series,
-                                           SimDuration window) const {
-    const auto it = series_.find(series);
-    if (it == series_.end() || it->second.size() < 2) return std::nullopt;
-    const auto& points = it->second;
-    const Sample& last = points.back();
-    const Sample* base = &points.front();
-    for (auto rit = points.rbegin() + 1; rit != points.rend(); ++rit) {
-      if (last.time - rit->time >= window) {
-        base = &*rit;
-        break;
-      }
-    }
-    const SimDuration dt = last.time - base->time;
-    if (dt <= 0) return std::nullopt;
-    return (last.value - base->value) / ToSeconds(dt);
   }
 
   [[nodiscard]] std::size_t series_count() const { return series_.size(); }

@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <set>
+#include <string>
+
 namespace lachesis::osctl {
 namespace {
 
@@ -94,6 +98,48 @@ operator a = pat series
 provides = warp_factor
 )"),
                std::runtime_error);
+}
+
+// `provides` takes the metric's MetricName, the same string the driver's
+// series names end in. Rates and pressure are never read from the metric
+// file (derived, or read from the OS), so the parser rejects them.
+TEST(DaemonConfigTest, ProvidesAcceptsEveryFetchableMetricName) {
+  const struct {
+    core::MetricId id;
+    const char* name;
+    bool accepted;
+  } kNames[] = {
+      {core::MetricId::kTuplesInTotal, "tuples_in_total", true},
+      {core::MetricId::kTuplesOutTotal, "tuples_out_total", true},
+      {core::MetricId::kTuplesInDelta, "tuples_in_delta", true},
+      {core::MetricId::kTuplesOutDelta, "tuples_out_delta", true},
+      {core::MetricId::kBusyDeltaNs, "busy_delta_ns", true},
+      {core::MetricId::kBufferUsage, "buffer_usage", true},
+      {core::MetricId::kBufferCapacity, "buffer_capacity", true},
+      {core::MetricId::kQueueSize, "queue_size", true},
+      {core::MetricId::kCost, "cost", true},
+      {core::MetricId::kSelectivity, "selectivity", true},
+      {core::MetricId::kInputRate, "input_rate", false},
+      {core::MetricId::kHeadTupleAge, "head_tuple_age", true},
+      {core::MetricId::kHighestRate, "highest_rate", false},
+      {core::MetricId::kCpuPressure, "cpu_pressure", false},
+      {core::MetricId::kQueueHighWater, "queue_high_water", true},
+  };
+  ASSERT_EQ(std::size(kNames), core::kMetricCount);
+  for (const auto& entry : kNames) {
+    EXPECT_STREQ(core::MetricName(entry.id), entry.name);
+    const std::string config =
+        std::string("[query q]\noperator a = pat series\nprovides = ") +
+        entry.name + "\n";
+    if (entry.accepted) {
+      EXPECT_EQ(ParseDaemonConfig(config).spe.provided,
+                std::set<core::MetricId>{entry.id})
+          << entry.name;
+    } else {
+      EXPECT_THROW(ParseDaemonConfig(config), std::runtime_error)
+          << entry.name;
+    }
+  }
 }
 
 TEST(DaemonConfigTest, RejectsEmptyConfig) {

@@ -148,7 +148,7 @@ TEST(FailureInjectionTest, RunnerSurvivesEntitiesAppearingMidFlight) {
   binding.translator = std::make_unique<NiceTranslator>();
   binding.period = Seconds(1);
   binding.drivers = {&driver};
-  runner.AddBinding(std::move(binding));
+  runner.AddQuery(std::move(binding));
   runner.Start(Seconds(5));
   sim.RunUntil(Seconds(2));
   EXPECT_TRUE(os.nices.empty());  // nothing to schedule yet

@@ -48,7 +48,7 @@ TEST(RunnerEnableTest, DisabledBindingDoesNotRun) {
   binding.translator = std::make_unique<NiceTranslator>();
   binding.period = Seconds(1);
   binding.drivers = {&driver};
-  const std::size_t index = runner.AddBinding(std::move(binding));
+  const std::size_t index = runner.AddQuery(std::move(binding));
   EXPECT_TRUE(runner.binding_enabled(index));
 
   runner.Start(Seconds(10));
@@ -84,7 +84,7 @@ TEST(RunnerEnableTest, SwitchingBetweenTwoBindings) {
     b.translator = std::make_unique<NiceTranslator>();
     b.period = Seconds(1);
     b.drivers = {&driver};
-    first = runner.AddBinding(std::move(b));
+    first = runner.AddQuery(std::move(b));
   }
   {
     PolicyBinding b;
@@ -92,7 +92,7 @@ TEST(RunnerEnableTest, SwitchingBetweenTwoBindings) {
     b.translator = std::make_unique<NiceTranslator>();
     b.period = Seconds(1);
     b.drivers = {&driver};
-    second = runner.AddBinding(std::move(b));
+    second = runner.AddQuery(std::move(b));
   }
   runner.SetBindingEnabled(second, false);
   runner.Start(Seconds(8));

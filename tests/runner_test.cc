@@ -66,7 +66,7 @@ TEST(RunnerTest, PolicyRunsOncePerPeriod) {
   binding.translator = std::make_unique<NiceTranslator>();
   binding.period = Seconds(1);
   binding.drivers = {&rig.driver};
-  runner.AddBinding(std::move(binding));
+  runner.AddQuery(std::move(binding));
   runner.Start(Seconds(10));
   rig.sim.RunUntil(Seconds(10));
   EXPECT_EQ(count, 10);
@@ -82,7 +82,7 @@ TEST(RunnerTest, RegistersRequiredMetricsOnStart) {
   binding.translator = std::make_unique<NiceTranslator>();
   binding.period = Seconds(1);
   binding.drivers = {&rig.driver};
-  runner.AddBinding(std::move(binding));
+  runner.AddQuery(std::move(binding));
   runner.Start(Seconds(5));
   EXPECT_TRUE(runner.provider().registered().count(MetricId::kQueueSize));
 }
@@ -96,7 +96,7 @@ TEST(RunnerTest, TranslatorAppliedWithPolicyOutput) {
   binding.translator = std::make_unique<NiceTranslator>();
   binding.period = Seconds(1);
   binding.drivers = {&rig.driver};
-  runner.AddBinding(std::move(binding));
+  runner.AddQuery(std::move(binding));
   runner.Start(Seconds(2));
   rig.sim.RunUntil(Seconds(2));
   // Entity 1 has the larger queue -> best nice.
@@ -115,7 +115,7 @@ TEST(RunnerTest, PoliciesWithDifferentPeriodsFireIndependently) {
     fast.translator = std::make_unique<NiceTranslator>();
     fast.period = Millis(500);
     fast.drivers = {&rig.driver};
-    runner.AddBinding(std::move(fast));
+    runner.AddQuery(std::move(fast));
   }
   {
     PolicyBinding slow;
@@ -123,7 +123,7 @@ TEST(RunnerTest, PoliciesWithDifferentPeriodsFireIndependently) {
     slow.translator = std::make_unique<NiceTranslator>();
     slow.period = Seconds(2);
     slow.drivers = {&rig.driver};
-    runner.AddBinding(std::move(slow));
+    runner.AddQuery(std::move(slow));
   }
   runner.Start(Seconds(8));
   rig.sim.RunUntil(Seconds(8));
@@ -147,7 +147,7 @@ TEST(RunnerTest, FiltersPartitionEntitiesBetweenBindings) {
     b.period = Seconds(1);
     b.drivers = {&rig.driver};
     b.filter = [](const EntityInfo& e) { return e.query == QueryId(0); };
-    runner.AddBinding(std::move(b));
+    runner.AddQuery(std::move(b));
   }
   {
     PolicyBinding b;
@@ -156,7 +156,7 @@ TEST(RunnerTest, FiltersPartitionEntitiesBetweenBindings) {
     b.period = Seconds(1);
     b.drivers = {&rig.driver};
     b.filter = [](const EntityInfo& e) { return e.query == QueryId(1); };
-    runner.AddBinding(std::move(b));
+    runner.AddQuery(std::move(b));
   }
   runner.Start(Seconds(3));
   rig.sim.RunUntil(Seconds(3));
@@ -184,7 +184,7 @@ TEST(RunnerTest, MultipleDriversScheduledTogether) {
   binding.translator = std::make_unique<NiceTranslator>();
   binding.period = Seconds(1);
   binding.drivers = {&rig.driver, &second};
-  runner.AddBinding(std::move(binding));
+  runner.AddQuery(std::move(binding));
   runner.Start(Seconds(1));
   rig.sim.RunUntil(Seconds(1));
   // Entities from both drivers normalized in one schedule: the second

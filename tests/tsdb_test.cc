@@ -9,7 +9,6 @@ TEST(TsdbTest, LatestOfMissingSeriesIsEmpty) {
   TimeSeriesStore store;
   EXPECT_FALSE(store.Latest("nope").has_value());
   EXPECT_FALSE(store.Delta("nope", Seconds(1)).has_value());
-  EXPECT_FALSE(store.Rate("nope", Seconds(1)).has_value());
 }
 
 TEST(TsdbTest, LatestReturnsNewestSample) {
@@ -47,15 +46,6 @@ TEST(TsdbTest, DeltaFallsBackToOldestSample) {
   const auto delta = store.Delta("s", Seconds(60));
   ASSERT_TRUE(delta.has_value());
   EXPECT_DOUBLE_EQ(*delta, 7.0);
-}
-
-TEST(TsdbTest, RateUsesActualElapsedTime) {
-  TimeSeriesStore store;
-  store.Append("s", Seconds(0), 0);
-  store.Append("s", Seconds(2), 500);
-  const auto rate = store.Rate("s", Seconds(1));
-  ASSERT_TRUE(rate.has_value());
-  EXPECT_DOUBLE_EQ(*rate, 250.0);  // 500 over 2 s
 }
 
 TEST(TsdbTest, HistoryIsBounded) {
