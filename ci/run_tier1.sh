@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Tier-1 CI gate: configure, build, and run the full unit/property/golden
-# test suite. Usage:
+# Tier-1 CI gate: configure, build warning-free (-Werror), and run the full
+# unit/property/golden test suite. Usage:
 #   ci/run_tier1.sh [build-dir]
 # Environment:
 #   LACHESIS_SANITIZE  forwarded to cmake (e.g. address,undefined)
@@ -13,7 +13,8 @@ JOBS=$(nproc 2>/dev/null || echo 2)
 
 cmake -S "$SRC_DIR" -B "$BUILD_DIR" \
   -DCMAKE_BUILD_TYPE="${CMAKE_BUILD_TYPE:-RelWithDebInfo}" \
-  -DLACHESIS_SANITIZE="${LACHESIS_SANITIZE:-}"
+  -DLACHESIS_SANITIZE="${LACHESIS_SANITIZE:-}" \
+  -DLACHESIS_WERROR=ON
 cmake --build "$BUILD_DIR" -j "$JOBS"
 
 status=0

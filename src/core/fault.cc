@@ -29,6 +29,12 @@ std::uint64_t HashString(std::uint64_t h, const std::string& s) {
   return h;
 }
 
+// The fault-rule target of a thread op: "<os_tid>/<sim_tid>".
+std::string ThreadTarget(const ThreadHandle& thread) {
+  return std::to_string(thread.os_tid) + "/" +
+         std::to_string(thread.sim_tid.value());
+}
+
 }  // namespace
 
 bool FaultChance(std::uint64_t seed, std::uint64_t salt, double probability) {
@@ -100,8 +106,7 @@ std::uint64_t FaultInjectingOsAdapter::total_injected() const {
 }
 
 void FaultInjectingOsAdapter::SetNice(const ThreadHandle& thread, int nice) {
-  MaybeInject(OpClass::kSetNice, std::to_string(thread.os_tid) + "/" +
-                                     std::to_string(thread.sim_tid.value()));
+  MaybeInject(OpClass::kSetNice, ThreadTarget(thread));
   next_->SetNice(thread, nice);
 }
 
@@ -119,9 +124,7 @@ void FaultInjectingOsAdapter::MoveToGroup(const ThreadHandle& thread,
 
 void FaultInjectingOsAdapter::SetRtPriority(const ThreadHandle& thread,
                                             int rt_priority) {
-  MaybeInject(OpClass::kSetRtPriority,
-              std::to_string(thread.os_tid) + "/" +
-                  std::to_string(thread.sim_tid.value()));
+  MaybeInject(OpClass::kSetRtPriority, ThreadTarget(thread));
   next_->SetRtPriority(thread, rt_priority);
 }
 
@@ -130,6 +133,20 @@ void FaultInjectingOsAdapter::SetGroupQuota(const std::string& group,
                                             SimDuration period) {
   MaybeInject(OpClass::kSetGroupQuota, group);
   next_->SetGroupQuota(group, quota, period);
+}
+
+void FaultInjectingOsAdapter::SetDeadline(const ThreadHandle& thread,
+                                          SimDuration runtime,
+                                          SimDuration deadline,
+                                          SimDuration period) {
+  MaybeInject(OpClass::kSetDeadline, ThreadTarget(thread));
+  next_->SetDeadline(thread, runtime, deadline, period);
+}
+
+void FaultInjectingOsAdapter::SetCpuAffinity(const ThreadHandle& thread,
+                                             CpuPreference pref) {
+  MaybeInject(OpClass::kSetAffinity, ThreadTarget(thread));
+  next_->SetCpuAffinity(thread, pref);
 }
 
 std::vector<EntityInfo> FaultInjectingDriver::Entities() {

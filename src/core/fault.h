@@ -104,6 +104,9 @@ class FaultInjectingOsAdapter final : public OsAdapter {
   void SetRtPriority(const ThreadHandle& thread, int rt_priority) override;
   void SetGroupQuota(const std::string& group, SimDuration quota,
                      SimDuration period) override;
+  void SetDeadline(const ThreadHandle& thread, SimDuration runtime,
+                   SimDuration deadline, SimDuration period) override;
+  void SetCpuAffinity(const ThreadHandle& thread, CpuPreference pref) override;
   bool SnapshotState(const std::vector<ThreadHandle>& threads,
                      OsStateSnapshot& out) override {
     return next_->SnapshotState(threads, out);

@@ -6,6 +6,12 @@
 #include "obs/recorder.h"
 
 namespace lachesis::core {
+namespace {
+
+// The recorded detail of an op whose value says it all.
+std::string NoDetail() { return {}; }
+
+}  // namespace
 
 void ScheduleDeltaAdapter::Reset() {
   nice_.Clear();
@@ -18,7 +24,7 @@ void ScheduleDeltaAdapter::Reset() {
 }
 
 void ScheduleDeltaAdapter::ForgetThread(const ThreadHandle& thread) {
-  const ThreadKey key = KeyOf(thread);
+  const ThreadKey key = ThreadKeyOf(thread);
   nice_.Erase(key);
   rt_.Erase(key);
   deadline_.Erase(key);
@@ -28,11 +34,9 @@ void ScheduleDeltaAdapter::ForgetThread(const ThreadHandle& thread) {
 }
 
 void ScheduleDeltaAdapter::ForgetGroup(const std::string& group) {
-  const std::uint32_t gid = GroupIdOf(group);
-  if (gid != kUnknownGroup) {
-    shares_.Erase(gid);
-    quota_.Erase(gid);
-  }
+  const std::uint32_t gid = group_ids_.Intern(group);
+  shares_.Erase(gid);
+  quota_.Erase(gid);
   health_.ForgetTarget(HealthKeyOf(group));
 }
 
@@ -40,7 +44,7 @@ std::size_t ScheduleDeltaAdapter::SeedFromSnapshot(
     const OsStateSnapshot& snapshot) {
   std::size_t seeded = 0;
   for (const OsStateSnapshot::ThreadState& ts : snapshot.threads) {
-    const ThreadKey key = KeyOf(ts.thread);
+    const ThreadKey key = ThreadKeyOf(ts.thread);
     if (ts.nice) {
       nice_.Insert(key, *ts.nice);
       ++seeded;
@@ -97,256 +101,129 @@ std::size_t ScheduleDeltaAdapter::dl_reserved_count() const {
   return count;
 }
 
-void ScheduleDeltaAdapter::RecordElided(OpClass cls,
-                                        const std::string& health_key,
-                                        std::int64_t value) {
-  recorder_->Op(now_, obs::EventKind::kOpElided, static_cast<int>(cls),
-                health_key, value);
-}
-
 void ScheduleDeltaAdapter::LogFailureOnce(OpClass cls,
-                                          const std::string& target,
+                                          const std::string& health_key,
                                           const char* what) {
   // One line per (operation, target): a permanently broken target (e.g. an
   // unwritable cgroup root) must not flood the log every period.
-  const std::uint32_t id = log_names_.Intern(target);
+  const std::uint32_t id = log_names_.Intern(health_key);
   if (logged_failures_[static_cast<int>(cls)].Insert(id)) {
     std::fprintf(stderr, "lachesis: %s(%s) failed: %s\n", OpClassName(cls),
-                 target.c_str(), what);
+                 health_key.c_str(), what);
   }
 }
 
-template <typename Fn>
+template <typename K, typename V, typename Detail, typename Call>
+void ScheduleDeltaAdapter::Apply(OpClass cls, FlatMap<K, V>& cache,
+                                 const K& key, const V& value, bool clear,
+                                 std::int64_t recorded, Detail&& detail,
+                                 Call&& call) {
+  if (enabled_) {
+    const V* cached = cache.Find(key);
+    if (cached != nullptr ? *cached == value : clear) {
+      Count(&DeltaStats::skipped);
+      if (recorder_ != nullptr && recorder_->verbose()) {
+        recorder_->Op(now_, obs::EventKind::kOpElided, static_cast<int>(cls),
+                      HealthKeyOf(key), recorded);
+      }
+      return;
+    }
+  }
+  if (Forward(cls, HealthKeyOf(key), recorded, detail, call)) {
+    cache.Insert(key, value);
+  }
+}
+
+template <typename Detail, typename Call>
 bool ScheduleDeltaAdapter::Forward(OpClass cls, const std::string& health_key,
-                                   const std::string& target,
-                                   std::int64_t value,
-                                   const std::string& detail, Fn&& fn) {
+                                   std::int64_t recorded, Detail&& detail,
+                                   Call&& call) {
   if (!health_.AllowAttempt(cls, health_key, now_)) {
-    ++tick_.suppressed;
-    ++totals_.suppressed;
+    Count(&DeltaStats::suppressed);
     if (recorder_ != nullptr) {
-      recorder_->Op(now_, obs::EventKind::kOpSuppressed,
-                    static_cast<int>(cls), health_key, value, detail);
+      recorder_->Op(now_, obs::EventKind::kOpSuppressed, static_cast<int>(cls),
+                    health_key, recorded, detail());
     }
     return false;
   }
   try {
-    fn();
-  } catch (const OsOperationError& e) {
-    health_.RecordFailure(cls, health_key, now_, e.severity());
-    ++tick_.errors;
-    ++totals_.errors;
-    if (recorder_ != nullptr) {
-      recorder_->Op(now_, obs::EventKind::kOpError, static_cast<int>(cls),
-                    health_key, value, e.what());
-    }
-    LogFailureOnce(cls, target, e.what());
-    return false;
+    call();
   } catch (const std::exception& e) {
-    health_.RecordFailure(cls, health_key, now_, ErrorSeverity::kTransient);
-    ++tick_.errors;
-    ++totals_.errors;
+    const auto* os_error = dynamic_cast<const OsOperationError*>(&e);
+    health_.RecordFailure(cls, health_key, now_,
+                          os_error != nullptr ? os_error->severity()
+                                              : ErrorSeverity::kTransient);
+    Count(&DeltaStats::errors);
     if (recorder_ != nullptr) {
       recorder_->Op(now_, obs::EventKind::kOpError, static_cast<int>(cls),
-                    health_key, value, e.what());
+                    health_key, recorded, e.what());
     }
-    LogFailureOnce(cls, target, e.what());
+    LogFailureOnce(cls, health_key, e.what());
     return false;
   }
   health_.RecordSuccess(cls, health_key, now_);
-  ++tick_.applied;
-  ++totals_.applied;
+  Count(&DeltaStats::applied);
   if (recorder_ != nullptr) {
     recorder_->Op(now_, obs::EventKind::kOpApplied, static_cast<int>(cls),
-                  health_key, value, detail);
+                  health_key, recorded, detail());
   }
   return true;
 }
 
 void ScheduleDeltaAdapter::SetNice(const ThreadHandle& thread, int nice) {
-  const ThreadKey key = KeyOf(thread);
-  if (enabled_) {
-    const int* cached = nice_.Find(key);
-    if (cached != nullptr && *cached == nice) {
-      ++tick_.skipped;
-      ++totals_.skipped;
-      if (recorder_ != nullptr && recorder_->verbose()) {
-        RecordElided(OpClass::kSetNice, HealthKeyOf(thread), nice);
-      }
-      return;
-    }
-  }
-  if (Forward(OpClass::kSetNice, HealthKeyOf(thread),
-              std::to_string(thread.os_tid), nice, {},
-              [&] { next_->SetNice(thread, nice); })) {
-    nice_.Insert(key, nice);
-  }
+  Apply(OpClass::kSetNice, nice_, ThreadKeyOf(thread), nice, /*clear=*/false,
+        nice, NoDetail, [&] { next_->SetNice(thread, nice); });
 }
 
 void ScheduleDeltaAdapter::SetGroupShares(const std::string& group,
                                           std::uint64_t shares) {
-  const std::uint32_t gid = GroupIdOf(group);
-  if (enabled_) {
-    const std::uint64_t* cached =
-        gid != kUnknownGroup ? shares_.Find(gid) : nullptr;
-    if (cached != nullptr && *cached == shares) {
-      ++tick_.skipped;
-      ++totals_.skipped;
-      if (recorder_ != nullptr && recorder_->verbose()) {
-        RecordElided(OpClass::kSetGroupShares, HealthKeyOf(group),
-                     static_cast<std::int64_t>(shares));
-      }
-      return;
-    }
-  }
-  if (Forward(OpClass::kSetGroupShares, HealthKeyOf(group), group,
-              static_cast<std::int64_t>(shares), {},
-              [&] { next_->SetGroupShares(group, shares); })) {
-    shares_.Insert(group_ids_.Intern(group), shares);
-  }
+  Apply(OpClass::kSetGroupShares, shares_, group_ids_.Intern(group), shares,
+        /*clear=*/false, static_cast<std::int64_t>(shares), NoDetail,
+        [&] { next_->SetGroupShares(group, shares); });
 }
 
 void ScheduleDeltaAdapter::MoveToGroup(const ThreadHandle& thread,
                                        const std::string& group) {
-  const ThreadKey key = KeyOf(thread);
-  if (enabled_) {
-    const std::uint32_t* cached = group_of_.Find(key);
-    const std::uint32_t gid = GroupIdOf(group);
-    if (cached != nullptr && gid != kUnknownGroup && *cached == gid) {
-      ++tick_.skipped;
-      ++totals_.skipped;
-      if (recorder_ != nullptr && recorder_->verbose()) {
-        RecordElided(OpClass::kMoveToGroup, HealthKeyOf(thread), 0);
-      }
-      return;
-    }
-  }
-  if (Forward(OpClass::kMoveToGroup, HealthKeyOf(thread), group, 0, group,
-              [&] { next_->MoveToGroup(thread, group); })) {
-    group_of_.Insert(key, group_ids_.Intern(group));
-  }
+  Apply(OpClass::kMoveToGroup, group_of_, ThreadKeyOf(thread),
+        group_ids_.Intern(group), /*clear=*/false, 0, [&] { return group; },
+        [&] { next_->MoveToGroup(thread, group); });
 }
 
 void ScheduleDeltaAdapter::SetRtPriority(const ThreadHandle& thread,
                                          int rt_priority) {
-  const ThreadKey key = KeyOf(thread);
-  if (enabled_) {
-    const int* cached = rt_.Find(key);
-    if (cached != nullptr && *cached == rt_priority) {
-      ++tick_.skipped;
-      ++totals_.skipped;
-      if (recorder_ != nullptr && recorder_->verbose()) {
-        RecordElided(OpClass::kSetRtPriority, HealthKeyOf(thread),
-                     rt_priority);
-      }
-      return;
-    }
-    // A demotion for a thread the delta layer never boosted is a no-op by
-    // construction (fair class is the default state).
-    if (cached == nullptr && rt_priority == 0) {
-      ++tick_.skipped;
-      ++totals_.skipped;
-      if (recorder_ != nullptr && recorder_->verbose()) {
-        RecordElided(OpClass::kSetRtPriority, HealthKeyOf(thread), 0);
-      }
-      return;
-    }
-  }
-  if (Forward(OpClass::kSetRtPriority, HealthKeyOf(thread),
-              std::to_string(thread.os_tid), rt_priority, {},
-              [&] { next_->SetRtPriority(thread, rt_priority); })) {
-    rt_.Insert(key, rt_priority);
-  }
+  Apply(OpClass::kSetRtPriority, rt_, ThreadKeyOf(thread), rt_priority,
+        rt_priority == 0, rt_priority, NoDetail,
+        [&] { next_->SetRtPriority(thread, rt_priority); });
 }
 
 void ScheduleDeltaAdapter::SetGroupQuota(const std::string& group,
                                          SimDuration quota, SimDuration period) {
-  const std::uint32_t gid = GroupIdOf(group);
-  if (enabled_) {
-    const std::pair<SimDuration, SimDuration>* cached =
-        gid != kUnknownGroup ? quota_.Find(gid) : nullptr;
-    if (cached != nullptr && *cached == std::make_pair(quota, period)) {
-      ++tick_.skipped;
-      ++totals_.skipped;
-      if (recorder_ != nullptr && recorder_->verbose()) {
-        RecordElided(OpClass::kSetGroupQuota, HealthKeyOf(group), quota);
-      }
-      return;
-    }
-  }
-  if (Forward(OpClass::kSetGroupQuota, HealthKeyOf(group), group, quota,
-              "period_ns=" + std::to_string(period),
-              [&] { next_->SetGroupQuota(group, quota, period); })) {
-    quota_.Insert(group_ids_.Intern(group), {quota, period});
-  }
+  Apply(OpClass::kSetGroupQuota, quota_, group_ids_.Intern(group),
+        std::make_pair(quota, period), /*clear=*/false, quota,
+        [&] { return "period_ns=" + std::to_string(period); },
+        [&] { next_->SetGroupQuota(group, quota, period); });
 }
 
 void ScheduleDeltaAdapter::SetDeadline(const ThreadHandle& thread,
                                        SimDuration runtime,
                                        SimDuration deadline,
                                        SimDuration period) {
-  const ThreadKey key = KeyOf(thread);
-  const std::array<SimDuration, 3> triple{runtime, deadline, period};
-  const bool is_clear = runtime == 0 && deadline == 0 && period == 0;
-  if (enabled_) {
-    const std::array<SimDuration, 3>* cached = deadline_.Find(key);
-    if (cached != nullptr && *cached == triple) {
-      ++tick_.skipped;
-      ++totals_.skipped;
-      if (recorder_ != nullptr && recorder_->verbose()) {
-        RecordElided(OpClass::kSetDeadline, HealthKeyOf(thread), runtime);
-      }
-      return;
-    }
-    // Clearing a reservation the delta layer never applied is a no-op by
-    // construction (no reservation is the default state).
-    if (cached == nullptr && is_clear) {
-      ++tick_.skipped;
-      ++totals_.skipped;
-      if (recorder_ != nullptr && recorder_->verbose()) {
-        RecordElided(OpClass::kSetDeadline, HealthKeyOf(thread), 0);
-      }
-      return;
-    }
-  }
-  if (Forward(OpClass::kSetDeadline, HealthKeyOf(thread),
-              std::to_string(thread.os_tid), runtime,
-              "deadline_ns=" + std::to_string(deadline) +
-                  " period_ns=" + std::to_string(period),
-              [&] { next_->SetDeadline(thread, runtime, deadline, period); })) {
-    deadline_.Insert(key, triple);
-  }
+  Apply(OpClass::kSetDeadline, deadline_, ThreadKeyOf(thread),
+        std::array<SimDuration, 3>{runtime, deadline, period},
+        runtime == 0 && deadline == 0 && period == 0, runtime,
+        [&] {
+          return "deadline_ns=" + std::to_string(deadline) +
+                 " period_ns=" + std::to_string(period);
+        },
+        [&] { next_->SetDeadline(thread, runtime, deadline, period); });
 }
 
 void ScheduleDeltaAdapter::SetCpuAffinity(const ThreadHandle& thread,
                                           CpuPreference pref) {
-  const ThreadKey key = KeyOf(thread);
   const auto value = static_cast<std::uint8_t>(pref);
-  if (enabled_) {
-    const std::uint8_t* cached = affinity_.Find(key);
-    if (cached != nullptr && *cached == value) {
-      ++tick_.skipped;
-      ++totals_.skipped;
-      if (recorder_ != nullptr && recorder_->verbose()) {
-        RecordElided(OpClass::kSetAffinity, HealthKeyOf(thread), value);
-      }
-      return;
-    }
-    // Clearing a hint that was never set is a no-op by construction.
-    if (cached == nullptr && pref == CpuPreference::kNone) {
-      ++tick_.skipped;
-      ++totals_.skipped;
-      if (recorder_ != nullptr && recorder_->verbose()) {
-        RecordElided(OpClass::kSetAffinity, HealthKeyOf(thread), 0);
-      }
-      return;
-    }
-  }
-  if (Forward(OpClass::kSetAffinity, HealthKeyOf(thread),
-              std::to_string(thread.os_tid), value, {},
-              [&] { next_->SetCpuAffinity(thread, pref); })) {
-    affinity_.Insert(key, value);
-  }
+  Apply(OpClass::kSetAffinity, affinity_, ThreadKeyOf(thread), value,
+        pref == CpuPreference::kNone, value, NoDetail,
+        [&] { next_->SetCpuAffinity(thread, pref); });
 }
 
 }  // namespace lachesis::core

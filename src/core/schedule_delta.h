@@ -28,6 +28,7 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "common/hash_index.h"
@@ -161,11 +162,10 @@ class ScheduleDeltaAdapter final : public OsAdapter {
   // the machine pointer (addresses vary across runs and would break
   // deterministic jitter); sim_tid + os_tid is unique within a backend.
   static std::string HealthKeyOf(const ThreadHandle& thread) {
-    return "t:" + std::to_string(thread.sim_tid.value()) + "/" +
-           std::to_string(thread.os_tid);
+    return HealthKeyOf(ThreadKeyOf(thread));
   }
-  static std::string HealthKeyOf(const std::string& group) {
-    return "g:" + group;
+  static std::string HealthKeyOf(std::string_view group) {
+    return std::string("g:").append(group);
   }
 
   void SetNice(const ThreadHandle& thread, int nice) override;
@@ -184,34 +184,40 @@ class ScheduleDeltaAdapter final : public OsAdapter {
   }
 
  private:
-  static ThreadKey KeyOf(const ThreadHandle& thread) {
-    return ThreadKeyOf(thread);
+  // Health keys of Apply's cache keys: a thread's, or an interned group's.
+  static std::string HealthKeyOf(const ThreadKey& key) {
+    return "t:" + std::to_string(key.sim_tid) + "/" +
+           std::to_string(key.os_tid);
   }
-  // Runs `fn` (the backend call) under the health tracker; returns true
+  [[nodiscard]] std::string HealthKeyOf(std::uint32_t group_id) const {
+    return HealthKeyOf(group_ids_.View(group_id));
+  }
+
+  // The one op path. Elides the op when `cache` holds `value` for `key`, or
+  // when `clear` is set and `key` was never set: clearing an rt priority, a
+  // reservation or an affinity hint the layer never applied is a no-op by
+  // construction (the fair class, no reservation and no hint are the
+  // default state). Otherwise forwards `call` and caches `value` when it
+  // succeeds. `recorded` and `detail()` feed only the recorder; `detail`
+  // runs only for a forwarded op, so the elide path builds no string.
+  template <typename K, typename V, typename Detail, typename Call>
+  void Apply(OpClass cls, FlatMap<K, V>& cache, const K& key, const V& value,
+             bool clear, std::int64_t recorded, Detail&& detail, Call&& call);
+  // Runs `call` (the backend op) under the health tracker; returns true
   // when it succeeded. Failures are counted and logged once per
   // (operation, target); suppressed attempts are counted but not logged.
-  // `value`/`detail` only feed the provenance recorder.
-  template <typename Fn>
+  template <typename Detail, typename Call>
   bool Forward(OpClass cls, const std::string& health_key,
-               const std::string& target, std::int64_t value,
-               const std::string& detail, Fn&& fn);
-
-  // Records a delta-layer elision (verbose recorders only).
-  void RecordElided(OpClass cls, const std::string& health_key,
-                    std::int64_t value);
+               std::int64_t recorded, Detail&& detail, Call&& call);
+  // Bumps one counter of both the tick stats and the totals.
+  void Count(std::uint64_t DeltaStats::*counter) {
+    ++(tick_.*counter);
+    ++(totals_.*counter);
+  }
   // Once-per-(operation, target) stderr logging; O(1), allocation-free once
   // the pair has been seen.
-  void LogFailureOnce(OpClass cls, const std::string& target,
+  void LogFailureOnce(OpClass cls, const std::string& health_key,
                       const char* what);
-  // Interned id of `group`, or kUnknownGroup when no group state was ever
-  // cached under that name (disambiguates the interner's 0-for-miss from
-  // 0-for-"").
-  [[nodiscard]] std::uint32_t GroupIdOf(const std::string& group) const {
-    const std::uint32_t id = group_ids_.Lookup(group);
-    return id == 0 && !group.empty() ? kUnknownGroup : id;
-  }
-
-  static constexpr std::uint32_t kUnknownGroup = 0xffffffffu;
 
   OsAdapter* next_;
   bool enabled_ = true;
@@ -224,8 +230,8 @@ class ScheduleDeltaAdapter final : public OsAdapter {
   // The last-applied cache: open-addressing maps keyed by padding-free PODs
   // (threads by ThreadKey, groups by interned id), so the per-tick
   // skip-or-forward decision is an O(1) probe with zero heap traffic once
-  // the table is warm. Group names are interned once; cached group state
-  // compares dense uint32 ids instead of strings.
+  // the table is warm. Group names are interned on first sight; cached
+  // group state compares dense uint32 ids instead of strings.
   StringInterner group_ids_;
   FlatMap<ThreadKey, int> nice_;
   FlatMap<ThreadKey, int> rt_;

@@ -4,9 +4,9 @@
 // Users may express scheduling goals on logical operators, independent of
 // how the SPE fused/fissioned the DAG. A transformation rule maps those
 // priorities onto the physical operators: under fission every replica
-// inherits the logical priority; under fusion the physical operator gets an
-// aggregate (the paper's example rule uses the maximum) of the fused logical
-// operators' priorities.
+// inherits the logical priority; under fusion the physical operator gets the
+// maximum (the paper's example rule) of the fused logical operators'
+// priorities.
 #ifndef LACHESIS_CORE_TRANSFORM_H_
 #define LACHESIS_CORE_TRANSFORM_H_
 
@@ -16,14 +16,12 @@
 
 namespace lachesis::core {
 
-enum class FusionAggregate { kMax, kMin, kSum, kMean };
-
-// Algorithm 2 with a configurable fusion aggregate (kMax reproduces the
-// paper's example). `entities` are the physical operators of the schedule's
-// query; operators without a priority entry keep priority 0.
+// Algorithm 2 with the paper's example rule: a fused physical operator
+// gets the maximum of its logical operators' priorities. `entities` are the
+// physical operators of the schedule's query; operators without a priority
+// entry keep priority 0.
 std::vector<ScheduleEntry> TransformLogicalSchedule(
-    const LogicalSchedule& logical, const std::vector<EntityInfo>& entities,
-    FusionAggregate aggregate = FusionAggregate::kMax);
+    const LogicalSchedule& logical, const std::vector<EntityInfo>& entities);
 
 }  // namespace lachesis::core
 

@@ -135,6 +135,19 @@ struct NodeContext {
   std::uint64_t emitted_base = 0;
 };
 
+// A machine's base binding: every steady query on it (the churn query is
+// managed through the coordinator instead).
+core::PolicyBinding BaseBinding(const SchedulerSpec& scheduler,
+                                const NodeContext& node) {
+  std::function<bool(const core::EntityInfo&)> filter;
+  if (!node.churn_query_name.empty()) {
+    filter = [churn_name = node.churn_query_name](const core::EntityInfo& e) {
+      return e.query_name != churn_name;
+    };
+  }
+  return MakeBinding(scheduler, {node.driver.get()}, std::move(filter));
+}
+
 }  // namespace
 
 FleetResult RunFleet(const FleetSpec& spec) {
@@ -214,20 +227,7 @@ FleetResult RunFleet(const FleetSpec& spec) {
           *node.executor, *node.guard,
           spec.seed + 3 + static_cast<std::uint64_t>(m));
 
-      // Base binding: every steady query on this machine (the churn query
-      // is managed through the coordinator instead).
-      core::PolicyBinding binding;
-      binding.policy = MakePolicy(spec.scheduler.policy);
-      binding.translator = MakeTranslator(spec.scheduler.translator);
-      binding.period = spec.scheduler.period;
-      binding.drivers = {node.driver.get()};
-      if (!node.churn_query_name.empty()) {
-        const std::string churn_name = node.churn_query_name;
-        binding.filter = [churn_name](const core::EntityInfo& e) {
-          return e.query_name != churn_name;
-        };
-      }
-      node.runner->AddQuery(std::move(binding));
+      node.runner->AddQuery(BaseBinding(spec.scheduler, node));
       node.runner->Start(end);
       coordinator.AddShard(*node.runner, node.machine->name(),
                            /*initial_queries=*/1);
@@ -272,16 +272,11 @@ FleetResult RunFleet(const FleetSpec& spec) {
               "churn", [&nodes, &spec](std::size_t shard,
                                        core::LachesisRunner& runner) {
                 NodeContext& node = nodes[shard];
-                core::PolicyBinding binding;
-                binding.policy = MakePolicy(spec.scheduler.policy);
-                binding.translator = MakeTranslator(spec.scheduler.translator);
-                binding.period = spec.scheduler.period;
-                binding.drivers = {node.driver.get()};
-                const std::string name = node.churn_query_name;
-                binding.filter = [name](const core::EntityInfo& e) {
-                  return e.query_name == name;
-                };
-                return runner.AddQuery(std::move(binding));
+                return runner.AddQuery(MakeBinding(
+                    spec.scheduler, {node.driver.get()},
+                    [name = node.churn_query_name](const core::EntityInfo& e) {
+                      return e.query_name == name;
+                    }));
               });
           churn_live.push_back(handle);
         } catch (const core::FleetPlacementError&) {
@@ -333,18 +328,7 @@ FleetResult RunFleet(const FleetSpec& spec) {
         node.runner = std::make_unique<core::LachesisRunner>(
             *node.executor, *node.guard,
             spec.seed + 3 + static_cast<std::uint64_t>(shard));
-        core::PolicyBinding binding;
-        binding.policy = MakePolicy(spec.scheduler.policy);
-        binding.translator = MakeTranslator(spec.scheduler.translator);
-        binding.period = spec.scheduler.period;
-        binding.drivers = {node.driver.get()};
-        if (!node.churn_query_name.empty()) {
-          const std::string churn_name = node.churn_query_name;
-          binding.filter = [churn_name](const core::EntityInfo& e) {
-            return e.query_name != churn_name;
-          };
-        }
-        node.runner->AddQuery(std::move(binding));
+        node.runner->AddQuery(BaseBinding(spec.scheduler, node));
         node.driver->Poll(now);
         reconcile_seeded += node.runner->ReconcileWithBackend();
         node.runner->Start(end);

@@ -14,63 +14,58 @@
 
 namespace lachesis::exp {
 
-std::unique_ptr<core::SchedulingPolicy> MakePolicy(PolicyKind kind) {
-  switch (kind) {
-    case PolicyKind::kQueueSize:
-      return std::make_unique<core::QueueSizePolicy>();
-    case PolicyKind::kHighestRate:
-      return std::make_unique<core::HighestRatePolicy>();
-    case PolicyKind::kFcfs:
-      return std::make_unique<core::FcfsPolicy>();
-    case PolicyKind::kRandom:
-      return std::make_unique<core::RandomPolicy>();
-    case PolicyKind::kMinMemory:
-      return std::make_unique<core::MinMemoryPolicy>();
-    case PolicyKind::kPressureStall:
-      return std::make_unique<core::PressureStallPolicy>();
+core::PolicyBinding MakeBinding(
+    const SchedulerSpec& spec, std::vector<core::SpeDriver*> drivers,
+    std::function<bool(const core::EntityInfo&)> filter) {
+  core::PolicyBinding binding;
+  binding.policy = [&]() -> std::unique_ptr<core::SchedulingPolicy> {
+    switch (spec.policy) {
+      case PolicyKind::kQueueSize:
+        return std::make_unique<core::QueueSizePolicy>();
+      case PolicyKind::kHighestRate:
+        return std::make_unique<core::HighestRatePolicy>();
+      case PolicyKind::kFcfs:
+        return std::make_unique<core::FcfsPolicy>();
+      case PolicyKind::kRandom:
+        return std::make_unique<core::RandomPolicy>();
+      case PolicyKind::kMinMemory:
+        return std::make_unique<core::MinMemoryPolicy>();
+      case PolicyKind::kPressureStall:
+        return std::make_unique<core::PressureStallPolicy>();
+    }
+    throw std::invalid_argument("unknown policy kind");
+  }();
+  // Operators of the named queries come out tagged latency-critical
+  // (reservation targets for deadline/RT translators).
+  if (!spec.critical_queries.empty()) {
+    binding.policy = std::make_unique<core::CriticalChainPolicy>(
+        std::move(binding.policy), spec.critical_queries);
   }
-  throw std::invalid_argument("unknown policy kind");
-}
-
-std::unique_ptr<core::Translator> MakeTranslator(TranslatorKind kind) {
-  switch (kind) {
-    case TranslatorKind::kNice:
-      return std::make_unique<core::NiceTranslator>();
-    case TranslatorKind::kCpuShares:
-      return std::make_unique<core::CpuSharesTranslator>();
-    case TranslatorKind::kQuerySharesNice:
-      return std::make_unique<core::QuerySharesPlusNiceTranslator>();
-    case TranslatorKind::kQuota:
-      return std::make_unique<core::QuotaTranslator>();
-    case TranslatorKind::kRtNice:
-      return std::make_unique<core::RtBoostTranslator>();
-    case TranslatorKind::kDeadline:
-      return std::make_unique<core::DeadlineTranslator>();
-  }
-  throw std::invalid_argument("unknown translator kind");
+  binding.translator = [&]() -> std::unique_ptr<core::Translator> {
+    switch (spec.translator) {
+      case TranslatorKind::kNice:
+        return std::make_unique<core::NiceTranslator>();
+      case TranslatorKind::kCpuShares:
+        return std::make_unique<core::CpuSharesTranslator>();
+      case TranslatorKind::kQuerySharesNice:
+        return std::make_unique<core::QuerySharesPlusNiceTranslator>();
+      case TranslatorKind::kQuota:
+        return std::make_unique<core::QuotaTranslator>();
+      case TranslatorKind::kRtNice:
+        return std::make_unique<core::RtBoostTranslator>();
+      case TranslatorKind::kDeadline:
+        return std::make_unique<core::DeadlineTranslator>(spec.dl_runtime,
+                                                          spec.dl_period);
+    }
+    throw std::invalid_argument("unknown translator kind");
+  }();
+  binding.period = spec.period;
+  binding.drivers = std::move(drivers);
+  binding.filter = std::move(filter);
+  return binding;
 }
 
 namespace {
-
-// Honors the per-spec reservation shape (MakeTranslator keeps the
-// default-constructed signature shared with the fleet harness).
-std::unique_ptr<core::Translator> MakeTranslatorFor(const SchedulerSpec& s) {
-  if (s.translator == TranslatorKind::kDeadline) {
-    return std::make_unique<core::DeadlineTranslator>(s.dl_runtime, s.dl_period);
-  }
-  return MakeTranslator(s.translator);
-}
-
-// Wraps the policy so operators of the named queries come out tagged
-// latency-critical (reservation targets for deadline/RT translators).
-std::unique_ptr<core::SchedulingPolicy> MakePolicyFor(const SchedulerSpec& s) {
-  auto policy = MakePolicy(s.policy);
-  if (!s.critical_queries.empty()) {
-    policy = std::make_unique<core::CriticalChainPolicy>(std::move(policy),
-                                                         s.critical_queries);
-  }
-  return policy;
-}
 
 ulss::UlssPolicy ToUlssPolicy(PolicyKind kind) {
   switch (kind) {
@@ -195,26 +190,16 @@ RunResult RunScenario(const ScenarioSpec& spec) {
         driver_ptrs.push_back(drivers.back().get());
       }
       if (spec.nodes == 1) {
-        core::PolicyBinding binding;
-        binding.policy = MakePolicyFor(spec.scheduler);
-        binding.translator = MakeTranslatorFor(spec.scheduler);
-        binding.period = spec.scheduler.period;
-        binding.drivers = driver_ptrs;
-        runner->AddQuery(std::move(binding));
+        runner->AddQuery(MakeBinding(spec.scheduler, driver_ptrs));
       } else {
         // Scale-out (§6.5): independent Lachesis instances per node, each
         // scheduling only the local operators (no global knowledge).
         for (int n = 0; n < spec.nodes; ++n) {
-          core::PolicyBinding binding;
-          binding.policy = MakePolicyFor(spec.scheduler);
-          binding.translator = MakeTranslatorFor(spec.scheduler);
-          binding.period = spec.scheduler.period;
-          binding.drivers = driver_ptrs;
           sim::Machine* node = machines[static_cast<std::size_t>(n)];
-          binding.filter = [node](const core::EntityInfo& e) {
-            return e.thread.machine == node;
-          };
-          runner->AddQuery(std::move(binding));
+          runner->AddQuery(MakeBinding(
+              spec.scheduler, driver_ptrs, [node](const core::EntityInfo& e) {
+                return e.thread.machine == node;
+              }));
         }
       }
       runner->Start(end);

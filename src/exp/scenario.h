@@ -9,6 +9,7 @@
 #ifndef LACHESIS_EXP_SCENARIO_H_
 #define LACHESIS_EXP_SCENARIO_H_
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -130,10 +131,14 @@ struct RunResult {
   std::vector<double> per_node_throughput_tps;
 };
 
-// Scheduler component factories, shared with the fleet harness
-// (exp/fleet.h); throw std::invalid_argument on unknown kinds.
-std::unique_ptr<core::SchedulingPolicy> MakePolicy(PolicyKind kind);
-std::unique_ptr<core::Translator> MakeTranslator(TranslatorKind kind);
+// The Lachesis binding `spec` describes: its policy (wrapped in
+// core::CriticalChainPolicy when critical_queries is set), its translator
+// (the deadline translator reserves dl_runtime every dl_period) and its
+// period, over `drivers` and `filter`. Shared with the fleet harness
+// (exp/fleet.h); throws std::invalid_argument on unknown kinds.
+core::PolicyBinding MakeBinding(
+    const SchedulerSpec& spec, std::vector<core::SpeDriver*> drivers,
+    std::function<bool(const core::EntityInfo&)> filter = {});
 
 // Runs one scenario once.
 RunResult RunScenario(const ScenarioSpec& spec);

@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <set>
 
+#include "obs/atomic_file.h"
+
 namespace lachesis::obs {
 
 namespace {
@@ -92,18 +94,7 @@ std::vector<std::string> CatalogDiff(const SelfMetricsSnapshot& snapshot) {
 
 bool WritePrometheusTextfile(const SelfMetricsSnapshot& snapshot,
                              const std::string& path) {
-  const std::string body = RenderPrometheusTextfile(snapshot);
-  const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) return false;
-  const bool wrote =
-      std::fwrite(body.data(), 1, body.size(), f) == body.size();
-  const bool closed = std::fclose(f) == 0;
-  if (!wrote || !closed || std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return false;
-  }
-  return true;
+  return WriteFileAtomically(path, RenderPrometheusTextfile(snapshot));
 }
 
 }  // namespace lachesis::obs

@@ -6,6 +6,8 @@
 #include <string_view>
 #include <vector>
 
+#include "obs/atomic_file.h"
+
 namespace lachesis::obs {
 
 namespace {
@@ -372,18 +374,7 @@ std::string RenderFleetChromeTrace(const std::vector<const Recorder*>& shards,
 
 bool DumpChromeTrace(const Recorder& recorder, const std::string& path,
                      OpClassNameFn op_class_name) {
-  const std::string body = RenderChromeTrace(recorder, op_class_name);
-  const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) return false;
-  const bool wrote =
-      std::fwrite(body.data(), 1, body.size(), f) == body.size();
-  const bool closed = std::fclose(f) == 0;
-  if (!wrote || !closed || std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return false;
-  }
-  return true;
+  return WriteFileAtomically(path, RenderChromeTrace(recorder, op_class_name));
 }
 
 }  // namespace lachesis::obs

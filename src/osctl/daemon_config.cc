@@ -281,7 +281,8 @@ DaemonConfig ParseDaemonConfig(const std::string& text) {
       Fail(line_number, "key outside of any section");
     }
     if (key == "pid") {
-      current_query->pid = std::stol(value);
+      current_query->pid = ParseLong(value, line_number, key);
+      if (current_query->pid <= 0) Fail(line_number, "pid must be positive");
     } else if (key.rfind("operator ", 0) == 0) {
       const std::string op_name = Trim(key.substr(9));
       std::istringstream fields(value);

@@ -59,7 +59,7 @@ struct EgressMeasurements {
   HdrHistogram e2e_latency_histogram;
   std::uint64_t tuples = 0;
 
-  void Reset() { *this = {}; }
+  void Reset() { *this = EgressMeasurements(); }
 };
 
 class PhysicalOp {

@@ -323,6 +323,24 @@ TEST(DaemonConfigTest, ErrorsCarryLineNumbers) {
   }
 }
 
+TEST(DaemonConfigTest, RejectsMalformedPidWithLineNumber) {
+  // A trailing-garbage pid must not be read as its numeric prefix: lachesisd
+  // would scan (and renice) some other process's threads.
+  for (const char* pid : {"12abc", "abc", "0", "-5"}) {
+    const std::string text = std::string("[query q]\npid = ") + pid +
+                             "\noperator a = pat series\n";
+    try {
+      ParseDaemonConfig(text);
+      ADD_FAILURE() << "pid = " << pid << " accepted";
+    } catch (const std::exception& e) {
+      EXPECT_NE(dynamic_cast<const std::runtime_error*>(&e), nullptr)
+          << "pid = " << pid << ": " << e.what();
+      EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos)
+          << "pid = " << pid << ": " << e.what();
+    }
+  }
+}
+
 TEST(DaemonConfigTest, CommentsAndWhitespaceIgnored)
 {
   const DaemonConfig config = ParseDaemonConfig(R"(

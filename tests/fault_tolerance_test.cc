@@ -149,6 +149,52 @@ TEST(FaultInjectingOsAdapterTest, TargetSubstrFiltersInjection) {
   EXPECT_EQ(real.group_shares.count("bad-group"), 0u);
 }
 
+TEST(FaultInjectingOsAdapterTest, EmptyPlanForwardsEveryOpClass) {
+  RecordingOsAdapter real;
+  ManualClock clock;
+  FaultInjectingOsAdapter os(real, clock, FaultPlan{});
+  os.SetNice(Thread(1), 3);
+  os.SetGroupShares("g", 512);
+  os.MoveToGroup(Thread(1), "g");
+  os.SetRtPriority(Thread(1), 10);
+  os.SetGroupQuota("g", Millis(20), Millis(100));
+  os.SetDeadline(Thread(1), Millis(4), Millis(10), Millis(10));
+  os.SetCpuAffinity(Thread(1), CpuPreference::kPreferBig);
+  EXPECT_EQ(real.nices.at(1), 3);
+  EXPECT_EQ(real.group_shares.at("g"), 512u);
+  EXPECT_EQ(real.thread_group.at(1), "g");
+  EXPECT_EQ(real.rt_priorities.at(1), 10);
+  EXPECT_EQ(real.group_quota.at("g"),
+            std::make_pair(Millis(20), Millis(100)));
+  EXPECT_EQ(real.deadline_calls, 1);
+  EXPECT_EQ(real.deadlines.at(1).runtime, Millis(4));
+  EXPECT_EQ(real.affinity_calls, 1);
+  EXPECT_EQ(real.affinity.at(1), CpuPreference::kPreferBig);
+  EXPECT_EQ(os.total_injected(), 0u);
+}
+
+TEST(FaultInjectingOsAdapterTest, DeadlineRuleInjectsPermanentError) {
+  RecordingOsAdapter real;
+  ManualClock clock;
+  FaultPlan plan;
+  OsFaultRule rule;
+  rule.op = OpClass::kSetDeadline;
+  rule.kind = FaultKind::kEperm;
+  plan.os_rules.push_back(rule);
+  FaultInjectingOsAdapter os(real, clock, plan);
+  try {
+    os.SetDeadline(Thread(1), Millis(4), Millis(10), Millis(10));
+    FAIL() << "expected injected EPERM";
+  } catch (const OsOperationError& e) {
+    EXPECT_EQ(e.severity(), ErrorSeverity::kPermanent);
+    EXPECT_EQ(e.err(), EPERM);
+  }
+  EXPECT_EQ(real.deadline_calls, 0);  // the real backend was not reached
+  os.SetCpuAffinity(Thread(1), CpuPreference::kPreferLittle);
+  EXPECT_EQ(real.affinity_calls, 1);  // other classes pass through
+  EXPECT_EQ(os.injected(FaultKind::kEperm), 1u);
+}
+
 // ---------------------------------------------------------------------------
 // FaultInjectingDriver
 

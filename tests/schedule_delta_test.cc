@@ -5,13 +5,20 @@
 #include "core/schedule_delta.h"
 
 #include <array>
+#include <cerrno>
+#include <functional>
 #include <memory>
+#include <stdexcept>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/runner.h"
 #include "core/sim_executor.h"
+#include "obs/explain.h"
+#include "obs/recorder.h"
 #include "sim/simulator.h"
 #include "tests/fake_driver.h"
 
@@ -347,6 +354,291 @@ TEST(ScheduleDeltaTest, RetryCountIsBoundedOverManyTicks) {
   EXPECT_LE(os.nice_calls, 14);  // ~log2(1000s / 500ms) + slack
   EXPECT_GE(os.nice_calls, 3);
   EXPECT_EQ(delta.totals().errors + delta.totals().suppressed, 1000u);
+}
+
+// --- the op path of every class, pinned event by event ---------------------
+
+// Accepts every op and counts it, or throws the scripted failure on the
+// next call.
+class ScriptedOsAdapter final : public OsAdapter {
+ public:
+  enum class Fail { kNone, kOsError, kPlain };
+
+  void SetNice(const ThreadHandle&, int) override { Call(); }
+  void SetGroupShares(const std::string&, std::uint64_t) override { Call(); }
+  void MoveToGroup(const ThreadHandle&, const std::string&) override {
+    Call();
+  }
+  void SetRtPriority(const ThreadHandle&, int) override { Call(); }
+  void SetGroupQuota(const std::string&, SimDuration, SimDuration) override {
+    Call();
+  }
+  void SetDeadline(const ThreadHandle&, SimDuration, SimDuration,
+                   SimDuration) override {
+    Call();
+  }
+  void SetCpuAffinity(const ThreadHandle&, CpuPreference) override { Call(); }
+
+  Fail next = Fail::kNone;
+  int calls = 0;
+
+ private:
+  void Call() {
+    ++calls;
+    switch (std::exchange(next, Fail::kNone)) {
+      case Fail::kNone:
+        return;
+      case Fail::kOsError:
+        throw OsOperationError("scripted EPERM", ErrorSeverity::kPermanent,
+                               EPERM);
+      case Fail::kPlain:
+        throw std::runtime_error("scripted plain failure");
+    }
+  }
+};
+
+// The values each step of the pin sequence applies.
+enum PinStep { kFirst = 0, kChanged, kClear, kFailing };
+
+ThreadHandle PinThread(int target) {
+  ThreadHandle t;
+  t.sim_tid = ThreadId(static_cast<std::uint64_t>(target) + 1);
+  t.os_tid = 101 + target;
+  return t;
+}
+
+std::string PinGroup(int target) { return "q" + std::to_string(target + 1); }
+
+struct OpPathCase {
+  const char* name;
+  // Applies the class's op to target 0, 1 or 2 with the value of `step`.
+  // kClear is the class's default state: no rt priority, no reservation,
+  // no affinity hint, nice 0, 1024 shares, no quota, the first group.
+  std::function<void(ScheduleDeltaAdapter&, int, PinStep)> apply;
+  std::vector<std::string> events;
+  // Detail of the suppressed retry (FormatEvent does not print it).
+  std::string suppressed_detail;
+  DeltaStats stats;
+  int backend_calls;
+};
+
+TEST(ScheduleDeltaTest, EveryOpClassTakesTheSameOpPath) {
+  // Per class: first apply, repeat, changed value, clear of a never-set
+  // target, an OsOperationError, a plain std::exception, and the retry the
+  // backoff suppresses. Pins every recorded event, detail strings included.
+  const std::vector<OpPathCase> cases = {
+      {"nice",
+       [](ScheduleDeltaAdapter& d, int t, PinStep s) {
+         constexpr int kValue[] = {5, -3, 0, 7};
+         d.SetNice(PinThread(t), kValue[s]);
+       },
+       {
+         "#0 1.000000s SetNice(t:1/101) applied: value=5",
+         "#1 1.000000s SetNice(t:1/101) elided: unchanged value=5",
+         "#2 1.000000s SetNice(t:1/101) applied: value=-3",
+         "#3 1.000000s SetNice(t:2/102) applied: value=0",
+         "#4 1.000000s backoff[SetNice] armed for t:1/101: failures=2"
+         " retry at 2.000000s",
+         "#5 1.000000s SetNice(t:1/101) FAILED: scripted EPERM",
+         "#6 1.000000s backoff[SetNice] armed for t:3/103: failures=1"
+         " retry at 1.500000s",
+         "#7 1.000000s SetNice(t:3/103) FAILED: scripted plain failure",
+         "#8 1.000000s SetNice(t:1/101)"
+         " suppressed by backoff/breaker (wanted 7)",
+       },
+       "",
+       {3, 1, 2, 1},
+       5},
+      {"shares",
+       [](ScheduleDeltaAdapter& d, int t, PinStep s) {
+         constexpr std::uint64_t kValue[] = {2048, 512, 1024, 4096};
+         d.SetGroupShares(PinGroup(t), kValue[s]);
+       },
+       {
+         "#0 1.000000s SetGroupShares(g:q1) applied: value=2048",
+         "#1 1.000000s SetGroupShares(g:q1) elided: unchanged value=2048",
+         "#2 1.000000s SetGroupShares(g:q1) applied: value=512",
+         "#3 1.000000s SetGroupShares(g:q2) applied: value=1024",
+         "#4 1.000000s backoff[SetGroupShares] armed for g:q1: failures=2"
+         " retry at 2.000000s",
+         "#5 1.000000s SetGroupShares(g:q1) FAILED: scripted EPERM",
+         "#6 1.000000s backoff[SetGroupShares] armed for g:q3: failures=1"
+         " retry at 1.500000s",
+         "#7 1.000000s SetGroupShares(g:q3) FAILED: scripted plain failure",
+         "#8 1.000000s SetGroupShares(g:q1)"
+         " suppressed by backoff/breaker (wanted 4096)",
+       },
+       "",
+       {3, 1, 2, 1},
+       5},
+      {"move",
+       [](ScheduleDeltaAdapter& d, int t, PinStep s) {
+         const char* const kGroup[] = {"q1", "q2", "q1", "q3"};
+         d.MoveToGroup(PinThread(t), kGroup[s]);
+       },
+       {
+         "#0 1.000000s MoveToGroup(t:1/101) applied: value=0 q1",
+         "#1 1.000000s MoveToGroup(t:1/101) elided: unchanged value=0",
+         "#2 1.000000s MoveToGroup(t:1/101) applied: value=0 q2",
+         "#3 1.000000s MoveToGroup(t:2/102) applied: value=0 q1",
+         "#4 1.000000s backoff[MoveToGroup] armed for t:1/101: failures=2"
+         " retry at 2.000000s",
+         "#5 1.000000s MoveToGroup(t:1/101) FAILED: scripted EPERM",
+         "#6 1.000000s backoff[MoveToGroup] armed for t:3/103: failures=1"
+         " retry at 1.500000s",
+         "#7 1.000000s MoveToGroup(t:3/103) FAILED: scripted plain failure",
+         "#8 1.000000s MoveToGroup(t:1/101)"
+         " suppressed by backoff/breaker (wanted 0)",
+       },
+       "q3",
+       {3, 1, 2, 1},
+       5},
+      {"rt",
+       [](ScheduleDeltaAdapter& d, int t, PinStep s) {
+         constexpr int kValue[] = {10, 20, 0, 30};
+         d.SetRtPriority(PinThread(t), kValue[s]);
+       },
+       {
+         "#0 1.000000s SetRtPriority(t:1/101) applied: value=10",
+         "#1 1.000000s SetRtPriority(t:1/101) elided: unchanged value=10",
+         "#2 1.000000s SetRtPriority(t:1/101) applied: value=20",
+         "#3 1.000000s SetRtPriority(t:2/102) elided: unchanged value=0",
+         "#4 1.000000s backoff[SetRtPriority] armed for t:1/101: failures=2"
+         " retry at 2.000000s",
+         "#5 1.000000s SetRtPriority(t:1/101) FAILED: scripted EPERM",
+         "#6 1.000000s backoff[SetRtPriority] armed for t:3/103: failures=1"
+         " retry at 1.500000s",
+         "#7 1.000000s SetRtPriority(t:3/103) FAILED: scripted plain failure",
+         "#8 1.000000s SetRtPriority(t:1/101)"
+         " suppressed by backoff/breaker (wanted 30)",
+       },
+       "",
+       {2, 2, 2, 1},
+       4},
+      {"quota",
+       [](ScheduleDeltaAdapter& d, int t, PinStep s) {
+         constexpr std::array<SimDuration, 2> kValue[] = {
+             {Millis(50), Millis(100)},
+             {Millis(30), Millis(100)},
+             {0, Millis(100)},
+             {Millis(20), Millis(50)}};
+         d.SetGroupQuota(PinGroup(t), kValue[s][0], kValue[s][1]);
+       },
+       {
+         "#0 1.000000s SetGroupQuota(g:q1) applied: value=50000000"
+         " period_ns=100000000",
+         "#1 1.000000s SetGroupQuota(g:q1) elided: unchanged value=50000000",
+         "#2 1.000000s SetGroupQuota(g:q1) applied: value=30000000"
+         " period_ns=100000000",
+         "#3 1.000000s SetGroupQuota(g:q2) applied: value=0"
+         " period_ns=100000000",
+         "#4 1.000000s backoff[SetGroupQuota] armed for g:q1: failures=2"
+         " retry at 2.000000s",
+         "#5 1.000000s SetGroupQuota(g:q1) FAILED: scripted EPERM",
+         "#6 1.000000s backoff[SetGroupQuota] armed for g:q3: failures=1"
+         " retry at 1.500000s",
+         "#7 1.000000s SetGroupQuota(g:q3) FAILED: scripted plain failure",
+         "#8 1.000000s SetGroupQuota(g:q1)"
+         " suppressed by backoff/breaker (wanted 20000000)",
+       },
+       "period_ns=50000000",
+       {3, 1, 2, 1},
+       5},
+      {"deadline",
+       [](ScheduleDeltaAdapter& d, int t, PinStep s) {
+         constexpr std::array<SimDuration, 3> kValue[] = {
+             {Millis(4), Millis(10), Millis(10)},
+             {Millis(2), Millis(8), Millis(10)},
+             {0, 0, 0},
+             {Millis(3), Millis(6), Millis(12)}};
+         d.SetDeadline(PinThread(t), kValue[s][0], kValue[s][1],
+                       kValue[s][2]);
+       },
+       {
+         "#0 1.000000s SetDeadline(t:1/101) applied: value=4000000"
+         " deadline_ns=10000000 period_ns=10000000",
+         "#1 1.000000s SetDeadline(t:1/101) elided: unchanged value=4000000",
+         "#2 1.000000s SetDeadline(t:1/101) applied: value=2000000"
+         " deadline_ns=8000000 period_ns=10000000",
+         "#3 1.000000s SetDeadline(t:2/102) elided: unchanged value=0",
+         "#4 1.000000s backoff[SetDeadline] armed for t:1/101: failures=2"
+         " retry at 2.000000s",
+         "#5 1.000000s SetDeadline(t:1/101) FAILED: scripted EPERM",
+         "#6 1.000000s backoff[SetDeadline] armed for t:3/103: failures=1"
+         " retry at 1.500000s",
+         "#7 1.000000s SetDeadline(t:3/103) FAILED: scripted plain failure",
+         "#8 1.000000s SetDeadline(t:1/101)"
+         " suppressed by backoff/breaker (wanted 3000000)",
+       },
+       "deadline_ns=6000000 period_ns=12000000",
+       {2, 2, 2, 1},
+       4},
+      {"affinity",
+       [](ScheduleDeltaAdapter& d, int t, PinStep s) {
+         constexpr CpuPreference kValue[] = {
+             CpuPreference::kPreferBig, CpuPreference::kPreferLittle,
+             CpuPreference::kNone, CpuPreference::kPreferBig};
+         d.SetCpuAffinity(PinThread(t), kValue[s]);
+       },
+       {
+         "#0 1.000000s SetAffinity(t:1/101) applied: value=1",
+         "#1 1.000000s SetAffinity(t:1/101) elided: unchanged value=1",
+         "#2 1.000000s SetAffinity(t:1/101) applied: value=2",
+         "#3 1.000000s SetAffinity(t:2/102) elided: unchanged value=0",
+         "#4 1.000000s backoff[SetAffinity] armed for t:1/101: failures=2"
+         " retry at 2.000000s",
+         "#5 1.000000s SetAffinity(t:1/101) FAILED: scripted EPERM",
+         "#6 1.000000s backoff[SetAffinity] armed for t:3/103: failures=1"
+         " retry at 1.500000s",
+         "#7 1.000000s SetAffinity(t:3/103) FAILED: scripted plain failure",
+         "#8 1.000000s SetAffinity(t:1/101)"
+         " suppressed by backoff/breaker (wanted 1)",
+       },
+       "",
+       {2, 2, 2, 1},
+       4},
+  };
+
+  for (const OpPathCase& c : cases) {
+    SCOPED_TRACE(c.name);
+    ScriptedOsAdapter os;
+    obs::Recorder recorder;
+    recorder.set_verbose(true);
+    ScheduleDeltaAdapter delta(os);
+    HealthConfig health;
+    health.enabled = true;
+    health.jitter_frac = 0.0;
+    delta.SetHealthConfig(health);
+    delta.SetRecorder(&recorder);
+
+    delta.BeginTick(Seconds(1));
+    c.apply(delta, 0, kFirst);
+    c.apply(delta, 0, kFirst);
+    c.apply(delta, 0, kChanged);
+    c.apply(delta, 1, kClear);
+    os.next = ScriptedOsAdapter::Fail::kOsError;
+    c.apply(delta, 0, kFailing);
+    os.next = ScriptedOsAdapter::Fail::kPlain;
+    c.apply(delta, 2, kFailing);
+    c.apply(delta, 0, kFailing);
+
+    const std::vector<obs::Event> recorded = recorder.Snapshot();
+    std::vector<std::string> events;
+    for (const obs::Event& e : recorded) {
+      events.push_back(
+          obs::FormatEvent(recorder, e, LachesisRunner::OpClassNameForObs));
+    }
+    EXPECT_EQ(events, c.events);
+    ASSERT_FALSE(recorded.empty());
+    EXPECT_EQ(recorder.Name(recorded.back().detail), c.suppressed_detail);
+    const DeltaStats& stats = delta.tick_stats();
+    EXPECT_EQ(stats.applied, c.stats.applied);
+    EXPECT_EQ(stats.skipped, c.stats.skipped);
+    EXPECT_EQ(stats.errors, c.stats.errors);
+    EXPECT_EQ(stats.suppressed, c.stats.suppressed);
+    EXPECT_EQ(delta.totals().applied, stats.applied);
+    EXPECT_EQ(os.calls, c.backend_calls);
+  }
 }
 
 // A policy that always produces the same priorities: after the first tick

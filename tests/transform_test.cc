@@ -41,25 +41,6 @@ TEST(TransformTest, FusionTakesMaxByDefault) {
   EXPECT_DOUBLE_EQ(out[0].priority, 9.0);
 }
 
-TEST(TransformTest, FusionAggregateVariants) {
-  LogicalSchedule logical;
-  logical.query = QueryId(0);
-  logical.priorities = {{0, 2.0}, {1, 6.0}};
-  const std::vector<EntityInfo> entities = {Entity(0, QueryId(0), {0, 1})};
-  EXPECT_DOUBLE_EQ(
-      TransformLogicalSchedule(logical, entities, FusionAggregate::kMin)[0]
-          .priority,
-      2.0);
-  EXPECT_DOUBLE_EQ(
-      TransformLogicalSchedule(logical, entities, FusionAggregate::kSum)[0]
-          .priority,
-      8.0);
-  EXPECT_DOUBLE_EQ(
-      TransformLogicalSchedule(logical, entities, FusionAggregate::kMean)[0]
-          .priority,
-      4.0);
-}
-
 TEST(TransformTest, MissingLogicalPriorityDefaultsToZero) {
   LogicalSchedule logical;
   logical.query = QueryId(0);
