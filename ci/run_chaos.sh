@@ -28,11 +28,15 @@ cmake -S "$SRC_DIR" -B "$BUILD_DIR" \
 # planes, with replay-determinism and reconvergence gates. ASan/UBSan is
 # where the reboot path (retired runner graveyard, re-placed bindings,
 # catch-up replay) would leak or index out of bounds.
+# tsdb_test and sim_driver_test cover the metric store's sample rings and
+# the series handles the scraper and drivers cache: ring index arithmetic
+# and chunk carving are where an off-by-one reads outside a chunk.
 cmake --build "$BUILD_DIR" -j "$JOBS" \
   --target fault_tolerance_test failure_injection_test \
            schedule_delta_test runner_dynamic_test \
            stable_pool_test hash_index_test alloc_regression_test \
            hetero_machine_test conformance_test \
+           tsdb_test sim_driver_test \
            fleet_sim_test fleet_chaos_test
 
 status=0
@@ -40,6 +44,7 @@ for t in fault_tolerance_test failure_injection_test \
          schedule_delta_test runner_dynamic_test \
          stable_pool_test hash_index_test alloc_regression_test \
          hetero_machine_test conformance_test \
+         tsdb_test sim_driver_test \
          fleet_sim_test; do
   "$BUILD_DIR/tests/$t" --gtest_brief=1 || status=$?
 done

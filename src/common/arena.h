@@ -127,8 +127,10 @@ class Arena {
     if (size < min_size + alignof(std::max_align_t)) {
       size = min_size + alignof(std::max_align_t);
     }
+    // Not zero-filled: a block's pages become resident only as its
+    // allocations are written, so a large, partly used block costs little.
     Block b;
-    b.data = std::make_unique<char[]>(size);
+    b.data = std::make_unique_for_overwrite<char[]>(size);
     b.size = size;
     blocks_.push_back(std::move(b));
     block_ = blocks_.size() - 1;

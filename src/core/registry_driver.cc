@@ -58,11 +58,14 @@ RawMetricReader::RawMetricReader(const std::set<spe::RawMetric>& exposed,
 }
 
 double RawMetricReader::Read(const tsdb::TimeSeriesStore& store,
-                             MetricId metric, const std::string& path) const {
+                             MetricId metric, const EntityInfo& entity) {
   const RawMetricSource* source = slots_[static_cast<std::size_t>(metric)];
   assert(source != nullptr && "Fetch called for non-provided metric");
   if (source == nullptr) return 0.0;
-  const std::string series = tsdb::SeriesName(path, source->raw);
+  const tsdb::SeriesId series = series_.Get(
+      entity.id.value(), static_cast<std::size_t>(source->raw), [&] {
+        return store.Find(tsdb::SeriesName(entity.path, source->raw));
+      });
   if (source->read == RawRead::kDelta) {
     const auto delta = store.Delta(series, delta_window_);
     return delta ? std::max(*delta, 0.0) * source->scale : 0.0;

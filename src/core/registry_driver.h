@@ -8,13 +8,13 @@
 // registry_driver.cc: rows in preference order, each naming a raw metric,
 // how it is read, and a unit scale. A driver resolves the table against its
 // engine's exposed raw metrics when it is constructed, so Provides() is an
-// array index and Fetch() one store read.
+// array index. Fetch() reads the store by a series handle resolved from the
+// entity's path on its first read and cached per entity.
 #ifndef LACHESIS_CORE_REGISTRY_DRIVER_H_
 #define LACHESIS_CORE_REGISTRY_DRIVER_H_
 
 #include <array>
 #include <set>
-#include <string>
 
 #include "common/sim_time.h"
 #include "core/entities.h"
@@ -37,16 +37,19 @@ class RawMetricReader {
     return slots_[static_cast<std::size_t>(metric)] != nullptr;
   }
 
-  // Reads `metric` of the operator whose series prefix is `path`: the
+  // Reads `metric` of `entity`, whose series prefix is entity.path: the
   // latest sample, or the counter delta over the window clamped at 0, times
-  // the row's scale; 0 while the store lacks the samples. Precondition:
-  // Provides(metric).
-  [[nodiscard]] double Read(const tsdb::TimeSeriesStore& store,
-                            MetricId metric, const std::string& path) const;
+  // the row's scale; 0 while the store lacks the samples. The series handle
+  // is cached under entity.id once the series exists, so every call must
+  // pass the same store, and an entity id must keep its path.
+  // Precondition: Provides(metric).
+  double Read(const tsdb::TimeSeriesStore& store, MetricId metric,
+              const EntityInfo& entity);
 
  private:
   SimDuration delta_window_;
   std::array<const RawMetricSource*, kMetricCount> slots_{};
+  tsdb::SeriesHandles series_{spe::kRawMetricCount};  // by entity id x raw
 };
 
 // The control plane's view of one deployed logical query.

@@ -52,7 +52,7 @@ bool SimSpeDriver::Provides(MetricId metric) const {
 
 double SimSpeDriver::Fetch(MetricId metric, const EntityInfo& entity) {
   if (metric != MetricId::kCpuPressure) {
-    return reader_.Read(*store_, metric, entity.path);
+    return reader_.Read(*store_, metric, entity);
   }
   // Fresh read from the (simulated) kernel's per-task accounting.
   if (entity.thread.machine == nullptr) return 0.0;

@@ -4,6 +4,7 @@
 #include <map>
 #include <sstream>
 #include <stdexcept>
+#include <vector>
 
 namespace lachesis::osctl {
 
@@ -99,6 +100,7 @@ DaemonConfig ParseDaemonConfig(const std::string& text) {
   NativeQueryConfig* current_query = nullptr;
   NativeChainConfig* current_chain = nullptr;
   std::map<std::string, int> operator_index;  // within current query
+  std::vector<int> query_lines;  // header line of each [query] section
   bool in_lachesis_section = false;
 
   while (std::getline(in, line)) {
@@ -132,6 +134,7 @@ DaemonConfig ParseDaemonConfig(const std::string& text) {
         query.name = Trim(header.substr(5));
         if (query.name.empty()) Fail(line_number, "query section needs a name");
         config.spe.queries.push_back(std::move(query));
+        query_lines.push_back(line_number);
         current_query = &config.spe.queries.back();
         operator_index.clear();
       } else {
@@ -328,6 +331,14 @@ DaemonConfig ParseDaemonConfig(const std::string& text) {
   if (config.spe.queries.empty() && config.native_queries.empty()) {
     throw std::runtime_error(
         "config declares no [query ...] or [native-query ...] sections");
+  }
+  // The driver finds a query's threads through its engine's pid; without
+  // one it would manage none of them.
+  for (std::size_t q = 0; q < config.spe.queries.size(); ++q) {
+    if (config.spe.queries[q].pid < 0) {
+      Fail(query_lines[q], "query '" + config.spe.queries[q].name +
+                               "' needs a pid = <engine pid> line");
+    }
   }
   for (const NativeChainConfig& chain : config.native_queries) {
     if (chain.operators.size() < 2) {

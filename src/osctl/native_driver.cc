@@ -102,6 +102,13 @@ bool NativeSpeDriver::Provides(core::MetricId metric) const {
   return config_.provided.count(metric) > 0;
 }
 
+tsdb::SeriesId NativeSpeDriver::Series(const core::EntityInfo& entity,
+                                       core::MetricId named) {
+  return series_.Get(entity.id.value(), static_cast<std::size_t>(named), [&] {
+    return store_.Find(entity.path + "." + core::MetricName(named));
+  });
+}
+
 double NativeSpeDriver::Fetch(core::MetricId metric,
                               const core::EntityInfo& entity) {
   switch (metric) {
@@ -109,19 +116,17 @@ double NativeSpeDriver::Fetch(core::MetricId metric,
     case core::MetricId::kTuplesInDelta:
     case core::MetricId::kTuplesOutDelta:
     case core::MetricId::kBusyDeltaNs: {
-      const std::string counter_series =
-          entity.path + "." +
-          core::MetricName(metric == core::MetricId::kTuplesInDelta
-                               ? core::MetricId::kTuplesInTotal
-                           : metric == core::MetricId::kTuplesOutDelta
-                               ? core::MetricId::kTuplesOutTotal
-                               : core::MetricId::kBusyDeltaNs);
-      const auto delta = store_.Delta(counter_series, Seconds(1));
+      const core::MetricId counter =
+          metric == core::MetricId::kTuplesInDelta
+              ? core::MetricId::kTuplesInTotal
+          : metric == core::MetricId::kTuplesOutDelta
+              ? core::MetricId::kTuplesOutTotal
+              : core::MetricId::kBusyDeltaNs;
+      const auto delta = store_.Delta(Series(entity, counter), Seconds(1));
       return delta ? std::max(*delta, 0.0) : 0.0;
     }
     default: {
-      const auto sample =
-          store_.Latest(entity.path + "." + core::MetricName(metric));
+      const auto sample = store_.Latest(Series(entity, metric));
       return sample ? sample->value : 0.0;
     }
   }

@@ -72,10 +72,15 @@ class NativeSpeDriver final : public core::SpeDriver {
   [[nodiscard]] const tsdb::TimeSeriesStore& store() const { return store_; }
 
  private:
+  // The handle of "<entity path>.<MetricName(named)>", cached per entity
+  // once the series exists.
+  tsdb::SeriesId Series(const core::EntityInfo& entity, core::MetricId named);
+
   NativeSpeConfig config_;
   std::string name_;
   std::vector<core::LogicalTopology> topologies_;
   tsdb::TimeSeriesStore store_;
+  tsdb::SeriesHandles series_{core::kMetricCount};  // by entity id x metric
   std::streamoff metrics_offset_ = 0;
   // (query idx, operator idx) -> resolved tid (-1 while unresolved).
   std::map<std::pair<std::size_t, std::size_t>, long> tids_;

@@ -1,5 +1,7 @@
 #include "osctl/native_runtime_driver.h"
 
+#include <cassert>
+
 namespace lachesis::osctl {
 
 NativeRuntimeDriver::NativeRuntimeDriver(spe::NativeRuntime& runtime,
@@ -15,10 +17,25 @@ std::string NativeRuntimeDriver::SeriesPrefix(
 }
 
 void NativeRuntimeDriver::Poll(SimTime now) {
-  runtime_->ForEachRawMetric([this, now](const spe::NativeOperator& op,
-                                         spe::RawMetric metric, double value) {
-    store_.Append(tsdb::SeriesName(SeriesPrefix(*runtime_, op), metric), now,
-                  value);
+  // ForEachRawMetric visits runtime_->ops() in order, one operator's
+  // metrics together, so an operator sits at the cursor's position (its
+  // entity id) or the next one. Two words of capture keep the callback
+  // inside std::function's small buffer.
+  struct Cursor {
+    SimTime now;
+    std::size_t index;
+  } cursor{now, 0};
+  runtime_->ForEachRawMetric([this, &cursor](const spe::NativeOperator& op,
+                                             spe::RawMetric metric,
+                                             double value) {
+    if (runtime_->ops()[cursor.index].get() != &op) ++cursor.index;
+    assert(runtime_->ops()[cursor.index].get() == &op);
+    const tsdb::SeriesId series = polled_.Get(
+        cursor.index, static_cast<std::size_t>(metric), [&] {
+          return store_.Intern(
+              tsdb::SeriesName(SeriesPrefix(*runtime_, op), metric));
+        });
+    store_.Append(series, cursor.now, value);
   });
 }
 
@@ -59,7 +76,7 @@ bool NativeRuntimeDriver::Provides(core::MetricId metric) const {
 
 double NativeRuntimeDriver::Fetch(core::MetricId metric,
                                   const core::EntityInfo& entity) {
-  return reader_.Read(store_, metric, entity.path);
+  return reader_.Read(store_, metric, entity);
 }
 
 }  // namespace lachesis::osctl

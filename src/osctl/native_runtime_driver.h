@@ -54,6 +54,8 @@ class NativeRuntimeDriver final : public core::SpeDriver {
   std::string name_;
   core::RawMetricReader reader_;
   tsdb::TimeSeriesStore store_;
+  // Poll's handles, by position in runtime_->ops() x raw metric.
+  tsdb::SeriesHandles polled_{spe::kRawMetricCount};
   std::map<QueryId, core::LogicalTopology> topologies_;
 };
 

@@ -14,6 +14,7 @@
 #ifndef LACHESIS_SPE_FLAVOR_H_
 #define LACHESIS_SPE_FLAVOR_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <set>
 #include <string>
@@ -40,6 +41,9 @@ enum class RawMetric : std::uint8_t {
                      // backpressure collapse on unbounded queues visible
                      // before OOM (bounded queues report ring peaks)
 };
+// Number of raw metrics; kQueueHighWater must stay the last enumerator.
+inline constexpr std::size_t kRawMetricCount =
+    static_cast<std::size_t>(RawMetric::kQueueHighWater) + 1;
 
 struct SpeFlavor {
   std::string name;

@@ -38,13 +38,22 @@ class Scraper {
     ScheduleNext(sim_->now() + period_);
   }
 
+  // Appends every exposed raw metric of every instance at the current
+  // time. A series is interned the first time its operator is scraped, so
+  // queries deployed after AddInstance are picked up.
   void ScrapeOnce() {
-    for (const Target& target : instances_) {
+    for (Target& target : instances_) {
+      // Two pointers of capture fit std::function's small buffer: the
+      // callback does not allocate per scrape.
       target.instance->ForEachRawMetric(
-          [this](const spe::DeployedQuery&, const spe::DeployedOp& op,
-                 spe::RawMetric metric, double value) {
-            store_->Append(SeriesName(op.op->config().name, metric),
-                           sim_->now(), value);
+          [this, &target](const spe::DeployedQuery&, const spe::DeployedOp& op,
+                          spe::RawMetric metric, double value) {
+            const SeriesId series = target.series.Get(
+                op.id.value(), static_cast<std::size_t>(metric), [&] {
+                  return store_->Intern(
+                      SeriesName(op.op->config().name, metric));
+                });
+            store_->Append(series, sim_->now(), value);
           },
           target.machine_index);
     }
@@ -62,6 +71,8 @@ class Scraper {
   struct Target {
     spe::SpeInstance* instance;
     int machine_index;  // -1 = all machines
+    // By DeployedOp::id x raw metric.
+    SeriesHandles series{spe::kRawMetricCount};
   };
 
   sim::Simulator* sim_;

@@ -18,6 +18,7 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <new>
 #include <string>
 #include <vector>
@@ -25,8 +26,14 @@
 #include "core/metric_provider.h"
 #include "core/op_health.h"
 #include "core/schedule_delta.h"
+#include "core/sim_driver.h"
 #include "obs/recorder.h"
+#include "sim/machine.h"
+#include "sim/simulator.h"
+#include "spe/runtime.h"
+#include "spe/source.h"
 #include "tests/fake_driver.h"
+#include "tsdb/scraper.h"
 
 namespace {
 std::atomic<std::uint64_t> g_alloc_count{0};
@@ -52,6 +59,15 @@ void* operator new(std::size_t size, std::align_val_t align) {
 void* operator new[](std::size_t size, std::align_val_t align) {
   return ::operator new(size, align);
 }
+// The nothrow forms too (std::stable_sort's temporary buffer uses them), so
+// every allocation pairs with the free-based deletes below.
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size ? size : 1);
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  return ::operator new(size, std::nothrow);
+}
 // The replacement operator new allocates with malloc, so these deletes pair
 // it with free by design; once inlined, GCC's -Wmismatched-new-delete sees
 // only a free of a pointer from operator new.
@@ -67,6 +83,10 @@ void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
 }
 void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
   std::free(p);
 }
 #pragma GCC diagnostic pop
@@ -279,6 +299,80 @@ TEST(AllocRegressionTest, WarmProviderUpdateAllocsDoNotGrowWithQueries) {
   EXPECT_EQ(small, large)
       << "a warm provider Update must not allocate per entity or query";
   EXPECT_EQ(large, 0u) << "a warm provider Update must not touch the heap";
+}
+
+spe::LogicalQuery ThreeOpQuery(const std::string& name) {
+  spe::LogicalQuery q;
+  q.name = name;
+  const int in = q.Add(spe::MakeIngress("in", Micros(10)));
+  const int t = q.Add(spe::MakeTransform("t", Micros(100), [] {
+    return std::make_unique<spe::IdentityLogic>();
+  }));
+  const int out = q.Add(spe::MakeEgress("out", Micros(10)));
+  q.Connect(in, t);
+  q.Connect(t, out);
+  return q;
+}
+
+// The sim metric pipeline once every ring is full: the scraper appends and
+// the driver reads by series handles resolved during warm-up, so neither
+// builds a series name nor grows a ring. (The scrape callback goes through
+// std::function, whose small buffer holds two pointers of capture.)
+TEST(AllocRegressionTest, ScrapeAndFetchIntoFullRingsAllocateNothing) {
+  sim::Simulator sim;
+  sim::Machine machine(sim, 2);
+  spe::SpeInstance instance(spe::LiebreFlavor(), {&machine}, "spe");
+  std::vector<std::unique_ptr<spe::ExternalSource>> sources;
+  for (int q = 0; q < 10; ++q) {
+    spe::DeployedQuery& query =
+        instance.Deploy(ThreeOpQuery("q" + std::to_string(q)), {});
+    sources.push_back(std::make_unique<spe::ExternalSource>(
+        sim, query.source_channels(),
+        [](Rng&, std::uint64_t) { return spe::Tuple{}; }, 3 + q));
+    sources.back()->Start(100, Seconds(30));
+  }
+  tsdb::TimeSeriesStore store(/*max_samples=*/4);
+  tsdb::Scraper scraper(sim, store, Seconds(1));
+  scraper.AddInstance(instance);
+  SimSpeDriver driver(instance, store, Seconds(1));
+  const std::vector<EntityInfo> entities = driver.Entities();
+  std::vector<MetricId> provided;
+  for (std::size_t m = 0; m < kMetricCount; ++m) {
+    const auto metric = static_cast<MetricId>(m);
+    if (driver.Provides(metric)) provided.push_back(metric);
+  }
+  const auto sweep = [&] {
+    double sum = 0;
+    for (const EntityInfo& e : entities) {
+      for (const MetricId metric : provided) sum += driver.Fetch(metric, e);
+    }
+    return sum;
+  };
+  // Warm-up: five scrapes fill every 4-sample ring, and the sweeps resolve
+  // every handle.
+  for (int s = 1; s <= 5; ++s) {
+    sim.RunUntil(Seconds(s));
+    scraper.ScrapeOnce();
+    sweep();
+  }
+  ASSERT_EQ(store.series_count(),
+            entities.size() * instance.flavor().exposed_metrics.size());
+
+  std::uint64_t scrape_allocs = 0;
+  std::uint64_t fetch_allocs = 0;
+  double sum = 0;
+  for (int s = 6; s <= 30; ++s) {
+    sim.RunUntil(Seconds(s));
+    std::uint64_t before = AllocCount();
+    scraper.ScrapeOnce();
+    scrape_allocs += AllocCount() - before;
+    before = AllocCount();
+    sum += sweep();
+    fetch_allocs += AllocCount() - before;
+  }
+  EXPECT_EQ(scrape_allocs, 0u) << "a warm scrape must not touch the heap";
+  EXPECT_EQ(fetch_allocs, 0u) << "a warm fetch sweep must not touch the heap";
+  EXPECT_GT(sum, 0.0);
 }
 
 }  // namespace

@@ -77,6 +77,7 @@ TEST(DaemonConfigTest, RejectsKeyOutsideSection) {
 TEST(DaemonConfigTest, RejectsEdgeWithUnknownOperator) {
   EXPECT_THROW(ParseDaemonConfig(R"(
 [query q]
+pid = 1
 operator a = pat series
 edge = a nonexistent
 )"),
@@ -86,6 +87,7 @@ edge = a nonexistent
 TEST(DaemonConfigTest, RejectsBadRole) {
   EXPECT_THROW(ParseDaemonConfig(R"(
 [query q]
+pid = 1
 operator a = pat series sideways
 )"),
                std::runtime_error);
@@ -94,6 +96,7 @@ operator a = pat series sideways
 TEST(DaemonConfigTest, RejectsUnknownMetric) {
   EXPECT_THROW(ParseDaemonConfig(R"(
 [query q]
+pid = 1
 operator a = pat series
 provides = warp_factor
 )"),
@@ -129,7 +132,7 @@ TEST(DaemonConfigTest, ProvidesAcceptsEveryFetchableMetricName) {
   for (const auto& entry : kNames) {
     EXPECT_STREQ(core::MetricName(entry.id), entry.name);
     const std::string config =
-        std::string("[query q]\noperator a = pat series\nprovides = ") +
+        std::string("[query q]\npid = 1\noperator a = pat series\nprovides = ") +
         entry.name + "\n";
     if (entry.accepted) {
       EXPECT_EQ(ParseDaemonConfig(config).spe.provided,
@@ -153,6 +156,7 @@ TEST(DaemonConfigTest, RejectsNonPositivePeriod) {
 [lachesis]
 period_ms = 0
 [query q]
+pid = 1
 operator a = pat series
 )"),
                std::runtime_error);
@@ -168,6 +172,7 @@ breaker_probe_ms  = 1500
 degradation = off
 reconcile   = no
 [query q]
+pid = 1
 operator a = pat series
 )");
   EXPECT_EQ(config.backoff_base_ms, 250);
@@ -181,6 +186,7 @@ operator a = pat series
 TEST(DaemonConfigTest, FaultToleranceKnobDefaults) {
   const DaemonConfig config = ParseDaemonConfig(R"(
 [query q]
+pid = 1
 operator a = pat series
 )");
   EXPECT_EQ(config.backoff_base_ms, 500);
@@ -210,7 +216,7 @@ TEST(DaemonConfigTest, RejectsMalformedFaultToleranceValues) {
   };
   for (const char* body : bad_bodies) {
     const std::string text = std::string("[lachesis]\n") + body +
-                             "\n[query q]\noperator a = pat series\n";
+                             "\n[query q]\npid = 1\noperator a = pat series\n";
     EXPECT_THROW(ParseDaemonConfig(text), std::runtime_error)
         << "accepted: " << body;
   }
@@ -222,6 +228,7 @@ TEST(DaemonConfigTest, RejectsCapBelowBase) {
 backoff_base_ms = 1000
 backoff_cap_ms  = 500
 [query q]
+pid = 1
 operator a = pat series
 )"),
                std::runtime_error);
@@ -237,6 +244,7 @@ critical_queries = tolls accidents
 big_cores    = 4 5 6 7
 little_cores = 0 1 2 3
 [query tolls]
+pid = 1
 operator a = pat series
 )");
   EXPECT_EQ(config.translator, "deadline");
@@ -251,6 +259,7 @@ operator a = pat series
 TEST(DaemonConfigTest, DeadlineAndTopologyKnobDefaults) {
   const DaemonConfig config = ParseDaemonConfig(R"(
 [query q]
+pid = 1
 operator a = pat series
 )");
   EXPECT_EQ(config.dl_runtime_ms, 4);
@@ -272,7 +281,7 @@ TEST(DaemonConfigTest, RejectsMalformedDeadlineAndTopologyValues) {
   };
   for (const char* body : bad_bodies) {
     const std::string text = std::string("[lachesis]\n") + body +
-                             "\n[query q]\noperator a = pat series\n";
+                             "\n[query q]\npid = 1\noperator a = pat series\n";
     EXPECT_THROW(ParseDaemonConfig(text), std::runtime_error)
         << "accepted: " << body;
   }
@@ -285,6 +294,7 @@ TEST(DaemonConfigTest, RejectsPeriodShorterThanRuntime) {
 dl_runtime_ms = 8
 dl_period_ms  = 4
 [query q]
+pid = 1
 operator a = pat series
 )"),
                std::runtime_error);
@@ -297,6 +307,7 @@ TEST(DaemonConfigTest, RejectsCoreListedAsBothBigAndLittle) {
 big_cores    = 2 3
 little_cores = 0 1 2
 [query q]
+pid = 1
 operator a = pat series
 )");
     FAIL() << "expected throw";
@@ -316,7 +327,7 @@ TEST(DaemonConfigTest, MalformedKnobErrorsCarryLineNumbers) {
 
 TEST(DaemonConfigTest, ErrorsCarryLineNumbers) {
   try {
-    ParseDaemonConfig("\n\n[query q]\nbogus = 1\n");
+    ParseDaemonConfig("\n\n[query q]\nbogus = 1\npid = 1\n");
     FAIL() << "expected throw";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("line 4"), std::string::npos);
@@ -337,6 +348,31 @@ TEST(DaemonConfigTest, RejectsMalformedPidWithLineNumber) {
           << "pid = " << pid << ": " << e.what();
       EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos)
           << "pid = " << pid << ": " << e.what();
+    }
+  }
+}
+
+// Without a pid the driver could find none of the query's threads, so
+// lachesisd would manage nothing for it and never say why.
+TEST(DaemonConfigTest, RejectsQueryWithoutPidAtItsHeaderLine) {
+  const struct {
+    const char* text;
+    const char* line;
+  } kCases[] = {
+      {"[lachesis]\nperiod_ms = 100\n\n[query q]\noperator a = pat series\n",
+       "line 4"},
+      {"[query first]\npid = 9\noperator a = pat series\n"
+       "[query second]\noperator b = pat series\n",
+       "line 4"},
+  };
+  for (const auto& c : kCases) {
+    try {
+      ParseDaemonConfig(c.text);
+      ADD_FAILURE() << "accepted: " << c.text;
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(c.line), std::string::npos) << what;
+      EXPECT_NE(what.find("pid"), std::string::npos) << what;
     }
   }
 }

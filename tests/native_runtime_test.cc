@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <set>
 #include <vector>
 
@@ -268,6 +269,63 @@ TEST(NativeRuntimeDriverTest, PollScrapesAndFetchServesDeltas) {
   ASSERT_EQ(topo.names.size(), 2u);
   EXPECT_EQ(topo.ingress_indices, std::vector<int>{0});
   EXPECT_EQ(topo.egress_indices, std::vector<int>{1});
+}
+
+// Poll interns each operator's series on first sight and appends by
+// handle; Fetch resolves its own handles on first read. Both must land on
+// the series the registry reports under "<query>.<op>.<suffix>".
+TEST(NativeRuntimeDriverTest, PollThenFetchReadsWhatTheRegistryReports) {
+  spe::NativeRuntime runtime;
+  runtime.AddQuery(Chain("a", {0, 5, 0}), ExactCount(800));
+  runtime.AddQuery(Chain("b", {0, 0}), ExactCount(300));
+  runtime.Start();
+  WaitUntil([&] {
+    return runtime.TotalEmitted(0) >= 800 && runtime.TotalEmitted(1) >= 300;
+  });
+  runtime.Stop(/*drain=*/true);
+
+  osctl::NativeRuntimeDriver driver(runtime);
+  const auto entities = driver.Entities();
+  ASSERT_EQ(entities.size(), runtime.ops().size());
+  // No series exists before the first Poll: reads are 0, and the misses
+  // are not cached.
+  for (const core::EntityInfo& e : entities) {
+    EXPECT_EQ(driver.Fetch(core::MetricId::kTuplesInTotal, e), 0.0) << e.path;
+  }
+  driver.Poll(Seconds(1));
+
+  // Raw metrics the table serves as the latest sample, unscaled.
+  const std::map<spe::RawMetric, core::MetricId> kLatest = {
+      {spe::RawMetric::kTuplesIn, core::MetricId::kTuplesInTotal},
+      {spe::RawMetric::kTuplesOut, core::MetricId::kTuplesOutTotal},
+      {spe::RawMetric::kQueueSize, core::MetricId::kQueueSize},
+      {spe::RawMetric::kBufferUsage, core::MetricId::kBufferUsage},
+      {spe::RawMetric::kBufferCapacity, core::MetricId::kBufferCapacity},
+      {spe::RawMetric::kCost, core::MetricId::kCost},
+      {spe::RawMetric::kSelectivity, core::MetricId::kSelectivity},
+      {spe::RawMetric::kQueueHighWater, core::MetricId::kQueueHighWater},
+  };
+  std::size_t reported = 0;
+  std::size_t fetched = 0;
+  runtime.ForEachRawMetric([&](const spe::NativeOperator& op,
+                               spe::RawMetric raw, double value) {
+    ++reported;
+    std::size_t index = 0;
+    while (runtime.ops()[index].get() != &op) ++index;
+    const core::EntityInfo& e = entities[index];
+    const auto stored = driver.store().Latest(tsdb::SeriesName(e.path, raw));
+    const std::string what = e.path + " " + tsdb::RawMetricName(raw);
+    ASSERT_TRUE(stored.has_value()) << what;
+    EXPECT_EQ(stored->value, value) << what;
+    EXPECT_EQ(stored->time, Seconds(1));
+    const auto metric = kLatest.find(raw);
+    if (metric == kLatest.end()) return;
+    ++fetched;
+    EXPECT_EQ(driver.Fetch(metric->second, e), value)
+        << e.path << " " << core::MetricName(metric->second);
+  });
+  EXPECT_EQ(driver.store().series_count(), reported);
+  EXPECT_EQ(fetched, entities.size() * kLatest.size());
 }
 
 // Records every nice decision with the tid it landed on.
