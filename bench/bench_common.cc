@@ -1,10 +1,10 @@
 #include "bench/bench_common.h"
 
-#include <cerrno>
 #include <chrono>
-#include <cstring>
 
 #include <errno.h>  // program_invocation_short_name (glibc)
+
+#include "bench/bench_json.h"
 
 namespace lachesis::bench {
 
@@ -73,9 +73,11 @@ std::string DefaultBenchName() {
   return name;
 }
 
-void WriteCiField(std::FILE* out, const char* key, const MeanCi& ci) {
-  std::fprintf(out, "\"%s\": {\"mean\": %.6g, \"ci95\": %.6g}", key, ci.mean,
-               ci.half_width);
+void CiField(JsonWriter& json, const char* key, const MeanCi& ci) {
+  json.BeginObject(key)
+      .Field("mean", ci.mean)
+      .Field("ci95", ci.half_width)
+      .EndObject();
 }
 
 }  // namespace
@@ -85,63 +87,42 @@ void WriteBenchJson(const std::vector<double>& rates,
                     const SweepResult& sweep, const BenchMode& mode,
                     const std::string& bench) {
   const std::string name = bench.empty() ? DefaultBenchName() : bench;
-  const std::string path = "BENCH_" + name + ".json";
-  std::FILE* out = std::fopen(path.c_str(), "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "WriteBenchJson: cannot open %s: %s\n", path.c_str(),
-                 std::strerror(errno));
-    return;
-  }
-  const double ratio =
-      sweep.wall_seconds > 0 ? sweep.sim_seconds / sweep.wall_seconds : 0;
-  std::fprintf(out,
-               "{\n  \"bench\": \"%s\",\n  \"mode\": \"%s\",\n"
-               "  \"repetitions\": %d,\n  \"worker_count\": %d,\n"
-               "  \"wall_seconds\": %.3f,\n"
-               "  \"sim_seconds\": %.3f,\n  \"sim_wall_ratio\": %.2f,\n"
-               "  \"series\": [\n",
-               name.c_str(), mode.full ? "full" : "quick", mode.repetitions,
-               mode.workers, sweep.wall_seconds, sweep.sim_seconds, ratio);
-  bool first = true;
+  JsonWriter json;
+  json.BeginObject()
+      .Field("bench", name)
+      .Field("mode", mode.full ? "full" : "quick")
+      .Field("repetitions", mode.repetitions)
+      .Field("worker_count", mode.workers)
+      .Field("wall_seconds", sweep.wall_seconds)
+      .Field("sim_seconds", sweep.sim_seconds)
+      .Field("sim_wall_ratio", sweep.wall_seconds > 0
+                                   ? sweep.sim_seconds / sweep.wall_seconds
+                                   : 0.0)
+      .BeginArray("series");
   for (std::size_t v = 0; v < variants.size(); ++v) {
     for (std::size_t r = 0; r < rates.size(); ++r) {
       const auto& runs = sweep.runs[v][r];
-      if (!first) std::fprintf(out, ",\n");
-      first = false;
-      std::fprintf(out, "    {\"variant\": \"%s\", \"rate_tps\": %.0f, ",
-                   variants[v].name.c_str(), rates[r]);
-      WriteCiField(out, "throughput_tps", exp::Aggregate(runs, [](const RunResult& x) {
-                     return x.throughput_tps;
-                   }));
-      std::fprintf(out, ", ");
-      WriteCiField(out, "avg_latency_ms", exp::Aggregate(runs, [](const RunResult& x) {
-                     return x.avg_latency_ms;
-                   }));
-      std::fprintf(out, ", ");
-      WriteCiField(out, "avg_e2e_latency_ms",
-                   exp::Aggregate(runs, [](const RunResult& x) {
-                     return x.avg_e2e_latency_ms;
-                   }));
-      std::fprintf(out, ", ");
-      WriteCiField(out, "qs_goal", exp::Aggregate(runs, [](const RunResult& x) {
-                     return x.qs_goal;
-                   }));
-      std::fprintf(out, ", ");
-      WriteCiField(out, "cpu_utilization",
-                   exp::Aggregate(runs, [](const RunResult& x) {
-                     return x.cpu_utilization;
-                   }));
+      const auto ci = [&runs](double RunResult::*field) {
+        return exp::Aggregate(runs,
+                              [field](const RunResult& x) { return x.*field; });
+      };
+      json.BeginObject()
+          .Field("variant", variants[v].name)
+          .Field("rate_tps", rates[r]);
+      CiField(json, "throughput_tps", ci(&RunResult::throughput_tps));
+      CiField(json, "avg_latency_ms", ci(&RunResult::avg_latency_ms));
+      CiField(json, "avg_e2e_latency_ms", ci(&RunResult::avg_e2e_latency_ms));
+      CiField(json, "qs_goal", ci(&RunResult::qs_goal));
+      CiField(json, "cpu_utilization", ci(&RunResult::cpu_utilization));
       if (v < sweep.point_wall_seconds.size() &&
           r < sweep.point_wall_seconds[v].size()) {
-        std::fprintf(out, ", \"wall_seconds\": %.3f",
-                     sweep.point_wall_seconds[v][r]);
+        json.Field("wall_seconds", sweep.point_wall_seconds[v][r]);
       }
-      std::fprintf(out, "}");
+      json.EndObject();
     }
   }
-  std::fprintf(out, "\n  ]\n}\n");
-  std::fclose(out);
-  std::printf("[bench-json] wrote %s (sim/wall %.1fx)\n", path.c_str(), ratio);
+  json.EndArray().EndObject();
+  json.WriteFile("BENCH_" + name + ".json");
 }
 
 SweepResult RunAndPrintSweep(const std::string& title,

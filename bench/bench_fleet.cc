@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "bench/bench_common.h"
+#include "bench/bench_json.h"
 #include "exp/fleet.h"
 
 int main() {
@@ -121,43 +122,42 @@ int main() {
       fault_digest_ok && fault_overhead_ok ? "OK" : "FAILED");
 
   const double base_wall = results.front().wall_seconds;
-  std::FILE* out = std::fopen("BENCH_fleet.json", "w");
-  if (out != nullptr) {
-    std::fprintf(out,
-                 "{\n  \"bench\": \"fleet\",\n  \"mode\": \"%s\",\n"
-                 "  \"machines\": %d,\n  \"cores_per_machine\": %d,\n"
-                 "  \"queries_per_machine\": %d,\n  \"hw_cores\": %u,\n"
-                 "  \"digests_identical\": %s,\n  \"series\": [\n",
-                 mode.full ? "full" : "quick", spec.machines, spec.cores,
-                 spec.queries_per_machine, hw_cores,
-                 digests_ok ? "true" : "false");
-    for (std::size_t i = 0; i < results.size(); ++i) {
-      const exp::FleetResult& r = results[i];
-      std::fprintf(
-          out,
-          "    {\"worker_count\": %d, \"wall_seconds\": %.3f, "
-          "\"speedup_vs_sequential\": %.3f, \"throughput_tps\": %.1f, "
-          "\"min_node_throughput_tps\": %.1f, \"max_node_throughput_tps\": "
-          "%.1f, \"epochs\": %llu, \"events_dispatched\": %llu, "
-          "\"trace_digest\": \"%016llx\"}%s\n",
-          r.worker_count, r.wall_seconds,
-          r.wall_seconds > 0 ? base_wall / r.wall_seconds : 0.0,
-          r.throughput_tps, r.min_node_throughput_tps,
-          r.max_node_throughput_tps,
-          static_cast<unsigned long long>(r.epochs),
-          static_cast<unsigned long long>(r.events_dispatched),
-          static_cast<unsigned long long>(r.trace_digest),
-          i + 1 < results.size() ? "," : "");
-    }
-    std::fprintf(out,
-                 "  ],\n  \"fault_overhead\": {\"plain_wall_seconds\": %.3f, "
-                 "\"armed_wall_seconds\": %.3f, \"overhead_pct\": %.2f, "
-                 "\"digest_match\": %s, \"within_bar\": %s}\n}\n",
-                 plain_wall, armed_wall, overhead * 100,
-                 fault_digest_ok ? "true" : "false",
-                 fault_overhead_ok ? "true" : "false");
-    std::fclose(out);
-    std::printf("[bench-json] wrote BENCH_fleet.json\n");
+  JsonWriter json;
+  json.BeginObject()
+      .Field("bench", "fleet")
+      .Field("mode", mode.full ? "full" : "quick")
+      .Field("machines", spec.machines)
+      .Field("cores_per_machine", spec.cores)
+      .Field("queries_per_machine", spec.queries_per_machine)
+      .Field("hw_cores", hw_cores)
+      .Field("digests_identical", digests_ok)
+      .BeginArray("series");
+  for (const exp::FleetResult& r : results) {
+    char digest[17];
+    std::snprintf(digest, sizeof(digest), "%016llx",
+                  static_cast<unsigned long long>(r.trace_digest));
+    json.BeginObject()
+        .Field("worker_count", r.worker_count)
+        .Field("wall_seconds", r.wall_seconds)
+        .Field("speedup_vs_sequential",
+               r.wall_seconds > 0 ? base_wall / r.wall_seconds : 0.0)
+        .Field("throughput_tps", r.throughput_tps)
+        .Field("min_node_throughput_tps", r.min_node_throughput_tps)
+        .Field("max_node_throughput_tps", r.max_node_throughput_tps)
+        .Field("epochs", r.epochs)
+        .Field("events_dispatched", r.events_dispatched)
+        .Field("trace_digest", digest)
+        .EndObject();
   }
+  json.EndArray()
+      .BeginObject("fault_overhead")
+      .Field("plain_wall_seconds", plain_wall)
+      .Field("armed_wall_seconds", armed_wall)
+      .Field("overhead_pct", overhead * 100)
+      .Field("digest_match", fault_digest_ok)
+      .Field("within_bar", fault_overhead_ok)
+      .EndObject()
+      .EndObject();
+  json.WriteFile("BENCH_fleet.json");
   return digests_ok && fault_digest_ok && fault_overhead_ok ? 0 : 1;
 }

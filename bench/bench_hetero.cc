@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "bench/bench_common.h"
+#include "bench/bench_json.h"
 #include "queries/synthetic.h"
 #include "sim/machine.h"
 #include "sim/simulator.h"
@@ -34,10 +35,12 @@ using namespace lachesis::bench;
 
 constexpr double kSloMs = 10.0;  // critical-chain avg processing latency SLO
 
-void PrintJsonCi(std::FILE* out, const char* key, const MeanCi& ci,
-                 const char* suffix = "") {
-  std::fprintf(out, "    \"%s\": {\"mean\": %.4f, \"ci95\": %.4f, \"n\": %zu}%s\n",
-               key, ci.mean, ci.half_width, ci.n, suffix);
+void CiField(JsonWriter& json, const char* key, const MeanCi& ci) {
+  json.BeginObject(key)
+      .Field("mean", ci.mean)
+      .Field("ci95", ci.half_width)
+      .Field("n", ci.n)
+      .EndObject();
 }
 
 // Pools one query's latency samples across repetitions.
@@ -240,43 +243,42 @@ int main() {
               admit_clear_ns, reject_ns);
 
   // --- BENCH json -------------------------------------------------------------
-  std::FILE* out = std::fopen("BENCH_hetero.json", "w");
-  if (out != nullptr) {
-    std::fprintf(out, "{\n  \"bench\": \"hetero\",\n  \"mode\": \"%s\",\n"
-                      "  \"repetitions\": %d,\n",
-                 mode.full ? "full" : "quick", mode.repetitions);
-    std::fprintf(out, "  \"placement\": {\n");
-    std::fprintf(out, "    \"rate_tps\": %.1f,\n", kPlacementRate);
-    PrintJsonCi(out, "aware_tps", aware_tps, ",");
-    PrintJsonCi(out, "blind_tps", blind_tps, ",");
-    PrintJsonCi(out, "aware_latency_ms", aware_lat, ",");
-    PrintJsonCi(out, "blind_latency_ms", blind_lat, ",");
-    std::fprintf(out, "    \"aware_over_blind_speedup\": %.4f,\n", speedup);
-    std::fprintf(out, "    \"blind_over_aware_latency\": %.4f\n  },\n",
-                 latency_ratio);
-    std::fprintf(out, "  \"mixed_criticality\": {\n");
-    std::fprintf(out, "    \"critical_query\": \"%s\",\n    \"slo_ms\": %.1f,\n"
-                      "    \"variants\": [\n",
-                 critical_query.c_str(), kSloMs);
-    for (std::size_t i = 0; i < mixed.size(); ++i) {
-      const MixedVariant& v = mixed[i];
-      std::fprintf(out,
-                   "      {\"name\": \"%s\", \"critical_avg_ms\": %.4f, "
-                   "\"critical_p99_ms\": %.4f, \"total_tps\": %.1f, "
-                   "\"meets_slo\": %s}%s\n",
-                   v.name.c_str(), v.critical_avg_ms.mean, v.critical_p99_ms,
-                   v.total_tps.mean, v.meets_slo ? "true" : "false",
-                   i + 1 < mixed.size() ? "," : "");
-    }
-    std::fprintf(out, "    ]\n  },\n");
-    std::fprintf(out, "  \"admission\": {\n"
-                      "    \"admit_clear_ns_per_op\": %.1f,\n"
-                      "    \"reject_ns_per_op\": %.1f,\n"
-                      "    \"live_reservations\": 32\n  }\n}\n",
-                 admit_clear_ns, reject_ns);
-    std::fclose(out);
-    std::printf("[bench-json] wrote BENCH_hetero.json\n");
+  JsonWriter json;
+  json.BeginObject()
+      .Field("bench", "hetero")
+      .Field("mode", mode.full ? "full" : "quick")
+      .Field("repetitions", mode.repetitions)
+      .BeginObject("placement")
+      .Field("rate_tps", kPlacementRate);
+  CiField(json, "aware_tps", aware_tps);
+  CiField(json, "blind_tps", blind_tps);
+  CiField(json, "aware_latency_ms", aware_lat);
+  CiField(json, "blind_latency_ms", blind_lat);
+  json.Field("aware_over_blind_speedup", speedup)
+      .Field("blind_over_aware_latency", latency_ratio)
+      .EndObject()
+      .BeginObject("mixed_criticality")
+      .Field("critical_query", critical_query)
+      .Field("slo_ms", kSloMs)
+      .BeginArray("variants");
+  for (const MixedVariant& v : mixed) {
+    json.BeginObject()
+        .Field("name", v.name)
+        .Field("critical_avg_ms", v.critical_avg_ms.mean)
+        .Field("critical_p99_ms", v.critical_p99_ms)
+        .Field("total_tps", v.total_tps.mean)
+        .Field("meets_slo", v.meets_slo)
+        .EndObject();
   }
+  json.EndArray()
+      .EndObject()
+      .BeginObject("admission")
+      .Field("admit_clear_ns_per_op", admit_clear_ns)
+      .Field("reject_ns_per_op", reject_ns)
+      .Field("live_reservations", 32)
+      .EndObject()
+      .EndObject();
+  json.WriteFile("BENCH_hetero.json");
 
   // The bench doubles as a regression gate for the two acceptance
   // properties: aware placement must beat blind, and only the deadline

@@ -19,11 +19,12 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "bench/bench_json.h"
+#include "exp/report.h"
 #include "spe/native_queue.h"
 #include "spe/native_runtime.h"
 
@@ -133,8 +134,7 @@ ExecutorPoint BenchExecutor(int length, std::uint64_t tuples) {
 }  // namespace
 
 int main() {
-  const char* mode_env = std::getenv("LACHESIS_BENCH_MODE");
-  const bool full = mode_env != nullptr && std::strcmp(mode_env, "full") == 0;
+  const bool full = exp::BenchMode::FromEnv().full;
   const std::uint64_t queue_pairs = full ? 10000000 : 2000000;
   const std::uint64_t cross_count = full ? 5000000 : 1000000;
   const std::uint64_t exec_tuples = full ? 1000000 : 200000;
@@ -167,31 +167,26 @@ int main() {
     std::fflush(stdout);
   }
 
-  std::FILE* out = std::fopen("BENCH_native.json", "w");
-  if (out != nullptr) {
-    std::fprintf(out,
-                 "{\n  \"bench\": \"native_spe\",\n  \"mode\": \"%s\",\n"
-                 "  \"hw_cores\": %u,\n"
-                 "  \"queue\": {\n"
-                 "    \"same_thread_ops_per_sec\": %.0f,\n"
-                 "    \"cross_thread_tuples_per_sec\": %.0f\n  },\n"
-                 "  \"executor\": [\n",
-                 full ? "full" : "quick", hw_cores, same_thread_ops,
-                 cross_thread_ops);
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      const ExecutorPoint& p = points[i];
-      std::fprintf(out,
-                   "    {\"chain_length\": %d, \"tuples\": %llu, "
-                   "\"wall_seconds\": %.3f, \"tuples_per_sec\": %.0f, "
-                   "\"parks\": %llu}%s\n",
-                   p.chain_length, static_cast<unsigned long long>(p.tuples),
-                   p.wall_seconds, p.tuples_per_sec,
-                   static_cast<unsigned long long>(p.sleeps),
-                   i + 1 < points.size() ? "," : "");
-    }
-    std::fprintf(out, "  ]\n}\n");
-    std::fclose(out);
-    std::printf("[bench-json] wrote BENCH_native.json\n");
+  bench::JsonWriter json;
+  json.BeginObject()
+      .Field("bench", "native_spe")
+      .Field("mode", full ? "full" : "quick")
+      .Field("hw_cores", hw_cores)
+      .BeginObject("queue")
+      .Field("same_thread_ops_per_sec", same_thread_ops)
+      .Field("cross_thread_tuples_per_sec", cross_thread_ops)
+      .EndObject()
+      .BeginArray("executor");
+  for (const ExecutorPoint& p : points) {
+    json.BeginObject()
+        .Field("chain_length", p.chain_length)
+        .Field("tuples", p.tuples)
+        .Field("wall_seconds", p.wall_seconds)
+        .Field("tuples_per_sec", p.tuples_per_sec)
+        .Field("parks", p.sleeps)
+        .EndObject();
   }
+  json.EndArray().EndObject();
+  json.WriteFile("BENCH_native.json");
   return 0;
 }

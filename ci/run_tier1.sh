@@ -24,10 +24,10 @@ if [ "$status" -ne 0 ]; then
   echo "run_tier1.sh: ctest exited with status $status" >&2
 fi
 
-# Perf trajectory: quick control-plane tick and fault-overhead benches,
-# then list every machine-readable BENCH_*.json produced under the build
-# dir. A bench that exits non-zero fails the script, after the listing:
-# bench_fleet and bench_hetero gate themselves.
+# Perf trajectory: the benches below in quick mode, then list and parse
+# every machine-readable BENCH_*.json under the build dir. A bench that exits non-zero, or a BENCH file that
+# does not parse as JSON, fails the script after the listing: bench_fleet
+# and bench_hetero gate themselves.
 failed_benches=()
 run_bench() {
   local name=$1
@@ -38,8 +38,10 @@ run_bench() {
   }
 }
 if [ "$status" -eq 0 ]; then
-  run_bench bench_runner_tick ./bench/bench_runner_tick --quick
-  run_bench bench_fault_overhead ./bench/bench_fault_overhead --quick
+  # Control-plane tick: delta on/off, recorder off/on/verbose and health
+  # off/on/injected tables plus the 1M-target sweep; writes
+  # BENCH_runner.json, BENCH_obs.json and BENCH_fault.json.
+  run_bench bench_runner_tick env LACHESIS_BENCH_MODE=quick ./bench/bench_runner_tick
   # Fleet stepper: worker-count sweep with a hard digest-equality gate
   # (exits non-zero on any determinism break), writes BENCH_fleet.json.
   run_bench bench_fleet ./bench/bench_fleet
@@ -55,10 +57,17 @@ if [ "$status" -eq 0 ]; then
   # BENCH_native.json.
   run_bench bench_native_spe env LACHESIS_BENCH_MODE=quick ./bench/bench_native_spe
   echo "run_tier1.sh: BENCH artifacts:"
-  find "$BUILD_DIR" -maxdepth 1 -name 'BENCH_*.json' -print | sort |
-    sed 's/^/  /'
+  malformed=()
+  while IFS= read -r file; do
+    echo "  $file"
+    python3 -m json.tool "$file" >/dev/null || malformed+=("$file")
+  done < <(find "$BUILD_DIR" -maxdepth 1 -name 'BENCH_*.json' -print | sort)
   if [ "${#failed_benches[@]}" -ne 0 ]; then
     echo "run_tier1.sh: failed benches: ${failed_benches[*]}" >&2
+    status=1
+  fi
+  if [ "${#malformed[@]}" -ne 0 ]; then
+    echo "run_tier1.sh: malformed BENCH files: ${malformed[*]}" >&2
     status=1
   fi
 fi

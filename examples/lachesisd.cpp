@@ -93,25 +93,12 @@ class LoggingOsAdapter final : public core::OsAdapter {
   }
 };
 
-std::unique_ptr<core::SchedulingPolicy> MakePolicy(
+// The configured policy; critical_queries tags those queries' operators
+// latency-critical so deadline/RT translators give them hard guarantees.
+std::unique_ptr<core::SchedulingPolicy> BuildPolicy(
     const osctl::DaemonConfig& config) {
-  const std::string& name = config.policy;
-  std::unique_ptr<core::SchedulingPolicy> policy;
-  if (name == "queue-size") {
-    policy = std::make_unique<core::QueueSizePolicy>();
-  } else if (name == "fcfs") {
-    policy = std::make_unique<core::FcfsPolicy>();
-  } else if (name == "highest-rate") {
-    policy = std::make_unique<core::HighestRatePolicy>();
-  } else if (name == "random") {
-    policy = std::make_unique<core::RandomPolicy>();
-  } else if (name == "min-memory") {
-    policy = std::make_unique<core::MinMemoryPolicy>();
-  } else {
-    throw std::runtime_error("unknown policy: " + name);
-  }
-  // critical_queries tags those queries' operators latency-critical so
-  // deadline/RT translators give them hard guarantees.
+  std::unique_ptr<core::SchedulingPolicy> policy =
+      osctl::MakePolicy(config.policy);
   if (!config.critical_queries.empty()) {
     policy = std::make_unique<core::CriticalChainPolicy>(
         std::move(policy), config.critical_queries);
@@ -119,26 +106,13 @@ std::unique_ptr<core::SchedulingPolicy> MakePolicy(
   return policy;
 }
 
-std::unique_ptr<core::Translator> MakeTranslator(
+// The configured translator; with a big.LITTLE topology configured, it is
+// decorated with big-core placement hints for the highest-priority /
+// critical operators.
+std::unique_ptr<core::Translator> BuildTranslator(
     const osctl::DaemonConfig& config) {
-  const std::string& name = config.translator;
-  std::unique_ptr<core::Translator> translator;
-  if (name == "nice") {
-    translator = std::make_unique<core::NiceTranslator>();
-  } else if (name == "cpu.shares") {
-    translator = std::make_unique<core::CpuSharesTranslator>();
-  } else if (name == "quota") {
-    translator = std::make_unique<core::QuotaTranslator>();
-  } else if (name == "rt") {
-    translator = std::make_unique<core::RtBoostTranslator>();
-  } else if (name == "deadline") {
-    translator = std::make_unique<core::DeadlineTranslator>(
-        Millis(config.dl_runtime_ms), Millis(config.dl_period_ms));
-  } else {
-    throw std::runtime_error("unknown translator: " + name);
-  }
-  // With a big.LITTLE topology configured, decorate with big-core
-  // placement hints for the highest-priority / critical operators.
+  std::unique_ptr<core::Translator> translator =
+      osctl::MakeTranslator(config.translator, config);
   if (!config.big_cores.empty()) {
     translator =
         std::make_unique<core::CapacityHintTranslator>(std::move(translator));
@@ -247,18 +221,17 @@ int main(int argc, char** argv) {
           runtime->query_count(), runtime->ops().size(),
           runtime->sources().size());
     }
-    auto policy = MakePolicy(config);
-    auto translator = MakeTranslator(config);
+    auto policy = BuildPolicy(config);
+    auto translator = BuildTranslator(config);
 
     osctl::LinuxNiceController nice;
     osctl::LinuxRtController rt;
     osctl::LinuxDeadlineController deadline;
     osctl::LinuxAffinityController affinity;
-    const auto version = osctl::CgroupController::DetectVersion();
-    osctl::CgroupController cgroups(
-        config.cgroup_root.empty() ? "/tmp/lachesisd-cgroup"
-                                   : config.cgroup_root,
-        version);
+    // An empty cgroup_root leaves cgroup mechanisms unavailable: every
+    // write fails, so the cgroup breaker opens and the ladder degrades.
+    osctl::CgroupController cgroups(config.cgroup_root,
+                                    osctl::CgroupController::DetectVersion());
     osctl::LinuxOsAdapter real_os(nice, cgroups, &rt, &deadline, &affinity);
     real_os.SetCoreClasses(config.big_cores, config.little_cores);
     LoggingOsAdapter logging_os;

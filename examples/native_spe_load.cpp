@@ -28,10 +28,9 @@
 #include <string>
 #include <vector>
 
-#include "core/policies.h"
 #include "core/runner.h"
-#include "core/translators.h"
 #include "osctl/cgroupfs.h"
+#include "osctl/daemon_config.h"
 #include "osctl/linux_os_adapter.h"
 #include "osctl/native_executor.h"
 #include "osctl/native_runtime_driver.h"
@@ -123,6 +122,12 @@ int main(int argc, char** argv) {
   }
 
   try {
+    // Unknown names fail here, before any executor thread starts.
+    core::PolicyBinding binding;
+    binding.policy = osctl::MakePolicy(policy_name);
+    binding.translator =
+        osctl::MakeTranslator(translator_name, osctl::DaemonConfig{});
+
     spe::NativeRuntimeOptions rt_options;
     rt_options.name = "native-load";
     rt_options.pin_cpus = pin_cpus;
@@ -183,19 +188,6 @@ int main(int argc, char** argv) {
     osctl::NativeControlExecutor executor;
     core::LachesisRunner runner(executor,
                                 os, static_cast<std::uint64_t>(::getpid()));
-    core::PolicyBinding binding;
-    binding.policy = policy_name == "fcfs"
-                         ? std::unique_ptr<core::SchedulingPolicy>(
-                               std::make_unique<core::FcfsPolicy>())
-                     : policy_name == "highest-rate"
-                         ? std::unique_ptr<core::SchedulingPolicy>(
-                               std::make_unique<core::HighestRatePolicy>())
-                         : std::make_unique<core::QueueSizePolicy>();
-    binding.translator =
-        translator_name == "cpu.shares"
-            ? std::unique_ptr<core::Translator>(
-                  std::make_unique<core::CpuSharesTranslator>())
-            : std::make_unique<core::NiceTranslator>();
     binding.period = Millis(period_ms);
     binding.drivers = {&driver};
     runner.AddQuery(std::move(binding));

@@ -40,20 +40,6 @@ struct LogicalTopology {
   std::vector<int> ingress_indices;
   std::vector<int> egress_indices;
 
-  [[nodiscard]] std::vector<int> Downstream(int op) const {
-    std::vector<int> result;
-    for (const auto& [from, to] : edges) {
-      if (from == op) result.push_back(to);
-    }
-    return result;
-  }
-  [[nodiscard]] std::vector<int> Upstream(int op) const {
-    std::vector<int> result;
-    for (const auto& [from, to] : edges) {
-      if (to == op) result.push_back(from);
-    }
-    return result;
-  }
   [[nodiscard]] int size() const { return static_cast<int>(names.size()); }
 };
 

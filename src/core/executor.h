@@ -29,10 +29,6 @@ class Clock {
 class ControlExecutor : public Clock {
  public:
   virtual void CallAt(SimTime time, std::function<void()> fn) = 0;
-
-  void CallAfter(SimDuration delay, std::function<void()> fn) {
-    CallAt(Now() + delay, std::move(fn));
-  }
 };
 
 }  // namespace lachesis::core

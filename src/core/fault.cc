@@ -207,15 +207,6 @@ double FaultInjectingDriver::Fetch(MetricId metric, const EntityInfo& entity) {
 // --------------------------------------------------------------------------
 // Fleet fault director.
 
-const char* FleetFaultKindName(FleetFaultKind kind) {
-  switch (kind) {
-    case FleetFaultKind::kMachineCrash: return "machine-crash";
-    case FleetFaultKind::kSlowShard: return "slow-shard";
-    case FleetFaultKind::kPartition: return "partition";
-  }
-  return "?";
-}
-
 namespace {
 
 constexpr std::uint64_t kEpochMax = std::numeric_limits<std::uint64_t>::max();
@@ -270,17 +261,6 @@ bool FleetFaultDirector::AllClear() const {
     }
   }
   return true;
-}
-
-SimTime FleetFaultDirector::QuietAfterTime() const {
-  const std::uint64_t epochs = plan_.QuietAfterEpoch();
-  const auto epoch = static_cast<std::uint64_t>(fleet_->epoch());
-  const auto limit = static_cast<std::uint64_t>(
-      std::numeric_limits<SimTime>::max());
-  if (epochs != 0 && epochs > limit / epoch) {
-    return std::numeric_limits<SimTime>::max();
-  }
-  return static_cast<SimTime>(epochs * epoch);
 }
 
 void FleetFaultDirector::OnBarrier(SimTime now) {

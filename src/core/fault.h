@@ -191,8 +191,6 @@ enum class FleetFaultKind {
 };
 inline constexpr int kFleetFaultKindCount = 3;
 
-[[nodiscard]] const char* FleetFaultKindName(FleetFaultKind kind);
-
 // One fleet fault rule, evaluated once per epoch per candidate machine (or
 // per directed link for kPartition). `machine`/`dest` of -1 mean "any";
 // epochs count barriers since time zero (epoch e covers simulated time
@@ -257,9 +255,6 @@ class FleetFaultDirector {
   // True when every crashed machine has been revived (pending restarts all
   // delivered) and no links are down or shards slowed.
   [[nodiscard]] bool AllClear() const;
-  // Simulated time of FleetFaultPlan::QuietAfterEpoch (saturates to
-  // SimTime max for unbounded plans).
-  [[nodiscard]] SimTime QuietAfterTime() const;
 
  private:
   void OnBarrier(SimTime now);

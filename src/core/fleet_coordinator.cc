@@ -9,15 +9,6 @@
 
 namespace lachesis::core {
 
-const char* FleetErrorCodeName(FleetErrorCode code) {
-  switch (code) {
-    case FleetErrorCode::kNoLiveShards: return "no-live-shards";
-    case FleetErrorCode::kMachineDead: return "machine-dead";
-    case FleetErrorCode::kUnknownHandle: return "unknown-handle";
-  }
-  return "?";
-}
-
 void FleetCoordinator::InstallObserver(std::size_t index) {
   // The observer writes only this shard's slot. The shard's worker thread
   // runs it mid-epoch; the coordinator reads the slot at barriers, where

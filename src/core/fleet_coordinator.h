@@ -43,8 +43,6 @@ enum class FleetErrorCode {
   kUnknownHandle,     // stale or never-issued query handle
 };
 
-[[nodiscard]] const char* FleetErrorCodeName(FleetErrorCode code);
-
 class FleetPlacementError : public std::runtime_error {
  public:
   FleetPlacementError(FleetErrorCode code, const std::string& what)

@@ -149,8 +149,8 @@ class HighestRateMetric final : public DerivedMetric {
       if (q.sel[idx] <= 0) q.sel[idx] = 1.0;
     }
 
-    // Downstream adjacency in edge order (what LogicalTopology::Downstream
-    // returns): op's targets are down_[down_begin_[op] .. down_begin_[op + 1]).
+    // Downstream adjacency in edge order: op's targets are
+    // down_[down_begin_[op] .. down_begin_[op + 1]).
     // Counts become end offsets; filling from the back leaves the begins.
     down_begin_.assign(n + 1, 0);
     const auto in_range = [n](int op) {

@@ -159,19 +159,6 @@ class SimOsAdapter final : public OsAdapter {
     }
   }
 
-  void SetCpuAffinity(const ThreadHandle& thread, CpuPreference pref) override {
-    // The simulator has no hard-affinity mechanism (capacity-aware
-    // placement already steers misfit work to big cores); record the hint
-    // so tests can assert translator plumbing.
-    affinity_[std::make_pair(thread.machine, thread.sim_tid.value())] = pref;
-  }
-
-  [[nodiscard]] CpuPreference AffinityOf(const ThreadHandle& thread) const {
-    const auto it =
-        affinity_.find(std::make_pair(thread.machine, thread.sim_tid.value()));
-    return it == affinity_.end() ? CpuPreference::kNone : it->second;
-  }
-
   // Restart reconciliation against the simulated kernel: reads each
   // thread's actual nice/RT/cgroup/deadline from its Machine and each
   // Lachesis-owned group's shares from machine truth (quota comes from the
@@ -259,7 +246,6 @@ class SimOsAdapter final : public OsAdapter {
 
   std::map<std::string, NamedGroup> groups_;
   std::map<sim::Machine*, CgroupId> roots_;
-  std::map<std::pair<sim::Machine*, std::uint64_t>, CpuPreference> affinity_;
 };
 
 }  // namespace lachesis::core

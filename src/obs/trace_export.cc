@@ -7,31 +7,11 @@
 #include <vector>
 
 #include "obs/atomic_file.h"
+#include "obs/json_escape.h"
 
 namespace lachesis::obs {
 
 namespace {
-
-void AppendEscaped(std::string& out, std::string_view s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
 
 // Timestamps are microseconds with a fixed 3-digit nanosecond remainder --
 // pure integer math so identical event streams serialize identically.
@@ -84,7 +64,7 @@ class TraceWriter {
     }
     if (instant_scope) out_ += ",\"s\":\"t\"";
     out_ += ",\"name\":\"";
-    AppendEscaped(out_, name);
+    AppendJsonEscaped(out_, name);
     out_ += "\"";
     if (!args.empty()) {
       out_ += ",\"args\":{";
@@ -104,9 +84,9 @@ class TraceWriter {
     out_ += ",\"tid\":";
     out_ += std::to_string(tid);
     out_ += ",\"name\":\"";
-    AppendEscaped(out_, meta_name);
+    AppendJsonEscaped(out_, meta_name);
     out_ += "\",\"args\":{\"name\":\"";
-    AppendEscaped(out_, value);
+    AppendJsonEscaped(out_, value);
     out_ += "\"}}";
   }
 
@@ -130,7 +110,7 @@ std::string StrArg(std::string_view key, std::string_view value) {
   std::string out = "\"";
   out += key;
   out += "\":\"";
-  AppendEscaped(out, value);
+  AppendJsonEscaped(out, value);
   out += "\"";
   return out;
 }

@@ -1,6 +1,7 @@
 #include "osctl/cgroupfs.h"
 
 #include <algorithm>
+#include <cerrno>
 #include <fstream>
 #include <sstream>
 #include <utility>
@@ -37,6 +38,10 @@ bool CgroupController::WriteFile(const fs::path& path, const std::string& value,
 }
 
 bool CgroupController::EnsureGroup(const std::string& group) {
+  if (root_.empty()) {
+    errno = ENODEV;  // no hierarchy configured
+    return false;
+  }
   std::error_code ec;
   const fs::path dir = GroupDir(group);
   if (!fs::exists(dir, ec)) {

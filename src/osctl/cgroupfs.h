@@ -6,7 +6,8 @@
 // The filesystem root is injectable so tests run against a temp directory;
 // production use points it at e.g. /sys/fs/cgroup/cpu/lachesis (v1) or a
 // delegated /sys/fs/cgroup/lachesis (v2, with cpu controller enabled and
-// threaded mode for thread-granular moves).
+// threaded mode for thread-granular moves). An empty root means no
+// hierarchy: every write fails with errno ENODEV and no group is listed.
 #ifndef LACHESIS_OSCTL_CGROUPFS_H_
 #define LACHESIS_OSCTL_CGROUPFS_H_
 

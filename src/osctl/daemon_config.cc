@@ -6,9 +6,54 @@
 #include <stdexcept>
 #include <vector>
 
+#include "core/policies.h"
+
 namespace lachesis::osctl {
 
 namespace {
+
+template <typename Base, typename T>
+std::unique_ptr<Base> Make(const DaemonConfig&) {
+  return std::make_unique<T>();
+}
+
+template <typename Base>
+using Factory = std::unique_ptr<Base> (*)(const DaemonConfig&);
+
+// The accepted `policy` and `translator` names, each with its factory.
+constexpr std::pair<const char*, Factory<core::SchedulingPolicy>>
+    kPolicies[] = {
+    {"queue-size", Make<core::SchedulingPolicy, core::QueueSizePolicy>},
+    {"fcfs", Make<core::SchedulingPolicy, core::FcfsPolicy>},
+    {"highest-rate", Make<core::SchedulingPolicy, core::HighestRatePolicy>},
+    {"random", Make<core::SchedulingPolicy, core::RandomPolicy>},
+    {"min-memory", Make<core::SchedulingPolicy, core::MinMemoryPolicy>},
+};
+constexpr std::pair<const char*, Factory<core::Translator>> kTranslators[] = {
+    {"nice", Make<core::Translator, core::NiceTranslator>},
+    {"cpu.shares", Make<core::Translator, core::CpuSharesTranslator>},
+    {"quota", Make<core::Translator, core::QuotaTranslator>},
+    {"rt", Make<core::Translator, core::RtBoostTranslator>},
+    {"deadline",
+     [](const DaemonConfig& config) -> std::unique_ptr<core::Translator> {
+       return std::make_unique<core::DeadlineTranslator>(
+           Millis(config.dl_runtime_ms), Millis(config.dl_period_ms));
+     }},
+};
+
+// The factory `table` holds for `name`; any other name throws
+// std::invalid_argument listing the accepted ones.
+template <typename Entry, std::size_t N>
+auto Lookup(const Entry (&table)[N], const std::string& kind,
+            const std::string& name) {
+  std::string accepted;
+  for (const auto& [entry_name, make] : table) {
+    if (name == entry_name) return make;
+    accepted += (accepted.empty() ? "" : "|") + std::string(entry_name);
+  }
+  throw std::invalid_argument("unknown " + kind + " '" + name +
+                              "' (expected " + accepted + ")");
+}
 
 std::string Trim(const std::string& s) {
   const auto begin = s.find_first_not_of(" \t\r");
@@ -20,6 +65,18 @@ std::string Trim(const std::string& s) {
 [[noreturn]] void Fail(int line, const std::string& message) {
   throw std::runtime_error("config line " + std::to_string(line) + ": " +
                            message);
+}
+
+// `value` when `table` holds it; otherwise a line-numbered error.
+template <typename Entry, std::size_t N>
+std::string CheckedName(const Entry (&table)[N], const std::string& key,
+                        const std::string& value, int line) {
+  try {
+    Lookup(table, key, value);
+  } catch (const std::invalid_argument& e) {
+    Fail(line, e.what());
+  }
+  return value;
 }
 
 long ParseLong(const std::string& value, int line, const std::string& key) {
@@ -219,9 +276,9 @@ DaemonConfig ParseDaemonConfig(const std::string& text) {
       } else if (key == "obs_verbose") {
         config.obs_verbose = ParseBool(value, line_number, key);
       } else if (key == "policy") {
-        config.policy = value;
+        config.policy = CheckedName(kPolicies, key, value, line_number);
       } else if (key == "translator") {
-        config.translator = value;
+        config.translator = CheckedName(kTranslators, key, value, line_number);
       } else if (key == "metrics_file") {
         config.spe.metrics_file = value;
       } else if (key == "cgroup_root") {
@@ -288,6 +345,9 @@ DaemonConfig ParseDaemonConfig(const std::string& text) {
       if (current_query->pid <= 0) Fail(line_number, "pid must be positive");
     } else if (key.rfind("operator ", 0) == 0) {
       const std::string op_name = Trim(key.substr(9));
+      if (operator_index.contains(op_name)) {
+        Fail(line_number, "duplicate operator '" + op_name + "' in query");
+      }
       std::istringstream fields(value);
       NativeOperatorConfig op;
       op.name = op_name;
@@ -377,6 +437,15 @@ DaemonConfig LoadDaemonConfig(const std::string& path) {
   std::ostringstream text;
   text << in.rdbuf();
   return ParseDaemonConfig(text.str());
+}
+
+std::unique_ptr<core::SchedulingPolicy> MakePolicy(const std::string& name) {
+  return Lookup(kPolicies, "policy", name)(DaemonConfig{});
+}
+
+std::unique_ptr<core::Translator> MakeTranslator(const std::string& name,
+                                                 const DaemonConfig& config) {
+  return Lookup(kTranslators, "translator", name)(config);
 }
 
 }  // namespace lachesis::osctl

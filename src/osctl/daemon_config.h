@@ -6,7 +6,7 @@
 //   [lachesis]
 //   period_ms   = 1000
 //   policy      = queue-size        # queue-size|fcfs|highest-rate|random|min-memory
-//   translator  = nice              # nice|cpu.shares|quota|rt
+//   translator  = nice              # nice|cpu.shares|quota|rt|deadline
 //   metrics_file = /var/lib/engine/graphite.log
 //   cgroup_root  = /sys/fs/cgroup/cpu/lachesis
 //
@@ -35,9 +35,12 @@
 #ifndef LACHESIS_OSCTL_DAEMON_CONFIG_H_
 #define LACHESIS_OSCTL_DAEMON_CONFIG_H_
 
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "core/policy.h"
+#include "core/translators.h"
 #include "osctl/native_driver.h"
 
 namespace lachesis::osctl {
@@ -111,6 +114,14 @@ DaemonConfig ParseDaemonConfig(const std::string& text);
 
 // Convenience: reads and parses a file.
 DaemonConfig LoadDaemonConfig(const std::string& path);
+
+// The policy or translator an accepted `policy` / `translator` value names,
+// from the one table ParseDaemonConfig checks those lines against; any
+// other name throws std::invalid_argument. `deadline` reserves
+// config.dl_runtime_ms every config.dl_period_ms.
+std::unique_ptr<core::SchedulingPolicy> MakePolicy(const std::string& name);
+std::unique_ptr<core::Translator> MakeTranslator(const std::string& name,
+                                                 const DaemonConfig& config);
 
 }  // namespace lachesis::osctl
 

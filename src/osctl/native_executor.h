@@ -40,7 +40,6 @@ class NativeControlExecutor final : public core::ControlExecutor {
   // is empty, the next deadline lies past `until`, or Stop() is called.
   // Returns the number of callbacks dispatched.
   std::uint64_t Run(SimTime until);
-  std::uint64_t RunFor(SimDuration duration) { return Run(Now() + duration); }
 
   // Makes Run() return promptly (callable from another thread or a
   // callback). A later Run() call resumes dispatching.

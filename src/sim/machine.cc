@@ -383,10 +383,6 @@ const ThreadStats& Machine::GetStats(ThreadId tid) const {
   return Thread(tid.value()).stats;
 }
 
-const std::string& Machine::ThreadName(ThreadId tid) const {
-  return Thread(tid.value()).name;
-}
-
 int Machine::IdleCoreCount() const {
   int idle = 0;
   for (const Core& core : cores_) {
@@ -970,12 +966,6 @@ void Machine::TruncateCore(int core_idx) {
   core.slice_end = now();
   ++core.version;
   ScheduleCoreEvent(core_idx);
-}
-
-std::int64_t Machine::PeekRt() const {
-  const int priority = rt_queues_.HighestPriority();
-  if (priority < 0) return -1;
-  return static_cast<std::int64_t>(rt_queues_.Front(priority));
 }
 
 void Machine::WakeThread(std::uint64_t thread_idx, SimDuration startup_cost) {

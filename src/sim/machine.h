@@ -126,7 +126,6 @@ class Machine final : public EventSink {
   [[nodiscard]] CgroupId GetCgroup(ThreadId tid) const;
   [[nodiscard]] ThreadState GetState(ThreadId tid) const;
   [[nodiscard]] const ThreadStats& GetStats(ThreadId tid) const;
-  [[nodiscard]] const std::string& ThreadName(ThreadId tid) const;
   [[nodiscard]] std::size_t thread_count() const { return threads_.size(); }
   // Sum of the weights currently queued in `group`'s runqueue (diagnostic;
   // the denominator of SliceFor for that group's children).
@@ -367,9 +366,6 @@ class Machine final : public EventSink {
   void OnCoreEvent(std::uint64_t core_idx, std::uint64_t version);
   void OnTimerWake(std::uint64_t thread_idx, std::uint64_t version);
   void OnDlReplenish(std::uint64_t thread_idx, std::uint64_t version);
-
-  // Highest-priority waiting RT thread, or -1.
-  [[nodiscard]] std::int64_t PeekRt() const;
 
   void NotifyChannel(WaitChannel& channel, std::size_t max_wakeups);
 

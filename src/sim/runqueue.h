@@ -187,10 +187,6 @@ class RtRunQueue {
     MarkNonEmpty(priority);
   }
 
-  [[nodiscard]] std::uint64_t Front(int priority) const {
-    return levels_[static_cast<std::size_t>(priority)].Front();
-  }
-
   std::uint64_t PopFront(int priority) {
     Fifo& fifo = Level(priority);
     const std::uint64_t tid = fifo.PopFront();
@@ -211,11 +207,6 @@ class RtRunQueue {
   class Fifo {
    public:
     [[nodiscard]] bool empty() const { return count_ == 0; }
-
-    [[nodiscard]] std::uint64_t Front() const {
-      assert(count_ > 0);
-      return ring_[head_];
-    }
 
     void PushBack(std::uint64_t tid) {
       GrowIfFull();

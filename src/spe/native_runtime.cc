@@ -247,14 +247,6 @@ void NativeRuntime::OperatorThreadBody(NativeOperator& op, int pin_cpu) {
     const std::uint64_t end = NowNs();
     op.busy_ns_.fetch_add(end - start, std::memory_order_relaxed);
     op.tuples_in_.fetch_add(1, std::memory_order_relaxed);
-    if (op.role_ == OperatorRole::kEgress) {
-      // §3.2 latencies, measured at the sink against tuple timestamps.
-      op.latency_sum_ns_.fetch_add(end - static_cast<std::uint64_t>(t.ingested),
-                                   std::memory_order_relaxed);
-      op.e2e_sum_ns_.fetch_add(end - static_cast<std::uint64_t>(t.produced),
-                               std::memory_order_relaxed);
-      op.latency_count_.fetch_add(1, std::memory_order_relaxed);
-    }
     for (Tuple& out : outputs) {
       out.MergeContributor(t);
       for (NativeSpscQueue<Tuple>* ring : op.outputs_) {

@@ -94,21 +94,6 @@ class NativeOperator {
     const std::uint64_t n = tuples_in();
     return n == 0 ? 1.0 : static_cast<double>(tuples_out()) / static_cast<double>(n);
   }
-  // Egress-side latency accounting (ns averages; 0 for non-egress ops).
-  [[nodiscard]] double AvgLatencyNs() const {
-    const std::uint64_t n = latency_count_.load(std::memory_order_relaxed);
-    return n == 0 ? 0.0
-                  : static_cast<double>(
-                        latency_sum_ns_.load(std::memory_order_relaxed)) /
-                        static_cast<double>(n);
-  }
-  [[nodiscard]] double AvgE2eLatencyNs() const {
-    const std::uint64_t n = latency_count_.load(std::memory_order_relaxed);
-    return n == 0 ? 0.0
-                  : static_cast<double>(
-                        e2e_sum_ns_.load(std::memory_order_relaxed)) /
-                        static_cast<double>(n);
-  }
 
  private:
   friend class NativeRuntime;
@@ -127,9 +112,6 @@ class NativeOperator {
   std::atomic<std::uint64_t> tuples_in_{0};
   std::atomic<std::uint64_t> tuples_out_{0};
   std::atomic<std::uint64_t> busy_ns_{0};
-  std::atomic<std::uint64_t> latency_sum_ns_{0};
-  std::atomic<std::uint64_t> e2e_sum_ns_{0};
-  std::atomic<std::uint64_t> latency_count_{0};
   std::atomic<long> tid_{-1};
 };
 

@@ -5,6 +5,7 @@
 
 #include <iterator>
 #include <set>
+#include <stdexcept>
 #include <string>
 
 namespace lachesis::osctl {
@@ -332,6 +333,66 @@ TEST(DaemonConfigTest, ErrorsCarryLineNumbers) {
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("line 4"), std::string::npos);
   }
+}
+
+// A misspelt name used to be stored as is: lachesisd then died in its
+// policy factory after its executor threads had started, with no line.
+TEST(DaemonConfigTest, RejectsUnknownPolicyAndTranslatorWithLineNumber) {
+  const struct {
+    const char* key;
+    const char* name;
+  } kCases[] = {{"policy", "queue-sise"}, {"translator", "nicee"}};
+  for (const auto& c : kCases) {
+    const std::string text = std::string("[lachesis]\nperiod_ms = 100\n") +
+                             c.key + " = " + c.name +
+                             "\n[query q]\npid = 1\noperator a = pat s\n";
+    try {
+      ParseDaemonConfig(text);
+      ADD_FAILURE() << "accepted: " << c.name;
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("line 3"), std::string::npos) << what;
+      EXPECT_NE(what.find(c.name), std::string::npos) << what;
+    }
+  }
+}
+
+TEST(DaemonConfigTest, EveryAcceptedPolicyAndTranslatorBuilds) {
+  const auto parse = [](const std::string& line) {
+    return ParseDaemonConfig("[lachesis]\n" + line +
+                             "\n[query q]\npid = 1\noperator a = pat s\n");
+  };
+  for (const char* name :
+       {"queue-size", "fcfs", "highest-rate", "random", "min-memory"}) {
+    EXPECT_EQ(parse(std::string("policy = ") + name).policy, name);
+    EXPECT_NE(MakePolicy(name), nullptr) << name;
+  }
+  const DaemonConfig defaults;
+  for (const char* name : {"nice", "cpu.shares", "quota", "rt", "deadline"}) {
+    EXPECT_EQ(parse(std::string("translator = ") + name).translator, name);
+    EXPECT_NE(MakeTranslator(name, defaults), nullptr) << name;
+  }
+  EXPECT_THROW(MakePolicy("queue-sise"), std::invalid_argument);
+  EXPECT_THROW(MakeTranslator("nicee", defaults), std::invalid_argument);
+}
+
+// Both operators used to become entities, and `edge` lines bound only the
+// second, leaving the first with no edges.
+TEST(DaemonConfigTest, RejectsDuplicateOperatorInQueryWithLineNumber) {
+  try {
+    ParseDaemonConfig("[query q]\npid = 1\noperator a = pat-a s.a\n"
+                      "operator a = pat-b s.b\n");
+    FAIL() << "expected throw";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("line 4"), std::string::npos) << what;
+    EXPECT_NE(what.find("duplicate operator 'a'"), std::string::npos) << what;
+  }
+  // One name in two queries is two operators.
+  const DaemonConfig config = ParseDaemonConfig(
+      "[query q]\npid = 1\noperator a = pat s\n"
+      "[query r]\npid = 2\noperator a = pat s\n");
+  EXPECT_EQ(config.spe.queries.size(), 2u);
 }
 
 TEST(DaemonConfigTest, RejectsMalformedPidWithLineNumber) {

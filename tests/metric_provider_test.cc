@@ -247,7 +247,7 @@ using CostFn = std::function<double(const EntityInfo&)>;
 
 // The per-entity Highest Rate the provider computed before it aggregated
 // once per query: every entity re-aggregates its whole query and walks
-// every path through LogicalTopology::Downstream.
+// every path along the topology's edges.
 double ReferenceHighestRate(const LogicalTopology& topo,
                             const std::vector<EntityInfo>& snapshot,
                             const CostFn& cost_of, const CostFn& sel_of,
@@ -278,6 +278,10 @@ double ReferenceHighestRate(const LogicalTopology& topo,
     }
     if (sel[idx] <= 0) sel[idx] = 1.0;
   }
+  std::vector<std::vector<int>> downstream(n);
+  for (const auto& [from, to] : topo.edges) {
+    downstream[static_cast<std::size_t>(from)].push_back(to);
+  }
   struct Frame {
     int op;
     double sel_product;
@@ -291,7 +295,7 @@ double ReferenceHighestRate(const LogicalTopology& topo,
     while (!stack.empty()) {
       const Frame f = stack.back();
       stack.pop_back();
-      const auto down = topo.Downstream(f.op);
+      const auto& down = downstream[static_cast<std::size_t>(f.op)];
       if (down.empty()) {
         if (f.cost_sum > 0) {
           path_best = std::max(path_best, f.sel_product / f.cost_sum);

@@ -228,7 +228,7 @@ TEST(NativeDriverTest, TopologyExposed) {
   NativeSpeDriver driver(rig.BaseConfig());
   const core::LogicalTopology& topo = driver.Topology(QueryId(0));
   EXPECT_EQ(topo.size(), 3);
-  EXPECT_EQ(topo.Downstream(0), std::vector<int>{1});
+  EXPECT_EQ(topo.edges, (std::vector<std::pair<int, int>>{{0, 1}, {1, 2}}));
   EXPECT_EQ(topo.ingress_indices, std::vector<int>{0});
 }
 

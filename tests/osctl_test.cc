@@ -1,14 +1,22 @@
 // Tests of the real-Linux control layer against fake roots: /proc scanning,
 // cgroupfs v1/v2 writes, shares->weight conversion, and the OsAdapter glue.
+#include <cerrno>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 
 #include <gtest/gtest.h>
 
+#include "core/policies.h"
+#include "core/runner.h"
+#include "core/sim_executor.h"
+#include "core/translators.h"
 #include "osctl/cgroupfs.h"
 #include "osctl/linux_os_adapter.h"
 #include "osctl/nice.h"
 #include "osctl/procfs.h"
+#include "sim/simulator.h"
+#include "tests/fake_driver.h"
 
 namespace lachesis::osctl {
 namespace {
@@ -32,6 +40,24 @@ class TempDir {
  private:
   static inline int counter_ = 0;
   fs::path path_;
+};
+
+// Runs the rest of a test from `dir`, so a write to a relative path lands
+// there instead of in the build tree.
+class ScopedChdir {
+ public:
+  explicit ScopedChdir(const fs::path& dir) : previous_(fs::current_path()) {
+    fs::current_path(dir);
+  }
+  ~ScopedChdir() {
+    std::error_code ec;
+    fs::current_path(previous_, ec);
+  }
+  ScopedChdir(const ScopedChdir&) = delete;
+  ScopedChdir& operator=(const ScopedChdir&) = delete;
+
+ private:
+  fs::path previous_;
 };
 
 std::string ReadFile(const fs::path& path) {
@@ -334,6 +360,82 @@ TEST(LinuxOsAdapterTest, IgnoresEntitiesWithoutOsTid) {
   adapter.MoveToGroup(handle, "g");
   EXPECT_TRUE(nice.nices().empty());
   EXPECT_FALSE(fs::exists(tmp.path() / "g" / "tasks"));
+}
+
+// An empty cgroup_root means no hierarchy. The writes used to resolve
+// against the working directory and count as applied.
+TEST(LinuxOsAdapterTest, EmptyCgroupRootFailsEveryGroupWrite) {
+  TempDir cwd;
+  const ScopedChdir in(cwd.path());
+  FakeNiceController nice;
+  CgroupController cgroups("", CgroupVersion::kV1);
+  LinuxOsAdapter adapter(nice, cgroups);
+  core::ThreadHandle handle;
+  handle.os_tid = 555;
+  EXPECT_THROW(adapter.SetGroupShares("q1", 4096), core::OsOperationError);
+  EXPECT_THROW(adapter.MoveToGroup(handle, "q1"), core::OsOperationError);
+  try {
+    adapter.SetGroupQuota("q1", Millis(5), Millis(10));
+    ADD_FAILURE() << "quota write succeeded";
+  } catch (const core::OsOperationError& e) {
+    // Not "vanished": the failure must count toward the class breaker.
+    EXPECT_NE(e.severity(), core::ErrorSeverity::kVanished);
+  }
+  EXPECT_TRUE(cgroups.ListGroups().empty());
+  EXPECT_TRUE(fs::is_empty(cwd.path()));
+}
+
+// A caller without CAP_SYS_NICE.
+class DeniedRtController final : public RtController {
+ public:
+  bool SetRtPriority(long, int) override {
+    errno = EPERM;
+    return false;
+  }
+};
+
+// lachesisd's rt -> cpu.shares -> nice ladder with no RT privilege and no
+// cgroup root: the shares rung fails too, so the binding ends on nice.
+TEST(LinuxOsAdapterTest, EmptyCgroupRootLetsTheRtLadderReachNice) {
+  TempDir cwd;
+  const ScopedChdir in(cwd.path());
+  FakeNiceController nice;
+  DeniedRtController rt;
+  CgroupController cgroups("", CgroupVersion::kV1);
+  LinuxOsAdapter adapter(nice, cgroups, &rt);
+
+  core::testing::FakeDriver driver;
+  for (int i = 0; i < 3; ++i) {
+    core::EntityInfo& e = driver.AddEntity(QueryId(0), {i});
+    e.thread.os_tid = 100 + i;
+    driver.SetValue(core::MetricId::kQueueSize, e.id, 10.0 * (i + 1));
+  }
+  driver.Provide(core::MetricId::kQueueSize);
+
+  sim::Simulator sim;
+  core::SimControlExecutor executor(sim);
+  core::LachesisRunner runner(executor, adapter, /*seed=*/3);
+  core::HealthConfig health;
+  health.enabled = true;
+  health.breaker_threshold = 3;
+  health.jitter_frac = 0.0;
+  runner.SetHealthConfig(health);
+  core::PolicyBinding binding;
+  binding.policy = std::make_unique<core::QueueSizePolicy>();
+  binding.translator = std::make_unique<core::RtBoostTranslator>();
+  binding.fallback_translators.push_back(
+      std::make_unique<core::CpuSharesTranslator>());
+  binding.fallback_translators.push_back(
+      std::make_unique<core::NiceTranslator>());
+  binding.period = Seconds(1);
+  binding.drivers = {&driver};
+  const std::size_t index = runner.AddQuery(std::move(binding));
+  runner.Start(Seconds(60));
+  sim.RunUntil(Seconds(60));
+
+  EXPECT_EQ(runner.binding_level(index), 2u);
+  EXPECT_EQ(nice.nices().size(), 3u);
+  EXPECT_TRUE(fs::is_empty(cwd.path()));
 }
 
 }  // namespace
