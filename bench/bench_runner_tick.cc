@@ -63,6 +63,11 @@ class SyntheticDriver final : public core::SpeDriver {
   [[nodiscard]] const std::string& name() const override { return name_; }
   void Poll(SimTime) override { ++polls_; }
   std::vector<core::EntityInfo> Entities() override { return entities_; }
+  // The entity set never changes; churn moves only the metrics.
+  [[nodiscard]] std::uint64_t EntitiesGeneration() const override {
+    if (generation_ == 0) generation_ = core::NextEntitiesGeneration();
+    return generation_;
+  }
   const core::LogicalTopology& Topology(QueryId) override {
     return topology_;
   }
@@ -81,6 +86,7 @@ class SyntheticDriver final : public core::SpeDriver {
   std::string name_ = "synthetic";
   bool churn_;
   std::uint64_t polls_ = 0;
+  mutable std::uint64_t generation_ = 0;
   std::vector<core::EntityInfo> entities_;
   core::LogicalTopology topology_;
 };

@@ -31,12 +31,20 @@ cmake -S "$SRC_DIR" -B "$BUILD_DIR" \
 # tsdb_test and sim_driver_test cover the metric store's sample rings and
 # the series handles the scraper and drivers cache: ring index arithmetic
 # and chunk carving are where an off-by-one reads outside a chunk.
+# Schedules borrow entity pointers from the metric provider's snapshot, and
+# the delta layer keys health and recorder state by target id: the
+# policy, translator, transform, provider, runner and HR + shares golden
+# suites would read a stale snapshot here, and sim_os_adapter_test and
+# obs_ring_test cover the hashed group index and the recorder's id path.
 cmake --build "$BUILD_DIR" -j "$JOBS" \
   --target fault_tolerance_test failure_injection_test \
            schedule_delta_test runner_dynamic_test \
            stable_pool_test hash_index_test alloc_regression_test \
            hetero_machine_test conformance_test \
            tsdb_test sim_driver_test \
+           policies_test translators_test transform_test \
+           metric_provider_test runner_test hr_shares_golden_test \
+           sim_os_adapter_test obs_ring_test \
            fleet_sim_test fleet_chaos_test
 
 status=0
@@ -45,6 +53,9 @@ for t in fault_tolerance_test failure_injection_test \
          stable_pool_test hash_index_test alloc_regression_test \
          hetero_machine_test conformance_test \
          tsdb_test sim_driver_test \
+         policies_test translators_test transform_test \
+         metric_provider_test runner_test hr_shares_golden_test \
+         sim_os_adapter_test obs_ring_test \
          fleet_sim_test; do
   "$BUILD_DIR/tests/$t" --gtest_brief=1 || status=$?
 done

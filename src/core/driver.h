@@ -9,6 +9,8 @@
 #ifndef LACHESIS_CORE_DRIVER_H_
 #define LACHESIS_CORE_DRIVER_H_
 
+#include <atomic>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -17,6 +19,14 @@
 #include "core/metric.h"
 
 namespace lachesis::core {
+
+// A fresh, non-zero entity generation. One process-wide counter hands them
+// out, so no two drivers ever report the same value -- not even a driver
+// rebuilt at the address of a destroyed one.
+inline std::uint64_t NextEntitiesGeneration() {
+  static std::atomic<std::uint64_t> last{0};
+  return last.fetch_add(1, std::memory_order_relaxed) + 1;
+}
 
 class SpeDriver {
  public:
@@ -33,6 +43,14 @@ class SpeDriver {
 
   // Snapshot of all physical operators currently deployed.
   virtual std::vector<EntityInfo> Entities() = 0;
+
+  // Names the entity set. 0 (the default) means unknown: the metric
+  // provider calls Entities() every period. A non-zero value promises that
+  // Entities() would return exactly what it returned when this value was
+  // last reported; a driver whose deployment changes reports a new value
+  // from NextEntitiesGeneration(). The value only decides whether to
+  // re-snapshot: it never feeds a decision or a recorded event.
+  [[nodiscard]] virtual std::uint64_t EntitiesGeneration() const { return 0; }
 
   // Logical topology of a query (for transformation rules / path metrics).
   virtual const LogicalTopology& Topology(QueryId query) = 0;

@@ -172,6 +172,15 @@ std::vector<EntityInfo> FaultInjectingDriver::Entities() {
   return entities;
 }
 
+std::uint64_t FaultInjectingDriver::EntitiesGeneration() const {
+  const bool vanishes = std::any_of(
+      plan_.driver_rules.begin(), plan_.driver_rules.end(),
+      [](const DriverFaultRule& rule) {
+        return rule.kind == DriverFaultRule::Kind::kVanishEntity;
+      });
+  return vanishes ? 0 : next_->EntitiesGeneration();
+}
+
 double FaultInjectingDriver::Fetch(MetricId metric, const EntityInfo& entity) {
   for (std::size_t i = 0; i < plan_.driver_rules.size(); ++i) {
     const DriverFaultRule& rule = plan_.driver_rules[i];

@@ -153,6 +153,9 @@ class FaultInjectingDriver final : public SpeDriver {
     next_->Poll(now);
   }
   std::vector<EntityInfo> Entities() override;
+  // 0 (re-snapshot every period) while the plan can vanish entities;
+  // otherwise the wrapped driver's.
+  [[nodiscard]] std::uint64_t EntitiesGeneration() const override;
   const LogicalTopology& Topology(QueryId query) override {
     return next_->Topology(query);
   }

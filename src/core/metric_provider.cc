@@ -343,7 +343,11 @@ void MetricProvider::DriverState::Reset(std::vector<EntityInfo> snapshot) {
   }
   query_begin.push_back(n);
   values.resize(static_cast<std::size_t>(n) * kMetricCount);
-  known.assign(static_cast<std::size_t>(n) * kMetricCount, 0);
+  ClearValues();
+}
+
+void MetricProvider::DriverState::ClearValues() {
+  known.assign(entities.size() * kMetricCount, 0);
   in_flight.clear();
 }
 
@@ -351,7 +355,15 @@ void MetricProvider::Update(const std::vector<SpeDriver*>& drivers,
                             SimDuration window) {
   for (SpeDriver* driver : drivers) {
     DriverState& state = states_[driver];
-    state.Reset(driver->Entities());  // L4: fresh per-driver cache each period
+    // L4: fresh per-driver cache each period; the entity snapshot and its
+    // index are kept while the driver's generation holds.
+    const std::uint64_t generation = driver->EntitiesGeneration();
+    if (generation == 0 || generation != state.entities_generation) {
+      state.Reset(driver->Entities());
+      state.entities_generation = generation;
+    } else {
+      state.ClearValues();
+    }
     DriverResolver resolver(*this, *driver, state, window, ++generation_);
     for (const MetricId metric : registered_) {  // L5-7
       for (const EntityInfo& e : state.entities) {

@@ -55,7 +55,9 @@ class MetricProvider {
 
   // Computes all registered metrics for all entities of all drivers
   // (Algorithm 3, update()). `window` is the delta window used by
-  // windowed metrics, normally the scheduling period.
+  // windowed metrics, normally the scheduling period. A driver's entities
+  // are snapshotted only when its EntitiesGeneration() is 0 or has moved
+  // since the last snapshot; every metric is computed fresh each time.
   void Update(const std::vector<SpeDriver*>& drivers, SimDuration window);
 
   // Reads a computed value from the last Update. Precondition: the metric
@@ -63,9 +65,18 @@ class MetricProvider {
   [[nodiscard]] double Value(const SpeDriver& driver, MetricId metric,
                              OperatorId entity) const;
 
-  // Entities snapshot taken during the last Update.
+  // The driver's entity snapshot. Its elements stay put until an Update
+  // re-snapshots the driver or Forget drops it, so a schedule may borrow
+  // them for one period.
   [[nodiscard]] const std::vector<EntityInfo>& EntitiesOf(
       const SpeDriver& driver) const;
+
+  // Drops the driver's snapshot and values (the driver was detached and
+  // may be destroyed).
+  void Forget(const SpeDriver& driver) { states_.erase(&driver); }
+  [[nodiscard]] bool HasSnapshot(const SpeDriver& driver) const {
+    return states_.count(&driver) != 0;
+  }
 
  private:
   friend class DriverResolver;
@@ -76,8 +87,10 @@ class MetricProvider {
 
   // One driver's snapshot and values. Every container keeps its capacity
   // across Updates, so a warm Update of an unchanged deployment allocates
-  // nothing beyond the driver's own Entities() copy.
+  // nothing (nor calls Entities() when the driver reports a generation).
   struct DriverState {
+    // EntitiesGeneration() at the snapshot; 0 re-snapshots every Update.
+    std::uint64_t entities_generation = 0;
     std::vector<EntityInfo> entities;
     // Entity id -> index of its first entry in `entities`.
     FlatMap<OperatorId, std::uint32_t> index;
@@ -97,6 +110,8 @@ class MetricProvider {
 
     // Takes a new snapshot and forgets the previous Update's values.
     void Reset(std::vector<EntityInfo> snapshot);
+    // Forgets the previous Update's values, keeping the snapshot.
+    void ClearValues();
   };
   std::map<const SpeDriver*, DriverState> states_;
 };

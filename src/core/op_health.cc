@@ -62,8 +62,7 @@ void OpHealthTracker::set_config(const HealthConfig& config) {
   config_ = config;
 }
 
-SimDuration OpHealthTracker::BackoffDelay(const std::string& target,
-                                          int failures) const {
+SimDuration OpHealthTracker::BackoffDelay(TargetId target, int failures) const {
   const SimDuration cap =
       config_.backoff_cap > 0
           ? std::min(config_.backoff_cap, kBackoffCeiling)
@@ -77,7 +76,7 @@ SimDuration OpHealthTracker::BackoffDelay(const std::string& target,
     // desynchronize so a cleared fault is not followed by a retry stampede
     // on one tick.
     std::uint64_t mix = config_.seed;
-    for (const char c : target) {
+    for (const char c : TargetName(target)) {
       mix = mix * 1099511628211ULL + static_cast<unsigned char>(c);
     }
     mix ^= static_cast<std::uint64_t>(failures) * 0x9E3779B97F4A7C15ULL;
@@ -91,16 +90,16 @@ SimDuration OpHealthTracker::BackoffDelay(const std::string& target,
   return delay;
 }
 
-std::uint32_t OpHealthTracker::IdOf(const std::string& target) const {
-  const std::uint32_t id = target_ids_.Lookup(target);
+OpHealthTracker::TargetId OpHealthTracker::FindTarget(
+    std::string_view name) const {
+  const TargetId id = target_ids_.Lookup(name);
   // Lookup reports both "never interned" and "" as 0; only the latter is a
   // real id (the interner's reserved slot).
-  if (id == 0 && !target.empty()) return kAbsentTarget;
+  if (id == 0 && !name.empty()) return kNoTarget;
   return id;
 }
 
-bool OpHealthTracker::AllowAttempt(OpClass cls, const std::string& target,
-                                   SimTime now) {
+bool OpHealthTracker::AllowAttempt(OpClass cls, TargetId target, SimTime now) {
   if (!config_.enabled) return true;
   ClassHealth& ch = classes_[static_cast<int>(cls)];
   if (ch.state == BreakerState::kOpen) {
@@ -118,18 +117,14 @@ bool OpHealthTracker::AllowAttempt(OpClass cls, const std::string& target,
     // only triggers if a caller skipped Record*); stay conservative.
     return false;
   }
-  const std::uint32_t id = IdOf(target);
-  if (id == kAbsentTarget) return true;  // never failed: no backoff to check
-  const TargetHealth* t = targets_[static_cast<int>(cls)].Find(id);
+  const TargetHealth* t = targets_[static_cast<int>(cls)].Find(target);
   return t == nullptr || now >= t->next_retry;
 }
 
-void OpHealthTracker::RecordSuccess(OpClass cls, const std::string& target,
-                                    SimTime now) {
+void OpHealthTracker::RecordSuccess(OpClass cls, TargetId target, SimTime now) {
   if (!config_.enabled) return;
   auto& per_target = targets_[static_cast<int>(cls)];
-  const std::uint32_t id = IdOf(target);
-  if (id != kAbsentTarget) per_target.Erase(id);
+  per_target.Erase(target);
   ClassHealth& ch = classes_[static_cast<int>(cls)];
   ch.consecutive_failures = 0;
   ch.probe_failures = 0;
@@ -147,16 +142,15 @@ void OpHealthTracker::RecordSuccess(OpClass cls, const std::string& target,
   }
 }
 
-void OpHealthTracker::RecordFailure(OpClass cls, const std::string& target,
-                                    SimTime now, ErrorSeverity severity) {
+void OpHealthTracker::RecordFailure(OpClass cls, TargetId target, SimTime now,
+                                    ErrorSeverity severity) {
   if (!config_.enabled) return;
-  TargetHealth& t =
-      *targets_[static_cast<int>(cls)].FindOrInsert(target_ids_.Intern(target));
+  TargetHealth& t = *targets_[static_cast<int>(cls)].FindOrInsert(target);
   t.failures += severity == ErrorSeverity::kPermanent ? 2 : 1;
   t.next_retry = now + BackoffDelay(target, t.failures);
   if (recorder_ != nullptr) {
-    recorder_->BackoffArmed(now, static_cast<int>(cls), target, t.failures,
-                            t.next_retry);
+    recorder_->BackoffArmed(now, static_cast<int>(cls), TargetName(target),
+                            t.failures, t.next_retry);
   }
 
   ClassHealth& ch = classes_[static_cast<int>(cls)];
@@ -194,10 +188,8 @@ void OpHealthTracker::RecordFailure(OpClass cls, const std::string& target,
   }
 }
 
-void OpHealthTracker::ForgetTarget(const std::string& target) {
-  const std::uint32_t id = IdOf(target);
-  if (id == kAbsentTarget) return;
-  for (auto& per_target : targets_) per_target.Erase(id);
+void OpHealthTracker::ForgetTarget(TargetId target) {
+  for (auto& per_target : targets_) per_target.Erase(target);
 }
 
 void OpHealthTracker::Reset() {
@@ -227,19 +219,21 @@ std::size_t OpHealthTracker::tracked_targets() const {
   return count;
 }
 
+const OpHealthTracker::TargetHealth* OpHealthTracker::Find(
+    OpClass cls, const std::string& target) const {
+  const TargetId id = FindTarget(target);
+  return id == kNoTarget ? nullptr : targets_[static_cast<int>(cls)].Find(id);
+}
+
 int OpHealthTracker::target_failures(OpClass cls,
                                      const std::string& target) const {
-  const std::uint32_t id = IdOf(target);
-  if (id == kAbsentTarget) return 0;
-  const TargetHealth* t = targets_[static_cast<int>(cls)].Find(id);
+  const TargetHealth* t = Find(cls, target);
   return t == nullptr ? 0 : t->failures;
 }
 
 SimTime OpHealthTracker::target_next_retry(OpClass cls,
                                            const std::string& target) const {
-  const std::uint32_t id = IdOf(target);
-  if (id == kAbsentTarget) return 0;
-  const TargetHealth* t = targets_[static_cast<int>(cls)].Find(id);
+  const TargetHealth* t = Find(cls, target);
   return t == nullptr ? 0 : t->next_retry;
 }
 

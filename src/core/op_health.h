@@ -34,6 +34,7 @@
 #include <array>
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "common/hash_index.h"
 #include "common/sim_time.h"
@@ -110,19 +111,32 @@ class OpHealthTracker {
   // arming are recorded as structured events. Null disables (default).
   void SetRecorder(obs::Recorder* recorder) { recorder_ = recorder; }
 
+  // Targets are named once and then addressed by id: the id of `name`,
+  // interned first if new. The name keys the backoff jitter and names the
+  // target in recorded events.
+  using TargetId = std::uint32_t;
+  static constexpr TargetId kNoTarget = 0xffffffffu;
+  [[nodiscard]] TargetId InternTarget(std::string_view name) {
+    return target_ids_.Intern(name);
+  }
+  // Read-only lookup: kNoTarget when `name` was never interned.
+  [[nodiscard]] TargetId FindTarget(std::string_view name) const;
+  [[nodiscard]] std::string_view TargetName(TargetId target) const {
+    return target_ids_.View(target);
+  }
+
   // True when an attempt on (cls, target) is allowed at `now`: the class
   // breaker is closed (or due a half-open probe, in which case this call IS
   // the probe) and the target is not backing off. Callers must follow every
   // allowed attempt with RecordSuccess or RecordFailure.
-  [[nodiscard]] bool AllowAttempt(OpClass cls, const std::string& target,
-                                  SimTime now);
-  void RecordSuccess(OpClass cls, const std::string& target, SimTime now);
-  void RecordFailure(OpClass cls, const std::string& target, SimTime now,
+  [[nodiscard]] bool AllowAttempt(OpClass cls, TargetId target, SimTime now);
+  void RecordSuccess(OpClass cls, TargetId target, SimTime now);
+  void RecordFailure(OpClass cls, TargetId target, SimTime now,
                      ErrorSeverity severity);
 
   // Drops all health state for `target` across every class (the entity was
   // removed; retrying against it would be a leak and a bug).
-  void ForgetTarget(const std::string& target);
+  void ForgetTarget(TargetId target);
   void Reset();
 
   [[nodiscard]] BreakerState class_state(OpClass cls) const {
@@ -133,7 +147,7 @@ class OpHealthTracker {
   // (the next op of the class will be let through as the probe).
   [[nodiscard]] bool ProbeDue(OpClass cls, SimTime now) const;
   [[nodiscard]] std::size_t tracked_targets() const;
-  // Introspection for tests: consecutive failures / next allowed retry of a
+  // Introspection by name: consecutive failures / next allowed retry of a
   // target (0 when untracked).
   [[nodiscard]] int target_failures(OpClass cls,
                                     const std::string& target) const;
@@ -144,8 +158,6 @@ class OpHealthTracker {
   }
 
  private:
-  static constexpr std::uint32_t kAbsentTarget = 0xffffffffu;
-
   struct TargetHealth {
     int failures = 0;
     SimTime next_retry = 0;
@@ -160,23 +172,20 @@ class OpHealthTracker {
     std::uint64_t times_opened = 0;
   };
 
-  [[nodiscard]] SimDuration BackoffDelay(const std::string& target,
-                                         int failures) const;
-  // Interned id of `target`, or kAbsent when the tracker has never seen it.
-  // (Id 0 is the interner's "" sentinel AND its miss value, so a plain
-  // Lookup cannot distinguish an unknown target from the empty string.)
-  [[nodiscard]] std::uint32_t IdOf(const std::string& target) const;
+  [[nodiscard]] SimDuration BackoffDelay(TargetId target, int failures) const;
+  [[nodiscard]] const TargetHealth* Find(OpClass cls,
+                                         const std::string& target) const;
 
   HealthConfig config_;
   obs::Recorder* recorder_ = nullptr;
   std::array<ClassHealth, kOpClassCount> classes_{};
   // Targets are interned once (string -> dense uint32 id); per-class state
   // lives in open-addressing maps keyed by id, so the tick-time
-  // AllowAttempt / RecordSuccess / RecordFailure cycle is O(1) and touches
-  // the heap only the first time a target is ever seen. Lookups on the
-  // allow path never allocate at all (StringInterner::Lookup contract).
+  // AllowAttempt / RecordSuccess / RecordFailure cycle is O(1), hashes no
+  // string, and touches the heap only when a target is first named or
+  // first fails.
   StringInterner target_ids_;
-  std::array<FlatMap<std::uint32_t, TargetHealth>, kOpClassCount> targets_;
+  std::array<FlatMap<TargetId, TargetHealth>, kOpClassCount> targets_;
 };
 
 }  // namespace lachesis::core

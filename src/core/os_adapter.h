@@ -13,9 +13,11 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
+#include "common/hash_index.h"
 #include "core/entities.h"
 #include "sim/machine.h"
 
@@ -112,7 +114,8 @@ class OsAdapter {
 
 // Drives the simulated machines. Cgroups are created lazily per (machine,
 // name) under a per-machine "lachesis" root group. Groups are indexed by
-// name, so a shares or quota write touches only that name's cgroups.
+// a hash of their name, so a shares or quota write touches only that
+// name's cgroups.
 class SimOsAdapter final : public OsAdapter {
  public:
   void SetNice(const ThreadHandle& thread, int nice) override {
@@ -120,7 +123,7 @@ class SimOsAdapter final : public OsAdapter {
   }
 
   void SetGroupShares(const std::string& group, std::uint64_t shares) override {
-    NamedGroup& named = groups_[group];
+    NamedGroup& named = GroupNamed(group);
     named.shares = shares;
     for (const auto& [machine, cgroup] : named.cgroups) {
       machine->SetShares(cgroup, shares);
@@ -138,7 +141,7 @@ class SimOsAdapter final : public OsAdapter {
 
   void SetGroupQuota(const std::string& group, SimDuration quota,
                      SimDuration period) override {
-    NamedGroup& named = groups_[group];
+    NamedGroup& named = GroupNamed(group);
     named.quota = {quota, period};
     for (const auto& [machine, cgroup] : named.cgroups) {
       machine->SetQuota(cgroup, quota, period);
@@ -184,26 +187,29 @@ class SimOsAdapter final : public OsAdapter {
       }
       const CgroupId cgroup = thread.machine->GetCgroup(thread.sim_tid);
       const std::string& name = thread.machine->CgroupName(cgroup);
-      if (const auto it = groups_.find(name);
-          it != groups_.end() && it->second.Find(thread.machine) == cgroup) {
+      const std::uint32_t id = names_.Lookup(name);
+      if (id < groups_.size() && names_.View(id) == name &&
+          groups_[id].Find(thread.machine) == cgroup) {
         state.group = name;
       }
       out.threads.push_back(std::move(state));
     }
-    std::vector<std::pair<sim::Machine*, const std::string*>> first_seen;
-    for (const auto& [name, named] : groups_) {
+    std::vector<std::pair<sim::Machine*, std::string_view>> first_seen;
+    for (std::uint32_t id = 0; id < groups_.size(); ++id) {
+      const NamedGroup& named = groups_[id];
       if (named.cgroups.empty()) continue;
+      const std::string name(names_.View(id));
       const auto& [last_machine, last_cgroup] = named.cgroups.back();
       out.group_shares[name] = last_machine->GetShares(last_cgroup);
       if (named.quota && named.quota->first > 0) {
         out.group_quota[name] = *named.quota;
       }
-      first_seen.emplace_back(named.cgroups.front().first, &name);
+      first_seen.emplace_back(named.cgroups.front().first, names_.View(id));
     }
-    std::stable_sort(first_seen.begin(), first_seen.end(),
-                     [](const auto& a, const auto& b) { return a.first < b.first; });
+    // Ids follow first use, not names: sort by machine, then by name.
+    std::sort(first_seen.begin(), first_seen.end());
     out.groups.reserve(first_seen.size());
-    for (const auto& [machine, name] : first_seen) out.groups.push_back(*name);
+    for (const auto& [machine, name] : first_seen) out.groups.emplace_back(name);
     return true;
   }
 
@@ -224,8 +230,15 @@ class SimOsAdapter final : public OsAdapter {
     }
   };
 
+  // The group of that name, created empty on first use.
+  NamedGroup& GroupNamed(const std::string& group) {
+    const std::uint32_t id = names_.Intern(group);
+    if (id >= groups_.size()) groups_.resize(id + 1);
+    return groups_[id];
+  }
+
   CgroupId EnsureGroup(sim::Machine& machine, const std::string& group) {
-    NamedGroup& named = groups_[group];
+    NamedGroup& named = GroupNamed(group);
     if (const auto existing = named.Find(&machine)) return *existing;
     CgroupId root;
     if (const auto rit = roots_.find(&machine); rit != roots_.end()) {
@@ -244,7 +257,9 @@ class SimOsAdapter final : public OsAdapter {
     return cgroup;
   }
 
-  std::map<std::string, NamedGroup> groups_;
+  // Group names interned to dense ids; groups_[id] is the named group.
+  StringInterner names_;
+  std::vector<NamedGroup> groups_;
   std::map<sim::Machine*, CgroupId> roots_;
 };
 

@@ -6,68 +6,67 @@
 
 namespace lachesis::core {
 
-Schedule QueueSizePolicy::ComputeSchedule(const PolicyContext& ctx) {
+namespace {
+
+// One entry per scheduled entity, pointing into the provider's snapshot,
+// with the priority `priority_of(driver, entity)`.
+template <typename PriorityFn>
+Schedule EntitySchedule(const PolicyContext& ctx, PrioritySpacing spacing,
+                        PriorityFn&& priority_of) {
   Schedule schedule;
-  schedule.spacing = PrioritySpacing::kLinear;
+  schedule.spacing = spacing;
+  schedule.entries.reserve(ctx.MaxEntities());
   ctx.ForEachEntity([&](SpeDriver& driver, const EntityInfo& e) {
-    const double queue = ctx.provider->Value(driver, MetricId::kQueueSize, e.id);
-    schedule.entries.push_back({e, queue});
+    schedule.entries.push_back({&e, priority_of(driver, e)});
   });
   return schedule;
+}
+
+// A policy whose priority is one metric, read as is.
+Schedule MetricSchedule(const PolicyContext& ctx, PrioritySpacing spacing,
+                        MetricId metric) {
+  return EntitySchedule(ctx, spacing,
+                        [&](SpeDriver& driver, const EntityInfo& e) {
+                          return ctx.provider->Value(driver, metric, e.id);
+                        });
+}
+
+}  // namespace
+
+Schedule QueueSizePolicy::ComputeSchedule(const PolicyContext& ctx) {
+  return MetricSchedule(ctx, PrioritySpacing::kLinear, MetricId::kQueueSize);
 }
 
 Schedule HighestRatePolicy::ComputeSchedule(const PolicyContext& ctx) {
-  Schedule schedule;
-  schedule.spacing = PrioritySpacing::kLogarithmic;
-  ctx.ForEachEntity([&](SpeDriver& driver, const EntityInfo& e) {
-    const double hr = ctx.provider->Value(driver, MetricId::kHighestRate, e.id);
-    schedule.entries.push_back({e, hr});
-  });
-  return schedule;
+  return MetricSchedule(ctx, PrioritySpacing::kLogarithmic,
+                        MetricId::kHighestRate);
 }
 
 Schedule FcfsPolicy::ComputeSchedule(const PolicyContext& ctx) {
-  Schedule schedule;
-  schedule.spacing = PrioritySpacing::kLinear;
-  ctx.ForEachEntity([&](SpeDriver& driver, const EntityInfo& e) {
-    const double age = ctx.provider->Value(driver, MetricId::kHeadTupleAge, e.id);
-    schedule.entries.push_back({e, age});
-  });
-  return schedule;
+  return MetricSchedule(ctx, PrioritySpacing::kLinear, MetricId::kHeadTupleAge);
 }
 
 Schedule RandomPolicy::ComputeSchedule(const PolicyContext& ctx) {
-  Schedule schedule;
-  schedule.spacing = PrioritySpacing::kLinear;
-  ctx.ForEachEntity([&](SpeDriver&, const EntityInfo& e) {
-    schedule.entries.push_back({e, ctx.rng->NextDouble()});
-  });
-  return schedule;
+  return EntitySchedule(ctx, PrioritySpacing::kLinear,
+                        [&](SpeDriver&, const EntityInfo&) {
+                          return ctx.rng->NextDouble();
+                        });
 }
 
 Schedule MinMemoryPolicy::ComputeSchedule(const PolicyContext& ctx) {
-  Schedule schedule;
-  schedule.spacing = PrioritySpacing::kLinear;
-  ctx.ForEachEntity([&](SpeDriver& driver, const EntityInfo& e) {
-    const double cost = ctx.provider->Value(driver, MetricId::kCost, e.id);
-    const double sel = ctx.provider->Value(driver, MetricId::kSelectivity, e.id);
-    // Data shed per CPU nanosecond; negative for expanding operators, which
-    // correctly deprioritizes them when memory is the goal.
-    const double priority = cost > 0 ? (1.0 - sel) / cost : 0.0;
-    schedule.entries.push_back({e, priority});
-  });
-  return schedule;
+  return EntitySchedule(
+      ctx, PrioritySpacing::kLinear, [&](SpeDriver& driver, const EntityInfo& e) {
+        const double cost = ctx.provider->Value(driver, MetricId::kCost, e.id);
+        const double sel =
+            ctx.provider->Value(driver, MetricId::kSelectivity, e.id);
+        // Data shed per CPU nanosecond; negative for expanding operators,
+        // which correctly deprioritizes them when memory is the goal.
+        return cost > 0 ? (1.0 - sel) / cost : 0.0;
+      });
 }
 
 Schedule PressureStallPolicy::ComputeSchedule(const PolicyContext& ctx) {
-  Schedule schedule;
-  schedule.spacing = PrioritySpacing::kLinear;
-  ctx.ForEachEntity([&](SpeDriver& driver, const EntityInfo& e) {
-    const double pressure =
-        ctx.provider->Value(driver, MetricId::kCpuPressure, e.id);
-    schedule.entries.push_back({e, pressure});
-  });
-  return schedule;
+  return MetricSchedule(ctx, PrioritySpacing::kLinear, MetricId::kCpuPressure);
 }
 
 SwitchablePolicy::SwitchablePolicy(
@@ -105,7 +104,7 @@ Schedule CriticalChainPolicy::ComputeSchedule(const PolicyContext& ctx) {
   Schedule schedule = inner_->ComputeSchedule(ctx);
   for (ScheduleEntry& entry : schedule.entries) {
     for (const std::string& query : critical_queries_) {
-      if (entry.entity.query_name == query) {
+      if (entry.entity->query_name == query) {
         entry.criticality = Criticality::kLatencyCritical;
         break;
       }
@@ -120,15 +119,14 @@ Schedule LogicalPriorityPolicy::ComputeSchedule(const PolicyContext& ctx) {
   for (SpeDriver* driver : ctx.drivers) {
     // Group this driver's entities by query, then apply Algorithm 2 to each
     // query that has configured logical priorities.
-    std::map<QueryId, std::vector<EntityInfo>> by_query;
-    std::map<QueryId, std::string> query_names;
+    std::map<QueryId, std::vector<const EntityInfo*>> by_query;
     for (const EntityInfo& e : ctx.provider->EntitiesOf(*driver)) {
       if (ctx.filter && !ctx.filter(e)) continue;
-      by_query[e.query].push_back(e);
-      query_names[e.query] = e.query_name;
+      by_query[e.query].push_back(&e);
     }
     for (const auto& [query, entities] : by_query) {
-      const auto it = priorities_.find(query_names[query]);
+      // A query's name is the one its last entity carries.
+      const auto it = priorities_.find(entities.back()->query_name);
       if (it == priorities_.end()) continue;
       LogicalSchedule logical;
       logical.query = query;

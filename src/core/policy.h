@@ -28,14 +28,25 @@ struct PolicyContext {
   SimTime now = 0;
   Rng* rng = nullptr;
 
-  // Invokes `fn` for every scheduled (driver, entity) pair.
-  void ForEachEntity(
-      const std::function<void(SpeDriver&, const EntityInfo&)>& fn) const {
+  // Invokes `fn(SpeDriver&, const EntityInfo&)` for every scheduled
+  // (driver, entity) pair; the entity is the provider's snapshot element.
+  template <typename Fn>
+  void ForEachEntity(Fn&& fn) const {
     for (SpeDriver* driver : drivers) {
       for (const EntityInfo& e : provider->EntitiesOf(*driver)) {
         if (!filter || filter(e)) fn(*driver, e);
       }
     }
+  }
+
+  // Entities in the drivers' snapshots before filtering: enough to reserve
+  // a schedule's entries.
+  [[nodiscard]] std::size_t MaxEntities() const {
+    std::size_t count = 0;
+    for (SpeDriver* driver : drivers) {
+      count += provider->EntitiesOf(*driver).size();
+    }
+    return count;
   }
 };
 

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
-#include <set>
+#include <functional>
 #include <tuple>
 
 namespace lachesis::core {
@@ -62,6 +62,10 @@ std::size_t LachesisRunner::AddQuery(PolicyBinding binding) {
   assert(!binding.drivers.empty());
   Bound bound;
   bound.binding = std::move(binding);
+  bound.context.provider = &provider_;
+  bound.context.drivers = bound.binding.drivers;
+  bound.context.filter = bound.binding.filter;
+  bound.context.rng = &rng_;
   bindings_.push_back(std::move(bound));
   const std::size_t index = bindings_.size() - 1;
   if (started_) {
@@ -107,6 +111,18 @@ void LachesisRunner::RemoveQuery(std::size_t index) {
       if (still_visible.Contains(key) || !forgotten.Insert(key)) continue;
       delta_.ForgetThread(entity.thread);
     }
+  }
+  // The provider keeps a snapshot per driver address: drop those no
+  // attached binding reaches, before their drivers can be destroyed.
+  for (SpeDriver* driver : bound.binding.drivers) {
+    const bool referenced = std::any_of(
+        bindings_.begin(), bindings_.end(), [driver](const Bound& other) {
+          return other.attached &&
+                 std::find(other.binding.drivers.begin(),
+                           other.binding.drivers.end(),
+                           driver) != other.binding.drivers.end();
+        });
+    if (!referenced) provider_.Forget(*driver);
   }
   // The wake interval may have grown; the loop naturally adopts it at the
   // next wakeup, so no reschedule is needed (a too-early wakeup is just an
@@ -235,21 +251,25 @@ void LachesisRunner::Tick() {
     // the native backend the drivers poll their engine first (re-scan
     // /proc, tail the metric file); the sim drivers read the scraped store
     // and poll nothing.
-    std::set<SpeDriver*> driver_set;
+    due_drivers_.clear();
     SimDuration window = 0;
     for (const Bound& bound : bindings_) {
       if (!due(bound)) continue;
-      driver_set.insert(bound.binding.drivers.begin(),
-                        bound.binding.drivers.end());
+      due_drivers_.insert(due_drivers_.end(), bound.binding.drivers.begin(),
+                          bound.binding.drivers.end());
       window = window == 0 ? bound.binding.period
                            : std::min(window, bound.binding.period);
     }
-    for (SpeDriver* driver : driver_set) driver->Poll(now);
-    provider_.Update({driver_set.begin(), driver_set.end()}, window);
+    std::sort(due_drivers_.begin(), due_drivers_.end(),
+              std::less<SpeDriver*>());
+    due_drivers_.erase(std::unique(due_drivers_.begin(), due_drivers_.end()),
+                       due_drivers_.end());
+    for (SpeDriver* driver : due_drivers_) driver->Poll(now);
+    provider_.Update(due_drivers_, window);
     if (recorder_.verbose()) {
       // Per-entity metric samples are provenance gold but O(entities) per
       // tick, so they ride behind the same verbose gate as elisions.
-      for (SpeDriver* driver : driver_set) {
+      for (SpeDriver* driver : due_drivers_) {
         for (const EntityInfo& entity : provider_.EntitiesOf(*driver)) {
           for (const MetricId metric : provider_.registered()) {
             recorder_.MetricSample(now, entity.path, MetricName(metric),
@@ -265,13 +285,9 @@ void LachesisRunner::Tick() {
       Bound& bound = bindings_[index];
       if (!due(bound)) continue;
       PolicyBinding& b = bound.binding;
-      PolicyContext ctx;
-      ctx.provider = &provider_;
-      ctx.drivers = b.drivers;
-      ctx.filter = b.filter;
-      ctx.now = now;
-      ctx.rng = &rng_;
-      const Schedule schedule = b.policy->ComputeSchedule(ctx);
+      bound.context.now = now;
+      // The schedule borrows the provider's snapshot: valid this tick only.
+      const Schedule schedule = b.policy->ComputeSchedule(bound.context);
       recorder_.ScheduleComputed(now, static_cast<int>(index),
                                  static_cast<int>(schedule.entries.size()),
                                  b.policy->name());

@@ -77,8 +77,10 @@ class LachesisRunner {
   std::size_t AddQuery(PolicyBinding binding);
 
   // Detaches a binding: it stops running, and metrics no remaining
-  // attached binding requires are unregistered from the provider. The
-  // index stays valid (tombstoned) so other indices are unaffected.
+  // attached binding requires are unregistered from the provider, as is
+  // the entity snapshot of every driver no attached binding references
+  // (such a driver may be destroyed after this returns). The index stays
+  // valid (tombstoned) so other indices are unaffected.
   void RemoveQuery(std::size_t index);
   [[nodiscard]] bool query_attached(std::size_t index) const {
     return bindings_.at(index).attached;
@@ -179,6 +181,9 @@ class LachesisRunner {
  private:
   struct Bound {
     PolicyBinding binding;
+    // The policy's view of the binding, built at AddQuery; a tick sets
+    // only `now`.
+    PolicyContext context;
     bool enabled = true;
     bool attached = true;
     SimTime next_run = 0;
@@ -200,6 +205,9 @@ class LachesisRunner {
   MetricProvider provider_;
   Rng rng_;
   std::vector<Bound> bindings_;
+  // Drivers of the bindings due this tick, in pointer order, each once;
+  // reused across ticks.
+  std::vector<SpeDriver*> due_drivers_;
   std::map<MetricId, int> metric_refs_;
   bool started_ = false;
   SimTime until_ = 0;

@@ -31,11 +31,15 @@ enum class Criticality : std::uint8_t {
 };
 
 struct ScheduleEntry {
-  EntityInfo entity;
+  // Borrowed, not owned: policies point into the metric provider's entity
+  // snapshot (MetricProvider::EntitiesOf).
+  const EntityInfo* entity;
   double priority;  // higher = more CPU
   Criticality criticality = Criticality::kNormal;
 };
 
+// A schedule borrows its entities, so it is valid for one period: until
+// the provider's next Update, which may re-snapshot them.
 struct Schedule {
   std::vector<ScheduleEntry> entries;
   PrioritySpacing spacing = PrioritySpacing::kLinear;

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <exception>
+#include <type_traits>
 
 #include "obs/recorder.h"
 
@@ -9,7 +10,7 @@ namespace lachesis::core {
 namespace {
 
 // The recorded detail of an op whose value says it all.
-std::string NoDetail() { return {}; }
+std::string_view NoDetail() { return {}; }
 
 }  // namespace
 
@@ -30,14 +31,16 @@ void ScheduleDeltaAdapter::ForgetThread(const ThreadHandle& thread) {
   deadline_.Erase(key);
   affinity_.Erase(key);
   group_of_.Erase(key);
-  health_.ForgetTarget(HealthKeyOf(thread));
+  const auto target = health_.FindTarget(HealthKeyOf(thread));
+  if (target != OpHealthTracker::kNoTarget) health_.ForgetTarget(target);
 }
 
 void ScheduleDeltaAdapter::ForgetGroup(const std::string& group) {
   const std::uint32_t gid = group_ids_.Intern(group);
   shares_.Erase(gid);
   quota_.Erase(gid);
-  health_.ForgetTarget(HealthKeyOf(group));
+  const auto target = health_.FindTarget(HealthKeyOf(group));
+  if (target != OpHealthTracker::kNoTarget) health_.ForgetTarget(target);
 }
 
 std::size_t ScheduleDeltaAdapter::SeedFromSnapshot(
@@ -101,16 +104,39 @@ std::size_t ScheduleDeltaAdapter::dl_reserved_count() const {
   return count;
 }
 
-void ScheduleDeltaAdapter::LogFailureOnce(OpClass cls,
-                                          const std::string& health_key,
+void ScheduleDeltaAdapter::LogFailureOnce(OpClass cls, const Target& target,
                                           const char* what) {
   // One line per (operation, target): a permanently broken target (e.g. an
   // unwritable cgroup root) must not flood the log every period.
-  const std::uint32_t id = log_names_.Intern(health_key);
-  if (logged_failures_[static_cast<int>(cls)].Insert(id)) {
-    std::fprintf(stderr, "lachesis: %s(%s) failed: %s\n", OpClassName(cls),
-                 health_key.c_str(), what);
+  if (logged_failures_[static_cast<int>(cls)].Insert(target.health)) {
+    const std::string_view name = health_.TargetName(target.health);
+    std::fprintf(stderr, "lachesis: %s(%.*s) failed: %s\n", OpClassName(cls),
+                 static_cast<int>(name.size()), name.data(), what);
   }
+}
+
+template <typename K>
+ScheduleDeltaAdapter::Target& ScheduleDeltaAdapter::TargetOf(const K& key) {
+  Target* target = nullptr;
+  if constexpr (std::is_same_v<K, ThreadKey>) {
+    target = thread_targets_.FindOrInsert(key);
+  } else {
+    target = group_targets_.FindOrInsert(key);
+  }
+  if (target->health == OpHealthTracker::kNoTarget) {
+    target->health = health_.InternTarget(HealthKeyOf(key));
+  }
+  return *target;
+}
+
+void ScheduleDeltaAdapter::Record(obs::EventKind kind, OpClass cls,
+                                  Target& target, std::int64_t value,
+                                  std::string_view detail) {
+  if (target.recorded == obs::kNoStr) {
+    target.recorded = recorder_->Intern(health_.TargetName(target.health));
+  }
+  recorder_->Op(now_, kind, static_cast<int>(cls), target.recorded, value,
+                detail);
 }
 
 template <typename K, typename V, typename Detail, typename Call>
@@ -123,26 +149,25 @@ void ScheduleDeltaAdapter::Apply(OpClass cls, FlatMap<K, V>& cache,
     if (cached != nullptr ? *cached == value : clear) {
       Count(&DeltaStats::skipped);
       if (recorder_ != nullptr && recorder_->verbose()) {
-        recorder_->Op(now_, obs::EventKind::kOpElided, static_cast<int>(cls),
-                      HealthKeyOf(key), recorded);
+        Record(obs::EventKind::kOpElided, cls, TargetOf(key), recorded, {});
       }
       return;
     }
   }
-  if (Forward(cls, HealthKeyOf(key), recorded, detail, call)) {
+  if (Forward(cls, TargetOf(key), recorded, detail, call)) {
     cache.Insert(key, value);
   }
 }
 
 template <typename Detail, typename Call>
-bool ScheduleDeltaAdapter::Forward(OpClass cls, const std::string& health_key,
+bool ScheduleDeltaAdapter::Forward(OpClass cls, Target& target,
                                    std::int64_t recorded, Detail&& detail,
                                    Call&& call) {
-  if (!health_.AllowAttempt(cls, health_key, now_)) {
+  const bool recording = recorder_ != nullptr && recorder_->enabled();
+  if (!health_.AllowAttempt(cls, target.health, now_)) {
     Count(&DeltaStats::suppressed);
-    if (recorder_ != nullptr) {
-      recorder_->Op(now_, obs::EventKind::kOpSuppressed, static_cast<int>(cls),
-                    health_key, recorded, detail());
+    if (recording) {
+      Record(obs::EventKind::kOpSuppressed, cls, target, recorded, detail());
     }
     return false;
   }
@@ -150,22 +175,20 @@ bool ScheduleDeltaAdapter::Forward(OpClass cls, const std::string& health_key,
     call();
   } catch (const std::exception& e) {
     const auto* os_error = dynamic_cast<const OsOperationError*>(&e);
-    health_.RecordFailure(cls, health_key, now_,
+    health_.RecordFailure(cls, target.health, now_,
                           os_error != nullptr ? os_error->severity()
                                               : ErrorSeverity::kTransient);
     Count(&DeltaStats::errors);
-    if (recorder_ != nullptr) {
-      recorder_->Op(now_, obs::EventKind::kOpError, static_cast<int>(cls),
-                    health_key, recorded, e.what());
+    if (recording) {
+      Record(obs::EventKind::kOpError, cls, target, recorded, e.what());
     }
-    LogFailureOnce(cls, health_key, e.what());
+    LogFailureOnce(cls, target, e.what());
     return false;
   }
-  health_.RecordSuccess(cls, health_key, now_);
+  health_.RecordSuccess(cls, target.health, now_);
   Count(&DeltaStats::applied);
-  if (recorder_ != nullptr) {
-    recorder_->Op(now_, obs::EventKind::kOpApplied, static_cast<int>(cls),
-                  health_key, recorded, detail());
+  if (recording) {
+    Record(obs::EventKind::kOpApplied, cls, target, recorded, detail());
   }
   return true;
 }
@@ -185,7 +208,8 @@ void ScheduleDeltaAdapter::SetGroupShares(const std::string& group,
 void ScheduleDeltaAdapter::MoveToGroup(const ThreadHandle& thread,
                                        const std::string& group) {
   Apply(OpClass::kMoveToGroup, group_of_, ThreadKeyOf(thread),
-        group_ids_.Intern(group), /*clear=*/false, 0, [&] { return group; },
+        group_ids_.Intern(group), /*clear=*/false, 0,
+        [&] { return std::string_view(group); },
         [&] { next_->MoveToGroup(thread, group); });
 }
 

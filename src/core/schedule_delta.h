@@ -34,6 +34,7 @@
 #include "common/hash_index.h"
 #include "core/op_health.h"
 #include "core/os_adapter.h"
+#include "obs/event_ring.h"
 
 namespace lachesis::core {
 
@@ -119,8 +120,13 @@ class ScheduleDeltaAdapter final : public OsAdapter {
   // Decision-provenance sink for op outcomes (applied/elided/suppressed/
   // error); threaded into the health tracker as well so breaker and backoff
   // transitions land in the same event stream. Null disables (default for a
-  // raw adapter; the runner installs its own recorder).
+  // raw adapter; the runner installs its own recorder). Target ids interned
+  // in a previous recorder are dropped.
   void SetRecorder(obs::Recorder* recorder) {
+    if (recorder != recorder_) {
+      thread_targets_.Clear();
+      group_targets_.Clear();
+    }
     recorder_ = recorder;
     health_.SetRecorder(recorder);
   }
@@ -161,6 +167,7 @@ class ScheduleDeltaAdapter final : public OsAdapter {
   // recorded provenance events and explain queries. Deliberately excludes
   // the machine pointer (addresses vary across runs and would break
   // deterministic jitter); sim_tid + os_tid is unique within a backend.
+  // The layer builds it once per target, not per op (see Target).
   static std::string HealthKeyOf(const ThreadHandle& thread) {
     return HealthKeyOf(ThreadKeyOf(thread));
   }
@@ -193,6 +200,19 @@ class ScheduleDeltaAdapter final : public OsAdapter {
     return HealthKeyOf(group_ids_.View(group_id));
   }
 
+  // What the layer keeps of one op target (a cache key): its id in the
+  // health tracker, which holds its health key, taken the first time the
+  // target is named; and its recorder id, taken at its first recorded
+  // event. A forwarded op therefore builds and hashes no string.
+  struct Target {
+    OpHealthTracker::TargetId health = OpHealthTracker::kNoTarget;
+    obs::StrId recorded = obs::kNoStr;
+  };
+  // The target of a cache key, named on first use. The reference is valid
+  // until the next TargetOf.
+  template <typename K>
+  Target& TargetOf(const K& key);
+
   // The one op path. Elides the op when `cache` holds `value` for `key`, or
   // when `clear` is set and `key` was never set: clearing an rt priority, a
   // reservation or an affinity hint the layer never applied is a no-op by
@@ -207,8 +227,13 @@ class ScheduleDeltaAdapter final : public OsAdapter {
   // when it succeeded. Failures are counted and logged once per
   // (operation, target); suppressed attempts are counted but not logged.
   template <typename Detail, typename Call>
-  bool Forward(OpClass cls, const std::string& health_key,
-               std::int64_t recorded, Detail&& detail, Call&& call);
+  bool Forward(OpClass cls, Target& target, std::int64_t recorded,
+               Detail&& detail, Call&& call);
+  // Records one op event against `target`, interning its name first when
+  // no event has named it yet (target before detail, as Recorder::Op
+  // does). Precondition: recorder_ records events of `kind`.
+  void Record(obs::EventKind kind, OpClass cls, Target& target,
+              std::int64_t value, std::string_view detail);
   // Bumps one counter of both the tick stats and the totals.
   void Count(std::uint64_t DeltaStats::*counter) {
     ++(tick_.*counter);
@@ -216,8 +241,7 @@ class ScheduleDeltaAdapter final : public OsAdapter {
   }
   // Once-per-(operation, target) stderr logging; O(1), allocation-free once
   // the pair has been seen.
-  void LogFailureOnce(OpClass cls, const std::string& health_key,
-                      const char* what);
+  void LogFailureOnce(OpClass cls, const Target& target, const char* what);
 
   OsAdapter* next_;
   bool enabled_ = true;
@@ -243,10 +267,13 @@ class ScheduleDeltaAdapter final : public OsAdapter {
   FlatMap<ThreadKey, std::uint32_t> group_of_;  // value: interned group id
   FlatMap<std::uint32_t, std::uint64_t> shares_;
   FlatMap<std::uint32_t, std::pair<SimDuration, SimDuration>> quota_;
-  // Failure-log dedup: targets interned once, membership per class is a
-  // FlatSet probe (exact, and allocation-free after the first occurrence).
-  StringInterner log_names_;
-  std::array<FlatSet<std::uint32_t>, kOpClassCount> logged_failures_;
+  // Named targets, by the same keys as the cache.
+  FlatMap<ThreadKey, Target> thread_targets_;
+  FlatMap<std::uint32_t, Target> group_targets_;
+  // Failure-log dedup: health target ids per class (exact, and
+  // allocation-free after the first occurrence).
+  std::array<FlatSet<OpHealthTracker::TargetId>, kOpClassCount>
+      logged_failures_;
 };
 
 }  // namespace lachesis::core

@@ -35,6 +35,15 @@ std::vector<EntityInfo> SimSpeDriver::Entities() {
   return result;
 }
 
+std::uint64_t SimSpeDriver::EntitiesGeneration() const {
+  const std::size_t queries = instance_->queries().size();
+  if (generation_ == 0 || queries != generation_queries_) {
+    generation_ = NextEntitiesGeneration();
+    generation_queries_ = queries;
+  }
+  return generation_;
+}
+
 const LogicalTopology& SimSpeDriver::Topology(QueryId query) {
   if (const auto it = topologies_.find(query); it != topologies_.end()) {
     return it->second;

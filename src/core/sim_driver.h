@@ -29,6 +29,9 @@ class SimSpeDriver final : public SpeDriver {
 
   [[nodiscard]] const std::string& name() const override { return name_; }
   std::vector<EntityInfo> Entities() override;
+  // Moves when the instance deploys a query (deployments are append-only
+  // and never change once made).
+  [[nodiscard]] std::uint64_t EntitiesGeneration() const override;
   const LogicalTopology& Topology(QueryId query) override;
   [[nodiscard]] bool Provides(MetricId metric) const override;
   double Fetch(MetricId metric, const EntityInfo& entity) override;
@@ -38,6 +41,10 @@ class SimSpeDriver final : public SpeDriver {
   const tsdb::TimeSeriesStore* store_;
   std::string name_;
   RawMetricReader reader_;
+  // The generation and the deployed-query count it was taken at; taken on
+  // first use, not at construction.
+  mutable std::uint64_t generation_ = 0;
+  mutable std::size_t generation_queries_ = 0;
   mutable std::unordered_map<QueryId, LogicalTopology> topologies_;
   // Previous runnable-wait snapshot per entity, for the PSI delta. Pressure
   // is an OS facility (read fresh from the kernel, not scraped via the

@@ -10,6 +10,7 @@
 #ifndef LACHESIS_CORE_TRANSFORM_H_
 #define LACHESIS_CORE_TRANSFORM_H_
 
+#include <span>
 #include <vector>
 
 #include "core/schedule.h"
@@ -18,10 +19,11 @@ namespace lachesis::core {
 
 // Algorithm 2 with the paper's example rule: a fused physical operator
 // gets the maximum of its logical operators' priorities. `entities` are the
-// physical operators of the schedule's query; operators without a priority
-// entry keep priority 0.
+// physical operators of the schedule's query (entities of other queries
+// are skipped); operators without a priority entry keep priority 0. The
+// entries point at the given entities.
 std::vector<ScheduleEntry> TransformLogicalSchedule(
-    const LogicalSchedule& logical, const std::vector<EntityInfo>& entities);
+    const LogicalSchedule& logical, std::span<const EntityInfo* const> entities);
 
 }  // namespace lachesis::core
 

@@ -31,7 +31,7 @@ void NiceTranslator::Apply(const Schedule& schedule, OsAdapter& os) {
     }
   }
   for (std::size_t i = 0; i < schedule.entries.size(); ++i) {
-    os.SetNice(schedule.entries[i].entity.thread, nices[i]);
+    os.SetNice(schedule.entries[i].entity->thread, nices[i]);
   }
 }
 
@@ -39,7 +39,7 @@ void EntryGrouping::Build(const Schedule& schedule) {
   const std::size_t n = schedule.entries.size();
   if (keys_.size() < n) keys_.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
-    const EntityInfo& entity = schedule.entries[i].entity;
+    const EntityInfo& entity = *schedule.entries[i].entity;
     if (group_of_) {
       keys_[i] = group_of_(entity);
     } else {
@@ -88,7 +88,7 @@ void MoveMembers(const Schedule& schedule, const EntryGrouping& grouping,
                  const EntryGrouping::Group& group, OsAdapter& os) {
   const std::string& gid = grouping.gid(group);
   for (const std::uint32_t entry : grouping.members(group)) {
-    os.MoveToGroup(schedule.entries[entry].entity.thread, gid);
+    os.MoveToGroup(schedule.entries[entry].entity->thread, gid);
   }
 }
 
@@ -139,11 +139,11 @@ void RtBoostTranslator::Apply(const Schedule& schedule, OsAdapter& os) {
   // dropped from the schedule (operator terminated) cannot keep a stale RT
   // boost. The delta layer skips demotions already applied.
   for (const auto& [path, thread] : boosted_) {
-    if (path != top->entity.path) os.SetRtPriority(thread, 0);
+    if (path != top->entity->path) os.SetRtPriority(thread, 0);
   }
-  os.SetRtPriority(top->entity.thread, rt_priority_);
+  os.SetRtPriority(top->entity->thread, rt_priority_);
   boosted_.clear();
-  boosted_.emplace(top->entity.path, top->entity.thread);
+  boosted_.emplace(top->entity->path, top->entity->thread);
   nice_.Apply(schedule, os);
 }
 
@@ -153,7 +153,7 @@ void DeadlineTranslator::Apply(const Schedule& schedule, OsAdapter& os) {
   std::map<std::string, ThreadHandle> critical;
   for (const ScheduleEntry& entry : schedule.entries) {
     if (entry.criticality == Criticality::kLatencyCritical) {
-      critical.emplace(entry.entity.path, entry.entity.thread);
+      critical.emplace(entry.entity->path, entry.entity->thread);
     }
   }
   if (critical.empty()) {
@@ -161,7 +161,7 @@ void DeadlineTranslator::Apply(const Schedule& schedule, OsAdapter& os) {
     for (const ScheduleEntry& entry : schedule.entries) {
       if (entry.priority > top->priority) top = &entry;
     }
-    critical.emplace(top->entity.path, top->entity.thread);
+    critical.emplace(top->entity->path, top->entity->thread);
   }
   // Reconcile: clear every reservation whose holder left the critical set,
   // via the stored handle (the entity may be gone from the schedule). The
@@ -200,7 +200,7 @@ void CapacityHintTranslator::Apply(const Schedule& schedule, OsAdapter& os) {
     const ScheduleEntry& entry = *by_priority[i];
     if (i < big_count ||
         entry.criticality == Criticality::kLatencyCritical) {
-      big.emplace(entry.entity.path, entry.entity.thread);
+      big.emplace(entry.entity->path, entry.entity->thread);
     }
   }
   for (const auto& [path, thread] : hinted_) {
@@ -217,9 +217,9 @@ void CapacityHintTranslator::Apply(const Schedule& schedule, OsAdapter& os) {
 void QuerySharesPlusNiceTranslator::Apply(const Schedule& schedule,
                                           OsAdapter& os) {
   for (const ScheduleEntry& entry : schedule.entries) {
-    const std::string gid = "query-" + entry.entity.query_name;
+    const std::string gid = "query-" + entry.entity->query_name;
     os.SetGroupShares(gid, query_shares_);
-    os.MoveToGroup(entry.entity.thread, gid);
+    os.MoveToGroup(entry.entity->thread, gid);
   }
   nice_.Apply(schedule, os);
 }

@@ -126,12 +126,19 @@ void Recorder::Op(SimTime now, EventKind kind, int op_class,
                   std::string_view detail) {
   if (!enabled_) return;
   if (kind == EventKind::kOpElided && !verbose_) return;
+  Op(now, kind, op_class, Intern(target), value, detail);
+}
+
+void Recorder::Op(SimTime now, EventKind kind, int op_class, StrId target,
+                  std::int64_t value, std::string_view detail) {
+  if (!enabled_) return;
+  if (kind == EventKind::kOpElided && !verbose_) return;
   Event e;
   e.time = now;
   e.kind = kind;
   e.op_class = static_cast<std::uint8_t>(op_class);
   e.v0 = value;
-  e.target = Intern(target);
+  e.target = target;
   e.detail = Intern(detail);
   Push(e);
 }

@@ -85,6 +85,10 @@ class Recorder {
                         std::string_view translator);
   void Op(SimTime now, EventKind kind, int op_class, std::string_view target,
           std::int64_t value, std::string_view detail = {});
+  // The same with the target already interned (Intern(target)), so a
+  // caller that keeps the id records its ops without hashing the name.
+  void Op(SimTime now, EventKind kind, int op_class, StrId target,
+          std::int64_t value, std::string_view detail = {});
   void BreakerTransition(SimTime now, int op_class, int from_state,
                          int to_state);
   void BackoffArmed(SimTime now, int op_class, std::string_view target,

@@ -39,7 +39,11 @@ void NativeSpeDriver::Refresh(SimTime now) {
           break;
         }
       }
-      tids_[{q, o}] = resolved;
+      const auto [it, inserted] = tids_.try_emplace({q, o}, resolved);
+      if (inserted || it->second != resolved) {
+        it->second = resolved;
+        generation_ = 0;
+      }
     }
   }
 
@@ -92,6 +96,11 @@ std::vector<core::EntityInfo> NativeSpeDriver::Entities() {
     }
   }
   return result;
+}
+
+std::uint64_t NativeSpeDriver::EntitiesGeneration() const {
+  if (generation_ == 0) generation_ = core::NextEntitiesGeneration();
+  return generation_;
 }
 
 const core::LogicalTopology& NativeSpeDriver::Topology(QueryId query) {

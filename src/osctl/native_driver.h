@@ -65,6 +65,8 @@ class NativeSpeDriver final : public core::SpeDriver {
 
   [[nodiscard]] const std::string& name() const override { return name_; }
   std::vector<core::EntityInfo> Entities() override;
+  // Moves when a Refresh resolves an operator to a different tid.
+  [[nodiscard]] std::uint64_t EntitiesGeneration() const override;
   const core::LogicalTopology& Topology(QueryId query) override;
   [[nodiscard]] bool Provides(core::MetricId metric) const override;
   double Fetch(core::MetricId metric, const core::EntityInfo& entity) override;
@@ -84,6 +86,8 @@ class NativeSpeDriver final : public core::SpeDriver {
   std::streamoff metrics_offset_ = 0;
   // (query idx, operator idx) -> resolved tid (-1 while unresolved).
   std::map<std::pair<std::size_t, std::size_t>, long> tids_;
+  // 0 until first reported, and again after a tid changed.
+  mutable std::uint64_t generation_ = 0;
 };
 
 }  // namespace lachesis::osctl

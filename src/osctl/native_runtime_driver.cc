@@ -60,6 +60,21 @@ std::vector<core::EntityInfo> NativeRuntimeDriver::Entities() {
   return result;
 }
 
+std::uint64_t NativeRuntimeDriver::EntitiesGeneration() const {
+  const auto& ops = runtime_->ops();
+  bool changed = generation_ == 0 || ops.size() != generation_tids_.size();
+  generation_tids_.resize(ops.size());
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    const long tid = ops[i]->tid();
+    if (tid != generation_tids_[i]) {
+      generation_tids_[i] = tid;
+      changed = true;
+    }
+  }
+  if (changed) generation_ = core::NextEntitiesGeneration();
+  return generation_;
+}
+
 const core::LogicalTopology& NativeRuntimeDriver::Topology(QueryId query) {
   if (const auto it = topologies_.find(query); it != topologies_.end()) {
     return it->second;

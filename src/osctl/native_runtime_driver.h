@@ -38,6 +38,9 @@ class NativeRuntimeDriver final : public core::SpeDriver {
   void Poll(SimTime now) override;
 
   std::vector<core::EntityInfo> Entities() override;
+  // Moves when the runtime deploys an operator or an operator thread
+  // registers a different tid.
+  [[nodiscard]] std::uint64_t EntitiesGeneration() const override;
   const core::LogicalTopology& Topology(QueryId query) override;
   [[nodiscard]] bool Provides(core::MetricId metric) const override;
   double Fetch(core::MetricId metric, const core::EntityInfo& entity) override;
@@ -57,6 +60,10 @@ class NativeRuntimeDriver final : public core::SpeDriver {
   // Poll's handles, by position in runtime_->ops() x raw metric.
   tsdb::SeriesHandles polled_{spe::kRawMetricCount};
   std::map<QueryId, core::LogicalTopology> topologies_;
+  // The generation and the operator tids it was taken at; taken on first
+  // use, not at construction.
+  mutable std::uint64_t generation_ = 0;
+  mutable std::vector<long> generation_tids_;
 };
 
 }  // namespace lachesis::osctl

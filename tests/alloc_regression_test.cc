@@ -2,11 +2,12 @@
 //
 // The storage-layer refactor (common/stable_pool.h, common/hash_index.h,
 // common/arena.h) exists to make the per-tick control loop allocation-free
-// once warm: the delta cache's skip-or-forward probe, the health tracker's
-// allow/record cycle, recorder interning and the metric provider's Update
-// (outside the driver's by-value Entities() snapshot) must not touch the
-// heap in steady state, or a million-target deployment spends its ticks
-// inside the allocator. This binary overrides global operator new to count every heap
+// once warm: the delta cache's skip-or-forward probe, the forward path of
+// an op whose target has been named, the health tracker's allow/record
+// cycle, recorder interning and the metric provider's Update must not
+// touch the heap in steady state, and a full runner tick must allocate no
+// more at 500 entities than at 50, or a million-target deployment spends
+// its ticks inside the allocator. This binary overrides global operator new to count every heap
 // allocation and asserts the count stays at ZERO across steady-state ticks
 // after warmup. If a future change sneaks a std::map, a std::string build,
 // or a rehash into the hot path, this test fails with the allocation count.
@@ -25,9 +26,14 @@
 
 #include "core/metric_provider.h"
 #include "core/op_health.h"
+#include "core/policies.h"
+#include "core/runner.h"
 #include "core/schedule_delta.h"
 #include "core/sim_driver.h"
+#include "core/sim_executor.h"
+#include "core/translators.h"
 #include "obs/recorder.h"
+#include "queries/synthetic.h"
 #include "sim/machine.h"
 #include "sim/simulator.h"
 #include "spe/runtime.h"
@@ -167,6 +173,42 @@ TEST(AllocRegressionTest, DeltaSkipPathAllocatesNothing) {
             static_cast<std::uint64_t>(50) * (kThreads * 5 + kGroups * 2));
 }
 
+TEST(AllocRegressionTest, ForwardedNiceAndSharesAllocateNothingOnceNamed) {
+  constexpr int kTargets = 200;
+  NullAdapter backend;
+  ScheduleDeltaAdapter delta(backend);
+  HealthConfig health;
+  health.enabled = true;
+  delta.SetHealthConfig(health);
+  obs::Recorder recorder(4096);
+  delta.SetRecorder(&recorder);
+  // Thread and group names longer than a std::string's inline buffer, as
+  // a 500-operator deployment's are ("g:op-liebre.syn17.op2.0").
+  std::vector<std::string> groups;
+  for (int g = 0; g < kTargets; ++g) {
+    groups.push_back("op-liebre.syn" + std::to_string(g) + ".op2.0");
+  }
+  // Every value moves every tick, so every op is forwarded.
+  const auto tick = [&](int round) {
+    delta.BeginTick(Millis(round));
+    for (int t = 0; t < kTargets; ++t) {
+      delta.SetNice(HandleFor(1000000 + t), (t + round) % 40 - 20);
+      delta.SetGroupShares(groups[static_cast<std::size_t>(t)],
+                           1024 + static_cast<std::uint64_t>((t + round) % 7));
+    }
+  };
+  tick(0);  // names every target, in the tracker and the recorder
+
+  const std::uint64_t applied_before = delta.totals().applied;
+  const std::uint64_t before = AllocCount();
+  for (int round = 1; round <= 20; ++round) tick(round);
+  EXPECT_EQ(AllocCount() - before, 0u)
+      << "forwarding an op to a named target must not touch the heap";
+  EXPECT_EQ(delta.totals().applied - applied_before,
+            static_cast<std::uint64_t>(20 * 2 * kTargets));
+  EXPECT_GT(recorder.total_recorded(), static_cast<std::uint64_t>(20 * 2 * kTargets));
+}
+
 TEST(AllocRegressionTest, HealthChurnAllocatesNothingAfterWarmup) {
   constexpr int kTargets = 200;
   HealthConfig config;
@@ -176,14 +218,15 @@ TEST(AllocRegressionTest, HealthChurnAllocatesNothingAfterWarmup) {
   obs::Recorder recorder(4096);
   health.SetRecorder(&recorder);
 
-  std::vector<std::string> targets;
+  std::vector<OpHealthTracker::TargetId> targets;
   for (int t = 0; t < kTargets; ++t) {
-    targets.push_back("t:" + std::to_string(t) + "/" + std::to_string(t));
+    targets.push_back(health.InternTarget("t:" + std::to_string(t) + "/" +
+                                          std::to_string(t)));
   }
-  // One full fail -> succeed cycle per target warms the interner, the
-  // per-class tables, and the recorder's intern table.
+  // One full fail -> succeed cycle per target warms the per-class tables
+  // and the recorder's intern table.
   const auto churn = [&](SimTime now) {
-    for (const std::string& target : targets) {
+    for (const OpHealthTracker::TargetId target : targets) {
       if (health.AllowAttempt(OpClass::kSetNice, target, now)) {
         health.RecordFailure(OpClass::kSetNice, target, now,
                              ErrorSeverity::kVanished);
@@ -228,19 +271,23 @@ TEST(AllocRegressionTest, RecorderInternLookupAllocatesNothingWhenWarm) {
   EXPECT_TRUE(all_found);
 }
 
-// Forwards to a FakeDriver and counts the allocations made inside
-// Entities(): its by-value snapshot is the driver's cost, not the
-// provider's.
+// Forwards to another driver, generation included, and counts the calls
+// of Entities() and the allocations made inside it: its by-value snapshot
+// is the driver's cost, not the provider's.
 class EntitiesCountingDriver final : public SpeDriver {
  public:
-  explicit EntitiesCountingDriver(testing::FakeDriver& inner) : inner_(&inner) {}
+  explicit EntitiesCountingDriver(SpeDriver& inner) : inner_(&inner) {}
 
   [[nodiscard]] const std::string& name() const override { return inner_->name(); }
   std::vector<EntityInfo> Entities() override {
+    ++entities_calls_;
     const std::uint64_t before = AllocCount();
     std::vector<EntityInfo> snapshot = inner_->Entities();
     entities_allocs_ += AllocCount() - before;
     return snapshot;
+  }
+  [[nodiscard]] std::uint64_t EntitiesGeneration() const override {
+    return inner_->EntitiesGeneration();
   }
   const LogicalTopology& Topology(QueryId query) override {
     return inner_->Topology(query);
@@ -253,10 +300,12 @@ class EntitiesCountingDriver final : public SpeDriver {
   }
 
   [[nodiscard]] std::uint64_t entities_allocs() const { return entities_allocs_; }
+  [[nodiscard]] int entities_calls() const { return entities_calls_; }
 
  private:
-  testing::FakeDriver* inner_;
+  SpeDriver* inner_;
   std::uint64_t entities_allocs_ = 0;
+  int entities_calls_ = 0;
 };
 
 // Allocations one warm MetricProvider::Update makes with Highest Rate
@@ -373,6 +422,219 @@ TEST(AllocRegressionTest, ScrapeAndFetchIntoFullRingsAllocateNothing) {
   EXPECT_EQ(scrape_allocs, 0u) << "a warm scrape must not touch the heap";
   EXPECT_EQ(fetch_allocs, 0u) << "a warm fetch sweep must not touch the heap";
   EXPECT_GT(sum, 0.0);
+}
+
+// The provider snapshots a driver's entities when its generation moves,
+// and only then; every metric is still read afresh on every Update.
+TEST(AllocRegressionTest, ProviderSnapshotsOnceWhileTheGenerationHolds) {
+  sim::Simulator sim;
+  sim::Machine machine(sim, 2);
+  spe::SpeInstance instance(spe::LiebreFlavor(), {&machine}, "spe");
+  std::vector<std::unique_ptr<spe::ExternalSource>> sources;
+  const auto deploy = [&](int q) {
+    spe::DeployedQuery& query =
+        instance.Deploy(ThreeOpQuery("q" + std::to_string(q)), {});
+    sources.push_back(std::make_unique<spe::ExternalSource>(
+        sim, query.source_channels(),
+        [](Rng&, std::uint64_t) { return spe::Tuple{}; }, 3 + q));
+    sources.back()->Start(100, Seconds(30));
+  };
+  for (int q = 0; q < 4; ++q) deploy(q);
+  tsdb::TimeSeriesStore store;
+  tsdb::Scraper scraper(sim, store, Seconds(1));
+  scraper.AddInstance(instance);
+  SimSpeDriver sim_driver(instance, store, Seconds(1));
+  EntitiesCountingDriver driver(sim_driver);
+  const std::vector<SpeDriver*> drivers = {&driver};
+  MetricProvider provider;
+  provider.Register(MetricId::kTuplesInTotal);
+
+  // Each Update's values are the store's latest, read through the driver.
+  const auto update_and_check = [&](int s) {
+    sim.RunUntil(Seconds(s));
+    scraper.ScrapeOnce();
+    provider.Update(drivers, Seconds(1));
+    double sum = 0;
+    for (const EntityInfo& e : provider.EntitiesOf(driver)) {
+      const double value = provider.Value(driver, MetricId::kTuplesInTotal, e.id);
+      EXPECT_EQ(value, sim_driver.Fetch(MetricId::kTuplesInTotal, e)) << e.path;
+      sum += value;
+    }
+    return sum;
+  };
+  double last = update_and_check(1);
+  for (int s = 2; s <= 8; ++s) {
+    const double sum = update_and_check(s);
+    EXPECT_GT(sum, last) << "values must track the store at second " << s;
+    last = sum;
+  }
+  EXPECT_EQ(driver.entities_calls(), 1);
+  EXPECT_EQ(provider.EntitiesOf(driver).size(), 12u);
+
+  // A mid-run deploy moves the generation: one more snapshot, with the
+  // new entities, then none again.
+  deploy(4);
+  for (int s = 9; s <= 12; ++s) update_and_check(s);
+  EXPECT_EQ(driver.entities_calls(), 2);
+  EXPECT_EQ(provider.EntitiesOf(driver).size(), 15u);
+}
+
+// Leaves the allocations its callee makes out of the count: the simulated
+// kernel's and the simulator's bookkeeping are not the control plane's.
+class Uncounted {
+ public:
+  template <typename Fn>
+  void Run(Fn&& fn) {
+    const std::uint64_t before = AllocCount();
+    fn();
+    allocs_ += AllocCount() - before;
+  }
+  [[nodiscard]] std::uint64_t allocs() const { return allocs_; }
+
+ private:
+  std::uint64_t allocs_ = 0;
+};
+
+// Forwards every op to the simulated backend, outside the count.
+class UncountedOsAdapter final : public OsAdapter {
+ public:
+  UncountedOsAdapter(OsAdapter& inner, Uncounted& uncounted)
+      : inner_(&inner), uncounted_(&uncounted) {}
+
+  void SetNice(const ThreadHandle& thread, int nice) override {
+    uncounted_->Run([&] { inner_->SetNice(thread, nice); });
+  }
+  void SetGroupShares(const std::string& group, std::uint64_t shares) override {
+    uncounted_->Run([&] { inner_->SetGroupShares(group, shares); });
+  }
+  void MoveToGroup(const ThreadHandle& thread, const std::string& group) override {
+    uncounted_->Run([&] { inner_->MoveToGroup(thread, group); });
+  }
+  void SetRtPriority(const ThreadHandle& thread, int rt_priority) override {
+    uncounted_->Run([&] { inner_->SetRtPriority(thread, rt_priority); });
+  }
+  void SetGroupQuota(const std::string& group, SimDuration quota,
+                     SimDuration period) override {
+    uncounted_->Run([&] { inner_->SetGroupQuota(group, quota, period); });
+  }
+  void SetDeadline(const ThreadHandle& thread, SimDuration runtime,
+                   SimDuration deadline, SimDuration period) override {
+    uncounted_->Run(
+        [&] { inner_->SetDeadline(thread, runtime, deadline, period); });
+  }
+  void SetCpuAffinity(const ThreadHandle& thread, CpuPreference pref) override {
+    uncounted_->Run([&] { inner_->SetCpuAffinity(thread, pref); });
+  }
+
+ private:
+  OsAdapter* inner_;
+  Uncounted* uncounted_;
+};
+
+// Counts the allocations of each control callback (one runner tick), less
+// those made uncounted inside it -- scheduling the next tick among them.
+class CountingExecutor final : public ControlExecutor {
+ public:
+  CountingExecutor(ControlExecutor& inner, Uncounted& uncounted)
+      : inner_(&inner), uncounted_(&uncounted) {
+    tick_allocs_.reserve(256);
+  }
+
+  [[nodiscard]] SimTime Now() const override { return inner_->Now(); }
+  void CallAt(SimTime time, std::function<void()> fn) override {
+    uncounted_->Run([&] {
+      inner_->CallAt(time, [this, fn = std::move(fn)] {
+        const std::uint64_t before = AllocCount();
+        const std::uint64_t uncounted_before = uncounted_->allocs();
+        fn();
+        const std::uint64_t allocs = AllocCount() - before;
+        tick_allocs_.push_back(allocs - (uncounted_->allocs() - uncounted_before));
+      });
+    });
+  }
+
+  [[nodiscard]] const std::vector<std::uint64_t>& tick_allocs() const {
+    return tick_allocs_;
+  }
+
+ private:
+  ControlExecutor* inner_;
+  Uncounted* uncounted_;
+  std::vector<std::uint64_t> tick_allocs_;
+};
+
+struct TickAllocs {
+  std::vector<std::uint64_t> per_tick;  // warm ticks only
+  std::uint64_t forwarded = 0;          // ops applied in those ticks
+};
+
+// The full control loop -- scraper -> store -> SimSpeDriver -> provider ->
+// Highest Rate -> cpu.shares -> delta layer (health and recorder on) ->
+// SimOsAdapter -- over `queries` 5-operator SYN queries on a simulated
+// Liebre machine; the allocations of each warm tick, outside the backend.
+TickAllocs WarmTickAllocs(int queries) {
+  constexpr SimTime kEnd = Seconds(25);
+  sim::Simulator sim;
+  sim::Machine machine(sim, 4);
+  spe::SpeInstance instance(spe::LiebreFlavor(), {&machine}, "liebre");
+  queries::SyntheticConfig config;
+  config.num_queries = queries;
+  const std::vector<queries::Workload> workloads =
+      queries::MakeSynthetic(config);
+  std::vector<std::unique_ptr<spe::ExternalSource>> sources;
+  for (std::size_t i = 0; i < workloads.size(); ++i) {
+    spe::DeployOptions deploy;
+    deploy.seed = 7919 + i * 131;
+    spe::DeployedQuery& query = instance.Deploy(workloads[i].query, deploy);
+    sources.push_back(std::make_unique<spe::ExternalSource>(
+        sim, query.source_channels(), workloads[i].generator, 104729 + i * 17));
+    sources.back()->Start(20.0, kEnd);
+  }
+  tsdb::TimeSeriesStore store;
+  tsdb::Scraper scraper(sim, store, Seconds(1));
+  scraper.AddInstance(instance);
+  scraper.Start(kEnd);
+
+  SimSpeDriver driver(instance, store, Seconds(1));
+  Uncounted backend;
+  SimOsAdapter sim_os;
+  UncountedOsAdapter os(sim_os, backend);
+  SimControlExecutor sim_executor(sim);
+  CountingExecutor executor(sim_executor, backend);
+  LachesisRunner runner(executor, os, /*seed=*/4);
+  PolicyBinding binding;
+  binding.policy = std::make_unique<HighestRatePolicy>();
+  binding.translator = std::make_unique<CpuSharesTranslator>();
+  binding.period = Seconds(1);
+  binding.drivers = {&driver};
+  runner.AddQuery(std::move(binding));
+  runner.Start(kEnd);
+
+  // Warm-up: the first ticks name every target and grow every table.
+  sim.RunUntil(Seconds(5));
+  const std::size_t warm = executor.tick_allocs().size();
+  const std::uint64_t applied = runner.delta_totals().applied;
+  sim.RunUntil(kEnd);
+  TickAllocs result;
+  result.per_tick.assign(executor.tick_allocs().begin() +
+                             static_cast<std::ptrdiff_t>(warm),
+                         executor.tick_allocs().end());
+  result.forwarded = runner.delta_totals().applied - applied;
+  return result;
+}
+
+TEST(AllocRegressionTest, WarmRunnerTickAllocsDoNotGrowWithEntities) {
+  const TickAllocs small = WarmTickAllocs(10);   // 50 entities
+  const TickAllocs large = WarmTickAllocs(100);  // 500 entities
+  ASSERT_FALSE(small.per_tick.empty());
+  ASSERT_EQ(small.per_tick.size(), large.per_tick.size());
+  // The simulator and scraper moved the schedule between ticks: shares
+  // were forwarded, not only elided.
+  EXPECT_GT(small.forwarded, 0u);
+  EXPECT_GT(large.forwarded, small.forwarded);
+  EXPECT_EQ(small.per_tick, large.per_tick)
+      << "a warm tick must not allocate per entity; first tick at 50: "
+      << small.per_tick.front() << ", at 500: " << large.per_tick.front();
 }
 
 }  // namespace

@@ -134,11 +134,11 @@ TEST(CrossFlavorTest, HrPolicyProducesConsistentRankings) {
   double egress_priority = 0;
   double ingress_priority = 0;
   for (const auto& entry : schedule.entries) {
-    if (entry.entity.is_egress &&
-        entry.entity.path.find("toll") != std::string::npos) {
+    if (entry.entity->is_egress &&
+        entry.entity->path.find("toll") != std::string::npos) {
       egress_priority = entry.priority;
     }
-    if (entry.entity.is_ingress) ingress_priority = entry.priority;
+    if (entry.entity->is_ingress) ingress_priority = entry.priority;
   }
   EXPECT_GT(egress_priority, ingress_priority);
 }

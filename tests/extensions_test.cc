@@ -1,6 +1,7 @@
 // Tests of the §8 future-work extensions at the middleware level: the quota
 // and RT-boost translators, the PSI-based policy, and runtime policy
 // switching.
+#include <deque>
 #include <memory>
 
 #include <gtest/gtest.h>
@@ -43,13 +44,16 @@ class RecordingExtendedAdapter final : public OsAdapter {
   std::map<std::string, std::pair<SimDuration, SimDuration>> quotas;
 };
 
-EntityInfo Entity(std::uint64_t id) {
-  EntityInfo e;
+// Schedules borrow their entities, so every entity a test makes lives as
+// long as the test binary.
+const EntityInfo* Entity(std::uint64_t id) {
+  static std::deque<EntityInfo> entities;
+  EntityInfo& e = entities.emplace_back();
   e.id = OperatorId(id);
   e.path = "spe.q.op" + std::to_string(id);
   e.query_name = "q";
   e.thread.sim_tid = ThreadId(id);
-  return e;
+  return &e;
 }
 
 Schedule MakeSchedule(std::vector<double> priorities) {
@@ -143,7 +147,7 @@ TEST(PressureStallPolicyTest, PrioritizesStarvedEntities) {
   double starved_priority = 0;
   double happy_priority = 0;
   for (const auto& entry : s.entries) {
-    (entry.entity.id == starved.id ? starved_priority : happy_priority) =
+    (entry.entity->id == starved.id ? starved_priority : happy_priority) =
         entry.priority;
   }
   EXPECT_GT(starved_priority, happy_priority);

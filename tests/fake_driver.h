@@ -22,6 +22,13 @@ class FakeDriver final : public SpeDriver {
 
   std::vector<EntityInfo> Entities() override { return entities_; }
 
+  // 0 (re-snapshot every period) unless TrackGenerations() was called;
+  // then a fresh generation, moved by every AddEntity.
+  [[nodiscard]] std::uint64_t EntitiesGeneration() const override {
+    return generation_;
+  }
+  void TrackGenerations() { generation_ = NextEntitiesGeneration(); }
+
   const LogicalTopology& Topology(QueryId query) override {
     return topologies_.at(query);
   }
@@ -49,6 +56,7 @@ class FakeDriver final : public SpeDriver {
     e.replica = replica;
     e.thread.sim_tid = ThreadId(entities_.size());
     entities_.push_back(e);
+    if (generation_ != 0) generation_ = NextEntitiesGeneration();
     return entities_.back();
   }
 
@@ -69,6 +77,7 @@ class FakeDriver final : public SpeDriver {
   std::map<std::pair<MetricId, OperatorId>, double> values_;
   std::map<QueryId, LogicalTopology> topologies_;
   int fetch_count_ = 0;
+  std::uint64_t generation_ = 0;
 };
 
 // Records every OsAdapter call for translator tests. Supports

@@ -245,6 +245,33 @@ TEST(FaultInjectingDriverTest, VanishNanAndStaleMetrics) {
   EXPECT_EQ(driver.Fetch(MetricId::kQueueSize, a), 99.0);
 }
 
+TEST(FaultInjectingDriverTest, GenerationIsZeroWhileThePlanCanVanishEntities) {
+  FakeDriver inner;
+  inner.AddEntity(QueryId(0), {0});
+  inner.TrackGenerations();
+  ASSERT_NE(inner.EntitiesGeneration(), 0u);
+
+  FaultPlan plan;
+  DriverFaultRule nan_rule;
+  nan_rule.kind = DriverFaultRule::Kind::kNanMetric;
+  plan.driver_rules.push_back(nan_rule);
+  // Metric faults leave the entity set alone: the inner generation holds.
+  FaultInjectingDriver metric_faults(inner, plan);
+  EXPECT_EQ(metric_faults.EntitiesGeneration(), inner.EntitiesGeneration());
+
+  // A vanish rule makes every snapshot a draw, inside its window or not.
+  DriverFaultRule vanish_rule;
+  vanish_rule.kind = DriverFaultRule::Kind::kVanishEntity;
+  vanish_rule.from = Seconds(50);
+  vanish_rule.until = Seconds(60);
+  plan.driver_rules.push_back(vanish_rule);
+  FaultInjectingDriver vanishing(inner, plan);
+  vanishing.Poll(Seconds(5));
+  EXPECT_EQ(vanishing.EntitiesGeneration(), 0u);
+  vanishing.Poll(Seconds(55));
+  EXPECT_EQ(vanishing.EntitiesGeneration(), 0u);
+}
+
 // ---------------------------------------------------------------------------
 // OpHealthTracker
 
@@ -270,18 +297,20 @@ TEST(OpHealthTest, ValidateRejectsBadConfigs) {
 TEST(OpHealthTest, BackoffDoublesAndIsDeterministic) {
   OpHealthTracker a(FastHealth());
   OpHealthTracker b(FastHealth());
+  const auto ta = a.InternTarget("t:0/0");
+  const auto tb = b.InternTarget("t:0/0");
   SimTime prev_delay = 0;
   SimTime now = 0;
   for (int i = 0; i < 6; ++i) {
-    ASSERT_TRUE(a.AllowAttempt(OpClass::kSetNice, "t:0/0", now));
-    a.RecordFailure(OpClass::kSetNice, "t:0/0", now, ErrorSeverity::kVanished);
-    b.RecordFailure(OpClass::kSetNice, "t:0/0", now, ErrorSeverity::kVanished);
+    ASSERT_TRUE(a.AllowAttempt(OpClass::kSetNice, ta, now));
+    a.RecordFailure(OpClass::kSetNice, ta, now, ErrorSeverity::kVanished);
+    b.RecordFailure(OpClass::kSetNice, tb, now, ErrorSeverity::kVanished);
     const SimTime delay = a.target_next_retry(OpClass::kSetNice, "t:0/0") - now;
     EXPECT_EQ(delay, b.target_next_retry(OpClass::kSetNice, "t:0/0") - now);
     if (prev_delay > 0) {
       EXPECT_EQ(delay, 2 * prev_delay);
     }
-    EXPECT_FALSE(a.AllowAttempt(OpClass::kSetNice, "t:0/0", now));
+    EXPECT_FALSE(a.AllowAttempt(OpClass::kSetNice, ta, now));
     now = a.target_next_retry(OpClass::kSetNice, "t:0/0");
     prev_delay = delay;
   }
@@ -289,9 +318,11 @@ TEST(OpHealthTest, BackoffDoublesAndIsDeterministic) {
 
 TEST(OpHealthTest, PermanentFailuresDeepenBackoffTwiceAsFast) {
   OpHealthTracker tracker(FastHealth());
-  tracker.RecordFailure(OpClass::kSetNice, "x", 0, ErrorSeverity::kPermanent);
+  tracker.RecordFailure(OpClass::kSetNice, tracker.InternTarget("x"), 0,
+                        ErrorSeverity::kPermanent);
   EXPECT_EQ(tracker.target_failures(OpClass::kSetNice, "x"), 2);
-  tracker.RecordFailure(OpClass::kSetNice, "y", 0, ErrorSeverity::kTransient);
+  tracker.RecordFailure(OpClass::kSetNice, tracker.InternTarget("y"), 0,
+                        ErrorSeverity::kTransient);
   EXPECT_EQ(tracker.target_failures(OpClass::kSetNice, "y"), 1);
   EXPECT_GT(tracker.target_next_retry(OpClass::kSetNice, "x"),
             tracker.target_next_retry(OpClass::kSetNice, "y"));
@@ -300,49 +331,53 @@ TEST(OpHealthTest, PermanentFailuresDeepenBackoffTwiceAsFast) {
 TEST(OpHealthTest, BreakerOpensProbesAndCloses) {
   OpHealthTracker tracker(FastHealth());  // threshold 3, probe 2s
   // Distinct targets so per-target backoff does not mask the class gate.
+  std::vector<OpHealthTracker::TargetId> t;
   for (int i = 0; i < 3; ++i) {
-    const std::string target = "t" + std::to_string(i);
-    ASSERT_TRUE(tracker.AllowAttempt(OpClass::kSetGroupShares, target, 0));
-    tracker.RecordFailure(OpClass::kSetGroupShares, target, 0,
+    t.push_back(tracker.InternTarget("t" + std::to_string(i)));
+  }
+  const auto fresh = tracker.InternTarget("fresh");
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(tracker.AllowAttempt(OpClass::kSetGroupShares, t[i], 0));
+    tracker.RecordFailure(OpClass::kSetGroupShares, t[i], 0,
                           ErrorSeverity::kTransient);
   }
   EXPECT_EQ(tracker.class_state(OpClass::kSetGroupShares), BreakerState::kOpen);
   EXPECT_EQ(tracker.open_breakers(), 1);
   EXPECT_EQ(tracker.breaker_opens(OpClass::kSetGroupShares), 1u);
   // Open: everything suppressed before the probe time, even new targets.
-  EXPECT_FALSE(tracker.AllowAttempt(OpClass::kSetGroupShares, "fresh", Seconds(1)));
+  EXPECT_FALSE(tracker.AllowAttempt(OpClass::kSetGroupShares, fresh, Seconds(1)));
   EXPECT_FALSE(tracker.ProbeDue(OpClass::kSetGroupShares, Seconds(1)));
 
   // Probe due: exactly one attempt is let through (the probe).
   EXPECT_TRUE(tracker.ProbeDue(OpClass::kSetGroupShares, Seconds(2)));
-  EXPECT_TRUE(tracker.AllowAttempt(OpClass::kSetGroupShares, "t0", Seconds(2)));
+  EXPECT_TRUE(tracker.AllowAttempt(OpClass::kSetGroupShares, t[0], Seconds(2)));
   EXPECT_EQ(tracker.class_state(OpClass::kSetGroupShares),
             BreakerState::kHalfOpen);
-  EXPECT_FALSE(tracker.AllowAttempt(OpClass::kSetGroupShares, "t1", Seconds(2)));
+  EXPECT_FALSE(tracker.AllowAttempt(OpClass::kSetGroupShares, t[1], Seconds(2)));
 
   // Failed probe: reopens with a doubled interval.
-  tracker.RecordFailure(OpClass::kSetGroupShares, "t0", Seconds(2),
+  tracker.RecordFailure(OpClass::kSetGroupShares, t[0], Seconds(2),
                         ErrorSeverity::kTransient);
   EXPECT_EQ(tracker.class_state(OpClass::kSetGroupShares), BreakerState::kOpen);
   EXPECT_FALSE(tracker.ProbeDue(OpClass::kSetGroupShares, Seconds(4)));
   EXPECT_TRUE(tracker.ProbeDue(OpClass::kSetGroupShares, Seconds(6)));
 
   // Successful probe: closes AND clears the class's per-target backoff.
-  ASSERT_TRUE(tracker.AllowAttempt(OpClass::kSetGroupShares, "t1", Seconds(6)));
-  tracker.RecordSuccess(OpClass::kSetGroupShares, "t1", Seconds(6));
+  ASSERT_TRUE(tracker.AllowAttempt(OpClass::kSetGroupShares, t[1], Seconds(6)));
+  tracker.RecordSuccess(OpClass::kSetGroupShares, t[1], Seconds(6));
   EXPECT_EQ(tracker.class_state(OpClass::kSetGroupShares),
             BreakerState::kClosed);
   EXPECT_EQ(tracker.open_breakers(), 0);
   for (int i = 0; i < 3; ++i) {
-    EXPECT_TRUE(tracker.AllowAttempt(OpClass::kSetGroupShares,
-                                     "t" + std::to_string(i), Seconds(6)));
+    EXPECT_TRUE(tracker.AllowAttempt(OpClass::kSetGroupShares, t[i], Seconds(6)));
   }
 }
 
 TEST(OpHealthTest, VanishedErrorsNeverOpenTheBreaker) {
   OpHealthTracker tracker(FastHealth());
   for (int i = 0; i < 20; ++i) {
-    tracker.RecordFailure(OpClass::kSetNice, "t" + std::to_string(i), 0,
+    tracker.RecordFailure(OpClass::kSetNice,
+                          tracker.InternTarget("t" + std::to_string(i)), 0,
                           ErrorSeverity::kVanished);
   }
   EXPECT_EQ(tracker.class_state(OpClass::kSetNice), BreakerState::kClosed);
@@ -350,14 +385,17 @@ TEST(OpHealthTest, VanishedErrorsNeverOpenTheBreaker) {
 
 TEST(OpHealthTest, ForgetTargetDropsStateAcrossClasses) {
   OpHealthTracker tracker(FastHealth());
-  tracker.RecordFailure(OpClass::kSetNice, "t:1/0", 0,
+  const auto target = tracker.InternTarget("t:1/0");
+  tracker.RecordFailure(OpClass::kSetNice, target, 0,
                         ErrorSeverity::kTransient);
-  tracker.RecordFailure(OpClass::kMoveToGroup, "t:1/0", 0,
+  tracker.RecordFailure(OpClass::kMoveToGroup, target, 0,
                         ErrorSeverity::kTransient);
   EXPECT_EQ(tracker.tracked_targets(), 2u);
-  tracker.ForgetTarget("t:1/0");
+  EXPECT_EQ(tracker.FindTarget("t:1/0"), target);
+  tracker.ForgetTarget(target);
   EXPECT_EQ(tracker.tracked_targets(), 0u);
-  EXPECT_TRUE(tracker.AllowAttempt(OpClass::kSetNice, "t:1/0", 0));
+  EXPECT_TRUE(tracker.AllowAttempt(OpClass::kSetNice, target, 0));
+  EXPECT_EQ(tracker.FindTarget("t:2/0"), OpHealthTracker::kNoTarget);
 }
 
 // ---------------------------------------------------------------------------

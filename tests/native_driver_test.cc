@@ -97,6 +97,32 @@ TEST(NativeDriverTest, RefreshReResolvesAfterRestart) {
   EXPECT_EQ(driver.Entities()[0].thread.os_tid, 777);
 }
 
+TEST(NativeDriverTest, EntitiesGenerationMovesOnlyWhenATidChanges) {
+  NativeRig rig;
+  rig.AddThread(500, 501, "exec-spout-1");
+  rig.AddThread(500, 502, "exec-parse-3");
+  NativeSpeDriver driver(rig.BaseConfig());
+  driver.Refresh(Seconds(1));
+  const std::uint64_t first = driver.EntitiesGeneration();
+  EXPECT_NE(first, 0u);
+  // A re-scan that resolves the same tids, and new metric lines, keep it.
+  rig.AppendMetric("storm.lr.spout.queue_size", 3, 1);
+  driver.Refresh(Seconds(2));
+  EXPECT_EQ(driver.EntitiesGeneration(), first);
+  // The spout restarts under a new tid: the entity set changed.
+  fs::remove_all(rig.dir() / "proc" / "500" / "task" / "501");
+  rig.AddThread(500, 777, "exec-spout-1");
+  driver.Refresh(Seconds(3));
+  const std::uint64_t restarted = driver.EntitiesGeneration();
+  EXPECT_NE(restarted, 0u);
+  EXPECT_NE(restarted, first);
+  EXPECT_EQ(driver.Entities()[0].thread.os_tid, 777);
+  // So does a thread that appears for an operator unresolved so far.
+  rig.AddThread(500, 503, "exec-sink-0");
+  driver.Refresh(Seconds(4));
+  EXPECT_NE(driver.EntitiesGeneration(), restarted);
+}
+
 TEST(NativeDriverTest, TailsGraphiteFileIncrementally) {
   NativeRig rig;
   NativeSpeDriver driver(rig.BaseConfig());

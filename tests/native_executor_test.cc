@@ -82,7 +82,7 @@ class ConstantPolicy final : public core::SchedulingPolicy {
     ++*counter_;
     core::Schedule s;
     ctx.ForEachEntity([&](core::SpeDriver&, const core::EntityInfo& e) {
-      s.entries.push_back({e, static_cast<double>(e.id.value())});
+      s.entries.push_back({&e, static_cast<double>(e.id.value())});
     });
     return s;
   }

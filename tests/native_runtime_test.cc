@@ -271,6 +271,30 @@ TEST(NativeRuntimeDriverTest, PollScrapesAndFetchServesDeltas) {
   EXPECT_EQ(topo.egress_indices, std::vector<int>{1});
 }
 
+TEST(NativeRuntimeDriverTest, EntitiesGenerationMovesWithOperatorsAndTids) {
+  spe::NativeRuntime runtime;
+  runtime.AddQuery(Chain("a", {0, 0}), ExactCount(100));
+  osctl::NativeRuntimeDriver driver(runtime);
+  const std::uint64_t deployed = driver.EntitiesGeneration();
+  EXPECT_NE(deployed, 0u);
+  EXPECT_EQ(driver.EntitiesGeneration(), deployed);
+  runtime.AddQuery(Chain("b", {0, 0}), ExactCount(100));
+  const std::uint64_t added = driver.EntitiesGeneration();
+  EXPECT_NE(added, deployed);
+  // Start returns once every operator thread has registered its tid.
+  runtime.Start();
+  const std::uint64_t started = driver.EntitiesGeneration();
+  EXPECT_NE(started, added);
+  EXPECT_EQ(driver.EntitiesGeneration(), started);
+  for (const core::EntityInfo& e : driver.Entities()) {
+    EXPECT_GT(e.thread.os_tid, 0) << e.path;
+  }
+  WaitUntil([&] {
+    return runtime.TotalEmitted(0) >= 100 && runtime.TotalEmitted(1) >= 100;
+  });
+  runtime.Stop(/*drain=*/true);
+}
+
 // Poll interns each operator's series on first sight and appends by
 // handle; Fetch resolves its own handles on first read. Both must land on
 // the series the registry reports under "<query>.<op>.<suffix>".

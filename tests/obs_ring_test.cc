@@ -97,6 +97,33 @@ TEST(RecorderTest, DisabledRecordsNothing) {
   EXPECT_TRUE(recorder.Snapshot().empty());
 }
 
+TEST(RecorderTest, OpByInternedTargetRecordsTheSameEvent) {
+  Recorder by_name(16);
+  Recorder by_id(16);
+  by_name.Op(7, EventKind::kOpApplied, 2, "g:op-liebre.syn17.op2.0", 512,
+             "detail");
+  const StrId target = by_id.Intern("g:op-liebre.syn17.op2.0");
+  by_id.Op(7, EventKind::kOpApplied, 2, target, 512, "detail");
+  const std::vector<Event> a = by_name.Snapshot();
+  const std::vector<Event> b = by_id.Snapshot();
+  ASSERT_EQ(a.size(), 1u);
+  ASSERT_EQ(b.size(), 1u);
+  EXPECT_EQ(a[0].kind, b[0].kind);
+  EXPECT_EQ(a[0].time, b[0].time);
+  EXPECT_EQ(a[0].op_class, b[0].op_class);
+  EXPECT_EQ(a[0].v0, b[0].v0);
+  EXPECT_EQ(a[0].target, b[0].target);
+  EXPECT_EQ(a[0].detail, b[0].detail);
+  EXPECT_EQ(by_id.Name(b[0].target), "g:op-liebre.syn17.op2.0");
+  // The same gates: elisions are verbose-only, a disabled recorder
+  // records nothing.
+  by_id.Op(8, EventKind::kOpElided, 2, target, 512);
+  EXPECT_EQ(by_id.total_recorded(), 1u);
+  by_id.set_enabled(false);
+  by_id.Op(9, EventKind::kOpApplied, 2, target, 512);
+  EXPECT_EQ(by_id.total_recorded(), 1u);
+}
+
 TEST(RecorderTest, ElisionsAndSamplesAreVerboseOnly) {
   Recorder recorder(16);
   recorder.Op(0, EventKind::kOpElided, 0, "t:1/-1", -5);

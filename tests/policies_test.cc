@@ -34,7 +34,7 @@ struct PolicyRig {
 
 double PriorityOf(const Schedule& s, OperatorId id) {
   for (const auto& entry : s.entries) {
-    if (entry.entity.id == id) return entry.priority;
+    if (entry.entity->id == id) return entry.priority;
   }
   ADD_FAILURE() << "entity " << id << " not in schedule";
   return 0;
@@ -155,7 +155,7 @@ TEST(PolicyFilterTest, FilterRestrictsScheduledEntities) {
   ctx.filter = [](const EntityInfo& e) { return e.query == QueryId(1); };
   const Schedule s = policy.ComputeSchedule(ctx);
   ASSERT_EQ(s.entries.size(), 1u);
-  EXPECT_EQ(s.entries[0].entity.id, b.id);
+  EXPECT_EQ(s.entries[0].entity->id, b.id);
 }
 
 
@@ -179,8 +179,8 @@ TEST(CriticalChainPolicyTest, TagsEntriesOfCriticalQueries) {
   ASSERT_EQ(s.entries.size(), 3u);
   for (const ScheduleEntry& entry : s.entries) {
     const bool critical = entry.criticality == Criticality::kLatencyCritical;
-    EXPECT_EQ(critical, entry.entity.query == QueryId(1))
-        << entry.entity.path;
+    EXPECT_EQ(critical, entry.entity->query == QueryId(1))
+        << entry.entity->path;
   }
   EXPECT_DOUBLE_EQ(PriorityOf(s, a.id), 5);
   EXPECT_DOUBLE_EQ(PriorityOf(s, b.id), 1);

@@ -3,6 +3,7 @@
 // refcounted metric registration, and cadence across disable/re-enable.
 #include <cerrno>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -31,7 +32,7 @@ class CountingPolicy final : public SchedulingPolicy {
     ++*counter_;
     Schedule s;
     ctx.ForEachEntity([&](SpeDriver& driver, const EntityInfo& e) {
-      s.entries.push_back({e, ctx.provider->Value(driver, required_, e.id)});
+      s.entries.push_back({&e, ctx.provider->Value(driver, required_, e.id)});
     });
     return s;
   }
@@ -360,6 +361,90 @@ TEST(RunnerDynamicTest, AddAndRemoveBeforeStart) {
   EXPECT_EQ(kept_count, 3);
   EXPECT_EQ(dropped_count, 0);
   EXPECT_FALSE(runner.provider().registered().count(MetricId::kHeadTupleAge));
+}
+
+// Builds a driver reporting generations in `storage`, destroying the one
+// there: two operators of one query on sim threads first_tid and
+// first_tid + 1.
+FakeDriver& BuildDriverIn(std::optional<FakeDriver>& storage,
+                          std::uint64_t first_tid) {
+  FakeDriver& driver = storage.emplace();
+  driver.Provide(MetricId::kQueueSize);
+  for (int i = 0; i < 2; ++i) {
+    EntityInfo& e = driver.AddEntity(QueryId(0), {i});
+    e.thread.sim_tid = ThreadId(first_tid + static_cast<std::uint64_t>(i));
+    driver.SetValue(MetricId::kQueueSize, e.id, 10.0 * (i + 1));
+  }
+  driver.TrackGenerations();
+  return driver;
+}
+
+PolicyBinding BindingOf(SpeDriver& driver, int* counter) {
+  PolicyBinding b;
+  b.policy = std::make_unique<CountingPolicy>(counter);
+  b.translator = std::make_unique<NiceTranslator>();
+  b.period = Seconds(1);
+  b.drivers = {&driver};
+  return b;
+}
+
+TEST(RunnerDynamicTest, DetachDropsTheSnapshotOfADriverBuiltAgainInItsStorage) {
+  sim::Simulator sim;
+  SimControlExecutor executor(sim);
+  RecordingOsAdapter os;
+  LachesisRunner runner(executor, os);
+  std::optional<FakeDriver> storage;
+  FakeDriver& first = BuildDriverIn(storage, 0);
+  int count = 0;
+  const std::size_t index = runner.AddQuery(BindingOf(first, &count));
+  runner.Start(Seconds(3));
+  sim.RunUntil(Seconds(1));
+  ASSERT_EQ(count, 1);
+  EXPECT_EQ(os.nices.count(0), 1u);
+  ASSERT_TRUE(runner.provider().HasSnapshot(first));
+
+  // Detached: nothing references the driver, so its snapshot goes.
+  runner.RemoveQuery(index);
+  EXPECT_FALSE(runner.provider().HasSnapshot(first));
+
+  // A different driver in the same storage, attached afresh: its first
+  // tick schedules its own entities.
+  FakeDriver& second = BuildDriverIn(storage, 100);
+  ASSERT_EQ(&second, &first);
+  os.nices.clear();
+  runner.AddQuery(BindingOf(second, &count));
+  sim.RunUntil(Seconds(2));
+  ASSERT_EQ(count, 2);
+  EXPECT_EQ(os.nices.count(100), 1u);
+  EXPECT_EQ(os.nices.count(101), 1u);
+  EXPECT_EQ(os.nices.count(0), 0u);
+  EXPECT_EQ(os.nices.count(1), 0u);
+}
+
+TEST(RunnerDynamicTest, DriverRebuiltUnderAnAttachedBindingIsSnapshottedAfresh) {
+  // The provider keeps the snapshot of a driver an attached binding still
+  // references; only the generation tells the rebuilt driver apart. Both
+  // builds take exactly one generation, so per-driver counters would
+  // report the same value and leave the old entities scheduled.
+  sim::Simulator sim;
+  SimControlExecutor executor(sim);
+  RecordingOsAdapter os;
+  LachesisRunner runner(executor, os);
+  std::optional<FakeDriver> storage;
+  FakeDriver& first = BuildDriverIn(storage, 0);
+  int count = 0;
+  runner.AddQuery(BindingOf(first, &count));
+  runner.Start(Seconds(2));
+  sim.RunUntil(Seconds(1));
+  EXPECT_EQ(os.nices.count(0), 1u);
+
+  BuildDriverIn(storage, 100);
+  os.nices.clear();
+  sim.RunUntil(Seconds(2));
+  ASSERT_EQ(count, 2);
+  EXPECT_EQ(os.nices.count(100), 1u);
+  EXPECT_EQ(os.nices.count(101), 1u);
+  EXPECT_EQ(os.nices.count(0), 0u);
 }
 
 }  // namespace

@@ -31,7 +31,7 @@ class CountingPolicy final : public SchedulingPolicy {
     Schedule s;
     ctx.ForEachEntity([&](SpeDriver& driver, const EntityInfo& e) {
       s.entries.push_back(
-          {e, ctx.provider->Value(driver, required_, e.id)});
+          {&e, ctx.provider->Value(driver, required_, e.id)});
     });
     return s;
   }

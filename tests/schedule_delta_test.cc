@@ -652,7 +652,7 @@ class ConstantPolicy final : public SchedulingPolicy {
   Schedule ComputeSchedule(const PolicyContext& ctx) override {
     Schedule s;
     ctx.ForEachEntity([&](SpeDriver&, const EntityInfo& e) {
-      s.entries.push_back({e, static_cast<double>(e.id.value())});
+      s.entries.push_back({&e, static_cast<double>(e.id.value())});
     });
     return s;
   }

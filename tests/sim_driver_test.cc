@@ -159,6 +159,29 @@ TEST(SimDriverTest, FetchBeforeTheFirstScrapeReadsZeroThenTheScrapedValue) {
   EXPECT_GT(ingested, 0.0);
 }
 
+TEST(SimDriverTest, EntitiesGenerationMovesOnDeployNotOnScrape) {
+  DriverRig rig(spe::LiebreFlavor());
+  SimSpeDriver driver(rig.instance, rig.store, Seconds(1));
+  const std::uint64_t first = driver.EntitiesGeneration();
+  EXPECT_NE(first, 0u);
+  // Scrapes move metrics, not the entity set.
+  rig.scraper.Start(Seconds(3));
+  rig.sim.RunUntil(Seconds(3));
+  EXPECT_GT(rig.store.series_count(), 0u);
+  EXPECT_EQ(driver.EntitiesGeneration(), first);
+  // A mid-run deploy adds entities: the generation moves, then holds.
+  rig.instance.Deploy(TinyQuery("late"), {});
+  const std::uint64_t deployed = driver.EntitiesGeneration();
+  EXPECT_NE(deployed, 0u);
+  EXPECT_NE(deployed, first);
+  EXPECT_EQ(driver.EntitiesGeneration(), deployed);
+  EXPECT_EQ(driver.Entities().size(), 6u);
+  // Generations are process-wide: another driver of the same deployment
+  // reports its own.
+  SimSpeDriver other(rig.instance, rig.store, Seconds(1));
+  EXPECT_NE(other.EntitiesGeneration(), deployed);
+}
+
 // Records the kTuplesInTotal value the provider served per entity path.
 class TuplesInRecorder final : public SchedulingPolicy {
  public:

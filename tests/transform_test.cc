@@ -17,6 +17,13 @@ EntityInfo Entity(std::uint64_t id, QueryId query, std::vector<int> logicals,
   return e;
 }
 
+// The transformation borrows entities by pointer.
+std::vector<const EntityInfo*> Pointers(const std::vector<EntityInfo>& entities) {
+  std::vector<const EntityInfo*> pointers;
+  for (const EntityInfo& e : entities) pointers.push_back(&e);
+  return pointers;
+}
+
 TEST(TransformTest, FissionCopiesPriorityToReplicas) {
   LogicalSchedule logical;
   logical.query = QueryId(0);
@@ -24,7 +31,7 @@ TEST(TransformTest, FissionCopiesPriorityToReplicas) {
   const std::vector<EntityInfo> entities = {
       Entity(0, QueryId(0), {0}, 0), Entity(1, QueryId(0), {0}, 1),
       Entity(2, QueryId(0), {0}, 2)};
-  const auto out = TransformLogicalSchedule(logical, entities);
+  const auto out = TransformLogicalSchedule(logical, Pointers(entities));
   ASSERT_EQ(out.size(), 3u);
   for (const auto& entry : out) EXPECT_DOUBLE_EQ(entry.priority, 7.0);
 }
@@ -36,7 +43,7 @@ TEST(TransformTest, FusionTakesMaxByDefault) {
   logical.query = QueryId(0);
   logical.priorities = {{0, 1.0}, {1, 9.0}, {2, 4.0}};
   const std::vector<EntityInfo> entities = {Entity(0, QueryId(0), {0, 1, 2})};
-  const auto out = TransformLogicalSchedule(logical, entities);
+  const auto out = TransformLogicalSchedule(logical, Pointers(entities));
   ASSERT_EQ(out.size(), 1u);
   EXPECT_DOUBLE_EQ(out[0].priority, 9.0);
 }
@@ -46,7 +53,7 @@ TEST(TransformTest, MissingLogicalPriorityDefaultsToZero) {
   logical.query = QueryId(0);
   logical.priorities = {{0, 5.0}};  // logical 1 not mentioned
   const std::vector<EntityInfo> entities = {Entity(0, QueryId(0), {1})};
-  const auto out = TransformLogicalSchedule(logical, entities);
+  const auto out = TransformLogicalSchedule(logical, Pointers(entities));
   ASSERT_EQ(out.size(), 1u);
   EXPECT_DOUBLE_EQ(out[0].priority, 0.0);
 }
@@ -57,9 +64,9 @@ TEST(TransformTest, OtherQueriesExcluded) {
   logical.priorities = {{0, 5.0}};
   const std::vector<EntityInfo> entities = {Entity(0, QueryId(0), {0}),
                                             Entity(1, QueryId(1), {0})};
-  const auto out = TransformLogicalSchedule(logical, entities);
+  const auto out = TransformLogicalSchedule(logical, Pointers(entities));
   ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0].entity.id, OperatorId(0));
+  EXPECT_EQ(out[0].entity, &entities[0]);
 }
 
 TEST(TransformTest, MixedFusionAndFission) {
@@ -70,7 +77,7 @@ TEST(TransformTest, MixedFusionAndFission) {
   const std::vector<EntityInfo> entities = {
       Entity(0, QueryId(0), {0, 1}, 0), Entity(1, QueryId(0), {0, 1}, 1),
       Entity(2, QueryId(0), {2}, 0)};
-  const auto out = TransformLogicalSchedule(logical, entities);
+  const auto out = TransformLogicalSchedule(logical, Pointers(entities));
   ASSERT_EQ(out.size(), 3u);
   EXPECT_DOUBLE_EQ(out[0].priority, 8.0);
   EXPECT_DOUBLE_EQ(out[1].priority, 8.0);

@@ -3,6 +3,7 @@
 // multi-dimensional scheme, against a recording OS adapter.
 #include "core/translators.h"
 
+#include <deque>
 #include <limits>
 #include <memory>
 #include <vector>
@@ -16,13 +17,16 @@ namespace {
 
 using testing::RecordingOsAdapter;
 
-EntityInfo Entity(std::uint64_t id, const std::string& query_name = "q0") {
-  EntityInfo e;
+// Schedules borrow their entities, so every entity a test makes lives as
+// long as the test binary.
+const EntityInfo* Entity(std::uint64_t id, const std::string& query_name = "q0") {
+  static std::deque<EntityInfo> entities;
+  EntityInfo& e = entities.emplace_back();
   e.id = OperatorId(id);
   e.path = "spe." + query_name + ".op" + std::to_string(id);
   e.query_name = query_name;
   e.thread.sim_tid = ThreadId(id);
-  return e;
+  return &e;
 }
 
 Schedule MakeSchedule(std::vector<double> priorities,
