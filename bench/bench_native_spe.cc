@@ -9,7 +9,12 @@
 //                       futex sleep/wake protocol under full/empty races
 //   executor/N-op       tuples/sec through 1-, 2- and 4-operator chains at
 //                       zero emulated cost: the per-tuple framework
-//                       overhead (ring hop + bookkeeping) per chain stage
+//                       overhead (ring hop + bookkeeping) per chain stage,
+//                       with the parks and the process's voluntary and
+//                       involuntary context switches per tuple that explain
+//                       it (getrusage(RUSAGE_SELF) deltas around each run;
+//                       the bench thread's 1 ms polls add a few hundred
+//                       voluntary switches per run)
 //
 // On a 1-core host the cross-thread and executor numbers include mandatory
 // context switches; hw_cores in the json says which regime produced them.
@@ -22,6 +27,8 @@
 #include <string>
 #include <thread>
 #include <vector>
+
+#include <sys/resource.h>
 
 #include "bench/bench_json.h"
 #include "exp/report.h"
@@ -79,6 +86,8 @@ struct ExecutorPoint {
   double wall_seconds = 0;
   double tuples_per_sec = 0;
   std::uint64_t sleeps = 0;  // producer+consumer parks across all rings
+  double voluntary_switches_per_tuple = 0;
+  double involuntary_switches_per_tuple = 0;
 };
 
 // Runs `tuples` through a linear chain of `length` zero-cost operators and
@@ -108,6 +117,8 @@ ExecutorPoint BenchExecutor(int length, std::uint64_t tuples) {
   deploy.max_tuples = tuples;
   runtime.AddQuery(query, deploy);
 
+  rusage usage_before{};
+  getrusage(RUSAGE_SELF, &usage_before);
   const auto start = std::chrono::steady_clock::now();
   runtime.Start();
   // Stop(drain) halts the source, so wait for the full batch to be
@@ -117,12 +128,20 @@ ExecutorPoint BenchExecutor(int length, std::uint64_t tuples) {
   }
   runtime.Stop(/*drain=*/true);
   const double wall = WallSeconds(start);
+  rusage usage_after{};
+  getrusage(RUSAGE_SELF, &usage_after);
 
   ExecutorPoint point;
   point.chain_length = length;
   point.tuples = runtime.TotalIngested(0);
   point.wall_seconds = wall;
   point.tuples_per_sec = static_cast<double>(point.tuples) / wall;
+  point.voluntary_switches_per_tuple =
+      static_cast<double>(usage_after.ru_nvcsw - usage_before.ru_nvcsw) /
+      static_cast<double>(point.tuples);
+  point.involuntary_switches_per_tuple =
+      static_cast<double>(usage_after.ru_nivcsw - usage_before.ru_nivcsw) /
+      static_cast<double>(point.tuples);
   for (const auto& op : runtime.ops()) {
     point.sleeps +=
         op->input().producer_sleeps() + op->input().consumer_sleeps();
@@ -160,10 +179,12 @@ int main() {
     const ExecutorPoint& p = points.back();
     std::printf(
         "executor %d-op chain: %.1f Ktuples/s (%llu tuples, %.2fs, "
-        "%llu parks)\n",
+        "%llu parks, %.3f voluntary + %.3f involuntary context switches "
+        "per tuple)\n",
         p.chain_length, p.tuples_per_sec / 1e3,
         static_cast<unsigned long long>(p.tuples), p.wall_seconds,
-        static_cast<unsigned long long>(p.sleeps));
+        static_cast<unsigned long long>(p.sleeps),
+        p.voluntary_switches_per_tuple, p.involuntary_switches_per_tuple);
     std::fflush(stdout);
   }
 
@@ -184,6 +205,9 @@ int main() {
         .Field("wall_seconds", p.wall_seconds)
         .Field("tuples_per_sec", p.tuples_per_sec)
         .Field("parks", p.sleeps)
+        .Field("voluntary_switches_per_tuple", p.voluntary_switches_per_tuple)
+        .Field("involuntary_switches_per_tuple",
+               p.involuntary_switches_per_tuple)
         .EndObject();
   }
   json.EndArray().EndObject();

@@ -36,6 +36,9 @@ cmake -S "$SRC_DIR" -B "$BUILD_DIR" \
 # policy, translator, transform, provider, runner and HR + shares golden
 # suites would read a stale snapshot here, and sim_os_adapter_test and
 # obs_ring_test cover the hashed group index and the recorder's id path.
+# native_queue_test and native_runtime_test run here as well as under TSan:
+# the executor's parks hand the futex syscall a pointer derived from an
+# atomic, and ring slot indexing wraps on every lap.
 cmake --build "$BUILD_DIR" -j "$JOBS" \
   --target fault_tolerance_test failure_injection_test \
            schedule_delta_test runner_dynamic_test \
@@ -45,6 +48,7 @@ cmake --build "$BUILD_DIR" -j "$JOBS" \
            policies_test translators_test transform_test \
            metric_provider_test runner_test hr_shares_golden_test \
            sim_os_adapter_test obs_ring_test \
+           native_queue_test native_runtime_test \
            fleet_sim_test fleet_chaos_test
 
 status=0
@@ -56,6 +60,7 @@ for t in fault_tolerance_test failure_injection_test \
          policies_test translators_test transform_test \
          metric_provider_test runner_test hr_shares_golden_test \
          sim_os_adapter_test obs_ring_test \
+         native_queue_test native_runtime_test \
          fleet_sim_test; do
   "$BUILD_DIR/tests/$t" --gtest_brief=1 || status=$?
 done

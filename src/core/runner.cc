@@ -7,6 +7,20 @@
 
 namespace lachesis::core {
 
+namespace {
+
+// The recorder id of `name`, kept in `id` from the first tick that records
+// it. Interning on first record, not at AddQuery, keeps the recorder's ids
+// in the order it first records each name and interns nothing while
+// recording is off.
+obs::StrId InternOnce(obs::Recorder& recorder, obs::StrId& id,
+                      const std::string& name) {
+  if (id == obs::kNoStr && recorder.enabled()) id = recorder.Intern(name);
+  return id;
+}
+
+}  // namespace
+
 LachesisRunner::LachesisRunner(ControlExecutor& executor, OsAdapter& os,
                                std::uint64_t seed)
     : executor_(&executor), delta_(os), rng_(seed) {
@@ -66,6 +80,8 @@ std::size_t LachesisRunner::AddQuery(PolicyBinding binding) {
   bound.context.drivers = bound.binding.drivers;
   bound.context.filter = bound.binding.filter;
   bound.context.rng = &rng_;
+  bound.rung_names.assign(1 + bound.binding.fallback_translators.size(),
+                          obs::kNoStr);
   bindings_.push_back(std::move(bound));
   const std::size_t index = bindings_.size() - 1;
   if (started_) {
@@ -288,13 +304,15 @@ void LachesisRunner::Tick() {
       bound.context.now = now;
       // The schedule borrows the provider's snapshot: valid this tick only.
       const Schedule schedule = b.policy->ComputeSchedule(bound.context);
-      recorder_.ScheduleComputed(now, static_cast<int>(index),
-                                 static_cast<int>(schedule.entries.size()),
-                                 b.policy->name());
+      recorder_.ScheduleComputed(
+          now, static_cast<int>(index),
+          static_cast<int>(schedule.entries.size()),
+          InternOnce(recorder_, bound.policy_name, b.policy->name()));
       Translator* translator = PickTranslator(index, bound, now);
-      recorder_.TranslatorPicked(now, static_cast<int>(index),
-                                 static_cast<int>(bound.level),
-                                 translator->name());
+      recorder_.TranslatorPicked(
+          now, static_cast<int>(index), static_cast<int>(bound.level),
+          InternOnce(recorder_, bound.rung_names[bound.level],
+                     translator->name()));
       translator->Apply(schedule, delta_);
       ++schedules_applied_;
       ++policies_run;

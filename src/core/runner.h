@@ -189,6 +189,10 @@ class LachesisRunner {
     SimTime next_run = 0;
     // Active ladder rung (0 = primary translator).
     std::size_t level = 0;
+    // Recorder ids of the policy's name and of each rung's translator
+    // name; kNoStr until a tick first records them.
+    obs::StrId policy_name = obs::kNoStr;
+    std::vector<obs::StrId> rung_names;
   };
 
   void Tick();

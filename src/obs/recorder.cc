@@ -98,26 +98,26 @@ void Recorder::MetricSample(SimTime now, std::string_view entity,
 }
 
 void Recorder::ScheduleComputed(SimTime now, int binding, int entries,
-                                std::string_view policy) {
+                                StrId policy) {
   if (!enabled_) return;
   Event e;
   e.time = now;
   e.kind = EventKind::kScheduleComputed;
   e.i0 = binding;
   e.i1 = entries;
-  e.detail = Intern(policy);
+  e.detail = policy;
   Push(e);
 }
 
 void Recorder::TranslatorPicked(SimTime now, int binding, int rung,
-                                std::string_view translator) {
+                                StrId translator) {
   if (!enabled_) return;
   Event e;
   e.time = now;
   e.kind = EventKind::kTranslatorPicked;
   e.i0 = binding;
   e.i1 = rung;
-  e.detail = Intern(translator);
+  e.detail = translator;
   Push(e);
 }
 

@@ -79,10 +79,10 @@ class Recorder {
   void TickEnd(SimTime now, const TickSummary& summary);
   void MetricSample(SimTime now, std::string_view entity,
                     std::string_view metric, double value);
-  void ScheduleComputed(SimTime now, int binding, int entries,
-                        std::string_view policy);
-  void TranslatorPicked(SimTime now, int binding, int rung,
-                        std::string_view translator);
+  // The policy's and the translator's names come interned (Intern(name)),
+  // so a runner that keeps the ids records each tick without hashing them.
+  void ScheduleComputed(SimTime now, int binding, int entries, StrId policy);
+  void TranslatorPicked(SimTime now, int binding, int rung, StrId translator);
   void Op(SimTime now, EventKind kind, int op_class, std::string_view target,
           std::int64_t value, std::string_view detail = {});
   // The same with the target already interned (Intern(target)), so a

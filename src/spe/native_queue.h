@@ -4,7 +4,7 @@
 // operator thread to one consumer operator thread through a power-of-two
 // ring of slots. The fast path is wait-free for both sides (one cache line
 // each, no RMW, no syscalls); when a side runs dry/full it parks on a
-// futex via std::atomic::wait after a short bounded spin. The wake
+// futex (spe/futex.h) after a short bounded spin. The wake
 // handshake is an eventcount (worm-hole's sender_notify waiter-channel
 // shape): the sleeper advertises itself with a waiter flag, re-checks the
 // condition across a seq_cst fence, then sleeps on a generation counter
@@ -35,6 +35,8 @@
 #include <cstdint>
 #include <memory>
 #include <utility>
+
+#include "spe/futex.h"
 
 namespace lachesis::spe {
 
@@ -79,7 +81,7 @@ class NativeSpscQueue {
         return false;
       }
       producer_sleeps_.fetch_add(1, std::memory_order_relaxed);
-      not_full_seq_.wait(seq, std::memory_order_relaxed);
+      internal::FutexWait(not_full_seq_, seq);
       producer_waiting_.store(0, std::memory_order_relaxed);
     }
   }
@@ -124,7 +126,7 @@ class NativeSpscQueue {
         return TryPop(out);
       }
       consumer_sleeps_.fetch_add(1, std::memory_order_relaxed);
-      not_empty_seq_.wait(seq, std::memory_order_relaxed);
+      internal::FutexWait(not_empty_seq_, seq);
       consumer_waiting_.store(0, std::memory_order_relaxed);
     }
   }
@@ -139,8 +141,8 @@ class NativeSpscQueue {
     std::atomic_thread_fence(std::memory_order_seq_cst);
     not_empty_seq_.fetch_add(1, std::memory_order_release);
     not_full_seq_.fetch_add(1, std::memory_order_release);
-    not_empty_seq_.notify_all();
-    not_full_seq_.notify_all();
+    internal::FutexWakeAll(not_empty_seq_);
+    internal::FutexWakeAll(not_full_seq_);
   }
 
   [[nodiscard]] bool closed() const {
@@ -192,7 +194,7 @@ class NativeSpscQueue {
     std::atomic_thread_fence(std::memory_order_seq_cst);
     if (consumer_waiting_.load(std::memory_order_relaxed) != 0) {
       not_empty_seq_.fetch_add(1, std::memory_order_release);
-      not_empty_seq_.notify_one();
+      internal::FutexWakeOne(not_empty_seq_);
     }
   }
 
@@ -200,7 +202,7 @@ class NativeSpscQueue {
     std::atomic_thread_fence(std::memory_order_seq_cst);
     if (producer_waiting_.load(std::memory_order_relaxed) != 0) {
       not_full_seq_.fetch_add(1, std::memory_order_release);
-      not_full_seq_.notify_one();
+      internal::FutexWakeOne(not_full_seq_);
     }
   }
 

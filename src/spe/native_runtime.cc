@@ -10,6 +10,8 @@
 #include <unistd.h>
 #endif
 
+#include "spe/futex.h"
+
 namespace lachesis::spe {
 
 namespace {
@@ -160,9 +162,8 @@ void NativeRuntime::Start() {
   if (ops_.empty()) throw std::logic_error("NativeRuntime: no queries");
   started_ = true;
   epoch_ = std::chrono::steady_clock::now();
-  const int expected =
-      static_cast<int>(ops_.size()) + static_cast<int>(sources_.size());
-  threads_.reserve(static_cast<std::size_t>(expected));
+  const std::size_t expected = ops_.size() + sources_.size();
+  threads_.reserve(expected);
   for (auto& op : ops_) {
     const int cpu = NextPinCpu();
     threads_.emplace_back(
@@ -175,9 +176,9 @@ void NativeRuntime::Start() {
   }
   // Block until every thread registered its kernel tid, so callers can
   // hand the handles to the control plane immediately after Start().
-  int r = registered_.load(std::memory_order_acquire);
+  std::uint32_t r = registered_.load(std::memory_order_acquire);
   while (r < expected) {
-    registered_.wait(r, std::memory_order_acquire);
+    internal::FutexWait(registered_, r);
     r = registered_.load(std::memory_order_acquire);
   }
 }
@@ -217,7 +218,7 @@ void NativeRuntime::RegisterCurrentThread(const std::string& label,
   tid_out.store(-1, std::memory_order_release);
 #endif
   registered_.fetch_add(1, std::memory_order_release);
-  registered_.notify_all();
+  internal::FutexWakeAll(registered_);
 }
 
 void NativeRuntime::OperatorThreadBody(NativeOperator& op, int pin_cpu) {

@@ -228,7 +228,7 @@ class NativeRuntime {
   std::vector<std::unique_ptr<NativeOperator>> ops_;
   std::vector<std::unique_ptr<NativeSource>> sources_;
   std::vector<std::thread> threads_;
-  std::atomic<int> registered_{0};
+  std::atomic<std::uint32_t> registered_{0};
   std::atomic<bool> halt_{false};
   std::atomic<bool> source_stop_{false};
   std::atomic<int> pin_failures_{0};

@@ -16,6 +16,11 @@
 #include <thread>
 #include <vector>
 
+#ifdef __linux__
+#include <sched.h>
+#include <sys/resource.h>
+#endif
+
 namespace lachesis::spe {
 namespace {
 
@@ -238,6 +243,66 @@ TEST(NativeQueueTest, ConsumerWakesParkedProducer) {
   // A 2-slot ring against a sleeping consumer must have parked at least
   // once; the counter proves the sleep path actually ran.
   EXPECT_GT(queue.producer_sleeps(), 0u);
+}
+
+// A park must sleep in the kernel, not hand its CPU to the other side
+// with sched_yield: on a CPU shared by pinned operator threads, a yield
+// loop turns every park into an involuntary context switch that the
+// operators pay for. The producer and consumer share one CPU and bounce
+// each item through two rings, so the consumer parks on nearly every
+// item; each park that really sleeps is one voluntary context switch.
+TEST(NativeQueueTest, ParkedConsumerSleepsInTheKernel) {
+#ifndef __linux__
+  GTEST_SKIP() << "needs Linux CPU pinning and per-thread rusage";
+#else
+  cpu_set_t original;
+  CPU_ZERO(&original);
+  if (sched_getaffinity(0, sizeof(original), &original) != 0 ||
+      CPU_COUNT(&original) == 0) {
+    GTEST_SKIP() << "cannot read CPU affinity";
+  }
+  int pin_cpu = 0;
+  while (!CPU_ISSET(pin_cpu, &original)) ++pin_cpu;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(pin_cpu, &one);
+  // The consumer inherits the pin from this thread, which then produces.
+  if (sched_setaffinity(0, sizeof(one), &one) != 0) {
+    GTEST_SKIP() << "host refused sched_setaffinity";
+  }
+
+  constexpr std::uint64_t kItems = 20000;
+  NativeSpscQueue<std::uint64_t> to_consumer(8);
+  NativeSpscQueue<std::uint64_t> to_producer(8);
+  long consumer_nvcsw = 0;
+  std::thread consumer([&] {
+    rusage before{};
+    getrusage(RUSAGE_THREAD, &before);
+    std::uint64_t item = 0;
+    while (to_consumer.Pop(item)) {
+      if (!to_producer.Push(item)) break;
+    }
+    rusage after{};
+    getrusage(RUSAGE_THREAD, &after);
+    consumer_nvcsw = after.ru_nvcsw - before.ru_nvcsw;
+  });
+  std::uint64_t echoed = 0;
+  for (std::uint64_t i = 0; i < kItems; ++i) {
+    std::uint64_t echo = 0;
+    if (!to_consumer.Push(i) || !to_producer.Pop(echo) || echo != i) break;
+    ++echoed;
+  }
+  to_consumer.Close();
+  consumer.join();
+  sched_setaffinity(0, sizeof(original), &original);
+
+  EXPECT_EQ(echoed, kItems);
+  const std::uint64_t sleeps = to_consumer.consumer_sleeps();
+  EXPECT_GT(sleeps, 0u);
+  EXPECT_GE(2 * static_cast<std::uint64_t>(consumer_nvcsw), sleeps)
+      << consumer_nvcsw << " voluntary context switches for " << sleeps
+      << " consumer parks";
+#endif
 }
 
 TEST(NativeQueueTest, HighWaterTracksBacklogPeak) {
