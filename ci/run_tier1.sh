@@ -53,8 +53,9 @@ if [ "$status" -eq 0 ]; then
   run_bench bench_hetero env LACHESIS_BENCH_MODE=quick ./bench/bench_hetero
   # Native SPE executor: lock-free ring throughput (same-thread and
   # cross-thread) and tuples/sec through 1/2/4-operator chains; records
-  # hw_cores so single-core CI numbers are not misread. Writes
-  # BENCH_native.json.
+  # hw_cores so single-core CI numbers are not misread. Self-gating
+  # (non-zero when any run woke a ring more often than a waiter
+  # advertised itself), writes BENCH_native.json.
   run_bench bench_native_spe env LACHESIS_BENCH_MODE=quick ./bench/bench_native_spe
   echo "run_tier1.sh: BENCH artifacts:"
   malformed=()

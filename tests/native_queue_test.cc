@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <thread>
@@ -303,6 +304,72 @@ TEST(NativeQueueTest, ParkedConsumerSleepsInTheKernel) {
       << consumer_nvcsw << " voluntary context switches for " << sleeps
       << " consumer parks";
 #endif
+}
+
+// A parked side costs its waker at most one FUTEX_WAKE per advertisement,
+// however many items land before it runs again. Each round the consumer
+// has drained the ring and parked; then a burst of pushes lands while it
+// wakes, and every push takes the wake path.
+TEST(NativeQueueTest, BurstIntoParkedConsumerWakesItOncePerAdvertisement) {
+  constexpr int kRounds = 200;
+  constexpr std::uint64_t kBurst = 32;
+  NativeSpscQueue<std::uint64_t> queue(64);
+  std::atomic<std::uint64_t> received{0};
+  std::thread consumer([&] {
+    std::uint64_t item = 0;
+    while (queue.Pop(item)) {
+      EXPECT_EQ(item, received.load(std::memory_order_relaxed));
+      received.fetch_add(1, std::memory_order_release);
+    }
+  });
+  std::uint64_t sent = 0;
+  for (int round = 0; round < kRounds; ++round) {
+    const std::uint64_t parks = queue.consumer_sleeps();
+    for (std::uint64_t i = 0; i < kBurst; ++i) EXPECT_TRUE(queue.Push(sent++));
+    while (received.load(std::memory_order_acquire) != sent ||
+           queue.consumer_sleeps() == parks) {
+      std::this_thread::yield();
+    }
+  }
+  queue.Close();
+  consumer.join();
+  EXPECT_EQ(received.load(), kRounds * kBurst);
+  EXPECT_GT(queue.consumer_wakes(), 0u);
+  EXPECT_LE(queue.consumer_wakes(), queue.consumer_advertisements())
+      << queue.consumer_sleeps() << " parks";
+}
+
+// The producer side of the same bound: each round the producer has filled
+// the ring and parked, then the test thread pops a full ring's worth, and
+// every pop takes the wake path.
+TEST(NativeQueueTest, BurstOutOfFullRingWakesProducerOncePerAdvertisement) {
+  constexpr int kRounds = 200;
+  constexpr std::uint64_t kCapacity = 32;
+  NativeSpscQueue<std::uint64_t> queue(kCapacity);
+  std::thread producer([&] {
+    for (std::uint64_t i = 0; queue.Push(i); ++i) {
+    }
+  });
+  std::uint64_t expected = 0;
+  std::uint64_t parks = 0;
+  for (int round = 0; round < kRounds; ++round) {
+    // Wait until the producer has refilled the ring and parked since the
+    // last burst began.
+    while (queue.size() != kCapacity || queue.producer_sleeps() == parks) {
+      std::this_thread::yield();
+    }
+    parks = queue.producer_sleeps();
+    for (std::uint64_t i = 0; i < kCapacity; ++i) {
+      std::uint64_t out = 0;
+      EXPECT_TRUE(queue.TryPop(out));
+      EXPECT_EQ(out, expected++);
+    }
+  }
+  queue.Close();
+  producer.join();
+  EXPECT_GT(queue.producer_wakes(), 0u);
+  EXPECT_LE(queue.producer_wakes(), queue.producer_advertisements())
+      << queue.producer_sleeps() << " parks";
 }
 
 TEST(NativeQueueTest, HighWaterTracksBacklogPeak) {
