@@ -6,6 +6,8 @@
 #      discovered via /proc -- needs no privileges.
 #   2. The sim-vs-native conformance differential (real setpriority /
 #      cgroupfs where permitted; the test skips internally otherwise).
+#   3. lachesisd serving two [native-query] chains itself: a short soak of
+#      the native executor under the control loop.
 #
 # Usage:
 #   ci/run_native_smoke.sh [build-dir]
@@ -23,12 +25,9 @@ if [ ! -x "$BUILD_DIR/examples/lachesisd" ]; then
   cmake -S "$SRC_DIR" -B "$BUILD_DIR" \
     -DCMAKE_BUILD_TYPE="${CMAKE_BUILD_TYPE:-RelWithDebInfo}"
   cmake --build "$BUILD_DIR" -j "$(nproc 2>/dev/null || echo 2)" \
-    --target lachesisd conformance_differential_test native_spe_load
+    --target lachesisd conformance_differential_test
 fi
-if [ ! -x "$BUILD_DIR/examples/native_spe_load" ]; then
-  cmake --build "$BUILD_DIR" -j "$(nproc 2>/dev/null || echo 2)" \
-    --target native_spe_load
-fi
+LACHESISD="$BUILD_DIR/examples/lachesisd"
 
 WORK_DIR=$(mktemp -d /tmp/lachesis-native-smoke.XXXXXX)
 SLEEP_PID=
@@ -56,14 +55,22 @@ provides = queue_size
 EOF
 
 echo "run_native_smoke.sh: lachesisd --dry-run (2 iterations)"
-"$BUILD_DIR/examples/lachesisd" "$WORK_DIR/config.ini" --dry-run --iterations 2
+"$LACHESISD" "$WORK_DIR/config.ini" --dry-run --iterations 2
+
+# --iterations takes a whole count >= 1; anything else is a usage error.
+status=0
+"$LACHESISD" "$WORK_DIR/config.ini" --dry-run --iterations 5x || status=$?
+if [ "$status" -ne 2 ]; then
+  echo "run_native_smoke.sh: FAIL --iterations 5x exited $status, not 2" >&2
+  exit 1
+fi
 
 # --- 1b. Chrome-trace export from the same dry run --------------------------
 # The daemon must dump a Perfetto-loadable trace on exit when --trace is
 # given; validating the header proves the observability plumbing is wired
 # through the native path, not just the simulator.
 echo "run_native_smoke.sh: lachesisd --trace export"
-"$BUILD_DIR/examples/lachesisd" "$WORK_DIR/config.ini" --dry-run \
+"$LACHESISD" "$WORK_DIR/config.ini" --dry-run \
   --iterations 2 --trace "$WORK_DIR/trace.json"
 if [ ! -s "$WORK_DIR/trace.json" ]; then
   echo "run_native_smoke.sh: FAIL --trace produced no file" >&2
@@ -78,6 +85,29 @@ case "$(head -c 16 "$WORK_DIR/trace.json")" in
     ;;
 esac
 
+# --- 1c. an operator thread discovery never resolved ------------------------
+# LinuxOsAdapter skips an entity whose pattern matched no thread, so the
+# dry-run log must say that nothing is set instead of a would-set line.
+cat > "$WORK_DIR/unresolved.ini" <<EOF
+[lachesis]
+period_ms = 100
+metrics_file = $WORK_DIR/metrics.log
+
+[query unresolved]
+pid = $SLEEP_PID
+operator main = no-such-thread smoke.main ingress
+provides = queue_size
+EOF
+echo "run_native_smoke.sh: lachesisd --dry-run, pattern matching no thread"
+"$LACHESISD" "$WORK_DIR/unresolved.ini" --dry-run --iterations 2 |
+  tee "$WORK_DIR/unresolved.out"
+if ! grep -q "thread not resolved" "$WORK_DIR/unresolved.out" ||
+  grep -q "would set nice(-1)" "$WORK_DIR/unresolved.out"; then
+  echo "run_native_smoke.sh: FAIL dry run logs a write to an unresolved" \
+    "thread" >&2
+  exit 1
+fi
+
 # --- 2. sim-vs-native differential on real OS mechanisms --------------------
 # Needs permission to renice within [0,19] (usually available) and, for the
 # cgroup half, a writable cgroupfs; the gtest skips internally per-case.
@@ -89,24 +119,46 @@ else
     "host does not permit renice (no CAP_SYS_NICE / restricted container)"
 fi
 
-# --- 3. native SPE executor short soak ---------------------------------------
+# --- 3. lachesisd serving native queries: short soak ------------------------
 # Real operator threads, lock-free rings, rate-controlled sources, and the
-# LachesisRunner scheduling the live kernel tids each tick. The counting
-# adapter needs no privileges; the binary itself exits non-zero unless
-# traffic flowed AND the throughput scraped from the executor's metric
-# registry is positive, so this asserts the full ingest->scrape->schedule
-# loop, not just that threads started.
-echo "run_native_smoke.sh: native executor soak (counting adapter, 2s)"
-"$BUILD_DIR/examples/native_spe_load" --seconds 2
+# LachesisRunner scheduling the live kernel tids each tick. Every native
+# query's exit line must show ingested tuples and a positive throughput read
+# back from the driver's time-series store, so this asserts the full
+# ingest -> scrape -> schedule loop, not just that threads started.
+cat > "$WORK_DIR/native.ini" <<EOF
+[lachesis]
+period_ms = 250
 
-# The --real-os half drives actual setpriority/cgroupfs against the
-# executor's own threads; gate it on the same privilege probe as the
-# conformance differential.
+[native-query light]
+rate_tps = 1000
+operators = in:5 filter:20 out:5
+
+[native-query heavy]
+rate_tps = 500
+operators = in:5 work:200 out:5
+EOF
+
+soak() {
+  "$LACHESISD" "$WORK_DIR/native.ini" "$@" --iterations 8 |
+    tee "$WORK_DIR/soak.out"
+  local idle='(ingested=0 |scraped_tps=(-|nan|0\.0$))'
+  if ! grep -q "^lachesisd: native query" "$WORK_DIR/soak.out" ||
+    grep -qE "^lachesisd: native query .*$idle" "$WORK_DIR/soak.out"; then
+    echo "run_native_smoke.sh: FAIL a native query carried no traffic" >&2
+    exit 1
+  fi
+}
+
+echo "run_native_smoke.sh: lachesisd native soak (--dry-run, 8 periods)"
+soak --dry-run
+
+# Without --dry-run lachesisd renices its own executor threads for real;
+# gate it on the same privilege probe as the conformance differential.
 if renice -n 5 -p $$ >/dev/null 2>&1 && renice -n 0 -p $$ >/dev/null 2>&1; then
-  echo "run_native_smoke.sh: native executor soak (--real-os, 2s)"
-  "$BUILD_DIR/examples/native_spe_load" --seconds 2 --real-os
+  echo "run_native_smoke.sh: lachesisd native soak (real OS, 8 periods)"
+  soak
 else
-  echo "run_native_smoke.sh: SKIP native executor --real-os soak:" \
+  echo "run_native_smoke.sh: SKIP lachesisd real-OS native soak:" \
     "host does not permit renice (no CAP_SYS_NICE / restricted container)"
 fi
 

@@ -1,5 +1,6 @@
 #include "osctl/daemon_config.h"
 
+#include <array>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -20,36 +21,56 @@ std::unique_ptr<Base> Make(const DaemonConfig&) {
 template <typename Base>
 using Factory = std::unique_ptr<Base> (*)(const DaemonConfig&);
 
+struct PolicyEntry {
+  const char* name;
+  Factory<core::SchedulingPolicy> make;
+};
+
+struct TranslatorEntry {
+  const char* name;
+  Factory<core::Translator> make;
+  // The capability degradation ladder, best-first: the translators the
+  // runner falls back to while this one's mechanism persistently fails
+  // (e.g. no CAP_SYS_NICE for SCHED_FIFO, an unwritable cgroup root).
+  // nice is the last resort everywhere: lowering priority needs no
+  // privileges and no filesystem.
+  std::array<const char*, 3> fallbacks;
+};
+
 // The accepted `policy` and `translator` names, each with its factory.
-constexpr std::pair<const char*, Factory<core::SchedulingPolicy>>
-    kPolicies[] = {
+constexpr PolicyEntry kPolicies[] = {
     {"queue-size", Make<core::SchedulingPolicy, core::QueueSizePolicy>},
     {"fcfs", Make<core::SchedulingPolicy, core::FcfsPolicy>},
     {"highest-rate", Make<core::SchedulingPolicy, core::HighestRatePolicy>},
     {"random", Make<core::SchedulingPolicy, core::RandomPolicy>},
     {"min-memory", Make<core::SchedulingPolicy, core::MinMemoryPolicy>},
 };
-constexpr std::pair<const char*, Factory<core::Translator>> kTranslators[] = {
-    {"nice", Make<core::Translator, core::NiceTranslator>},
-    {"cpu.shares", Make<core::Translator, core::CpuSharesTranslator>},
-    {"quota", Make<core::Translator, core::QuotaTranslator>},
-    {"rt", Make<core::Translator, core::RtBoostTranslator>},
+constexpr TranslatorEntry kTranslators[] = {
+    {"nice", Make<core::Translator, core::NiceTranslator>, {}},
+    {"cpu.shares", Make<core::Translator, core::CpuSharesTranslator>,
+     {"nice"}},
+    {"quota", Make<core::Translator, core::QuotaTranslator>, {"nice"}},
+    {"rt", Make<core::Translator, core::RtBoostTranslator>,
+     {"cpu.shares", "nice"}},
+    // A reservation needs sched_setattr and admission headroom; an RT
+    // boost keeps the "critical work preempts" intent, then weights.
     {"deadline",
      [](const DaemonConfig& config) -> std::unique_ptr<core::Translator> {
        return std::make_unique<core::DeadlineTranslator>(
            Millis(config.dl_runtime_ms), Millis(config.dl_period_ms));
-     }},
+     },
+     {"rt", "cpu.shares", "nice"}},
 };
 
-// The factory `table` holds for `name`; any other name throws
+// The entry `table` holds for `name`; any other name throws
 // std::invalid_argument listing the accepted ones.
 template <typename Entry, std::size_t N>
-auto Lookup(const Entry (&table)[N], const std::string& kind,
-            const std::string& name) {
+const Entry& Lookup(const Entry (&table)[N], const std::string& kind,
+                    const std::string& name) {
   std::string accepted;
-  for (const auto& [entry_name, make] : table) {
-    if (name == entry_name) return make;
-    accepted += (accepted.empty() ? "" : "|") + std::string(entry_name);
+  for (const Entry& entry : table) {
+    if (name == entry.name) return entry;
+    accepted += (accepted.empty() ? "" : "|") + std::string(entry.name);
   }
   throw std::invalid_argument("unknown " + kind + " '" + name +
                               "' (expected " + accepted + ")");
@@ -440,12 +461,23 @@ DaemonConfig LoadDaemonConfig(const std::string& path) {
 }
 
 std::unique_ptr<core::SchedulingPolicy> MakePolicy(const std::string& name) {
-  return Lookup(kPolicies, "policy", name)(DaemonConfig{});
+  return Lookup(kPolicies, "policy", name).make(DaemonConfig{});
 }
 
 std::unique_ptr<core::Translator> MakeTranslator(const std::string& name,
                                                  const DaemonConfig& config) {
-  return Lookup(kTranslators, "translator", name)(config);
+  return Lookup(kTranslators, "translator", name).make(config);
+}
+
+std::vector<std::unique_ptr<core::Translator>> MakeFallbackTranslators(
+    const std::string& name, const DaemonConfig& config) {
+  std::vector<std::unique_ptr<core::Translator>> fallbacks;
+  for (const char* fallback :
+       Lookup(kTranslators, "translator", name).fallbacks) {
+    if (fallback == nullptr) break;
+    fallbacks.push_back(MakeTranslator(fallback, config));
+  }
+  return fallbacks;
 }
 
 }  // namespace lachesis::osctl

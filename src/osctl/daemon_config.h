@@ -122,6 +122,10 @@ DaemonConfig LoadDaemonConfig(const std::string& path);
 std::unique_ptr<core::SchedulingPolicy> MakePolicy(const std::string& name);
 std::unique_ptr<core::Translator> MakeTranslator(const std::string& name,
                                                  const DaemonConfig& config);
+// The capability degradation ladder of translator `name`, best-first, as
+// the same table lists it; nice, the last resort, has none.
+std::vector<std::unique_ptr<core::Translator>> MakeFallbackTranslators(
+    const std::string& name, const DaemonConfig& config);
 
 }  // namespace lachesis::osctl
 

@@ -4,9 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <iterator>
+#include <map>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 namespace lachesis::osctl {
 namespace {
@@ -374,6 +376,28 @@ TEST(DaemonConfigTest, EveryAcceptedPolicyAndTranslatorBuilds) {
   }
   EXPECT_THROW(MakePolicy("queue-sise"), std::invalid_argument);
   EXPECT_THROW(MakeTranslator("nicee", defaults), std::invalid_argument);
+}
+
+// Each translator's degradation ladder, best-first, by the names the
+// fallback translators report.
+TEST(DaemonConfigTest, EachTranslatorHasItsDegradationLadder) {
+  const std::map<std::string, std::vector<std::string>> kLadders = {
+      {"deadline", {"rt+nice", "cpu.shares", "nice"}},
+      {"rt", {"cpu.shares", "nice"}},
+      {"cpu.shares", {"nice"}},
+      {"quota", {"nice"}},
+      {"nice", {}},
+  };
+  const DaemonConfig defaults;
+  for (const auto& [name, expected] : kLadders) {
+    std::vector<std::string> ladder;
+    for (const auto& fallback : MakeFallbackTranslators(name, defaults)) {
+      ladder.push_back(fallback->name());
+    }
+    EXPECT_EQ(ladder, expected) << name;
+  }
+  EXPECT_THROW(MakeFallbackTranslators("nicee", defaults),
+               std::invalid_argument);
 }
 
 // Both operators used to become entities, and `edge` lines bound only the

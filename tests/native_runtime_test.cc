@@ -1,8 +1,9 @@
 // Native SPE executor: thread-per-operator runtime, deployment surface
 // validation, metric registry parity, and the NativeRuntimeDriver that
-// plugs it into the control plane. The final test is the end-to-end
-// contract of this layer: a LachesisRunner on the native control executor
-// schedules the executor's real kernel threads through an OsAdapter.
+// plugs it into the control plane. The final tests are the end-to-end
+// contract of this layer: lachesisd's DaemonStack runs a LachesisRunner on
+// the native control executor that schedules the executor's real kernel
+// threads through an OsAdapter.
 #include "spe/native_runtime.h"
 
 #include <gtest/gtest.h>
@@ -17,10 +18,9 @@
 #include <sys/prctl.h>
 #endif
 
-#include "core/policies.h"
-#include "core/runner.h"
-#include "core/translators.h"
-#include "osctl/native_executor.h"
+#include "core/os_adapter.h"
+#include "osctl/daemon_config.h"
+#include "osctl/daemon_stack.h"
 #include "osctl/native_runtime_driver.h"
 
 namespace lachesis {
@@ -410,38 +410,30 @@ class RecordingOsAdapter final : public core::OsAdapter {
   std::vector<std::pair<long, int>> set_nice;
 };
 
-// The tentpole contract: LachesisRunner -- unchanged -- manages the native
+// The tentpole contract, through lachesisd's own wiring: a DaemonStack
+// built from config text runs LachesisRunner -- unchanged -- over the native
 // executor's real threads. The driver's entities carry kernel tids, the
 // policy ranks operators from live-scraped metrics, and the translator's
 // nice decisions reach the adapter addressed to those tids.
 TEST(NativeRuntimeDriverTest, RunnerSchedulesLiveExecutorThreads) {
-  spe::NativeRuntime runtime;
-  spe::NativeDeployOptions deploy;
-  deploy.source_rate_tps = 20000;
-  runtime.AddQuery(Chain("served", {0, 10, 0}), deploy);
-  runtime.Start();
-
-  osctl::NativeRuntimeDriver driver(runtime);
   RecordingOsAdapter os;
-  osctl::NativeControlExecutor executor;
-  core::LachesisRunner runner(executor, os, /*seed=*/7);
+  osctl::DaemonStack stack(osctl::ParseDaemonConfig(R"(
+[lachesis]
+period_ms = 50
+[native-query served]
+rate_tps = 20000
+operators = in:0 mid:10 out:0
+)"),
+                           &os);
+  stack.Run(/*periods=*/8);
+  stack.Stop();
 
-  core::PolicyBinding binding;
-  binding.policy = std::make_unique<core::QueueSizePolicy>();
-  binding.translator = std::make_unique<core::NiceTranslator>();
-  binding.period = Millis(50);
-  binding.drivers = {&driver};
-  runner.AddQuery(std::move(binding));
-
-  const SimTime until = executor.Now() + Millis(400);
-  runner.Start(until);
-  executor.Run(until);
-  runtime.Stop(/*drain=*/false);
-
-  EXPECT_GT(runner.schedules_applied(), 0u);
+  EXPECT_GT(stack.runner().schedules_applied(), 0u);
   ASSERT_FALSE(os.set_nice.empty());
   std::set<long> executor_tids;
-  for (const auto& op : runtime.ops()) executor_tids.insert(op->tid());
+  for (const auto& op : stack.runtime()->ops()) {
+    executor_tids.insert(op->tid());
+  }
   std::set<long> niced_tids;
   for (const auto& [tid, nice] : os.set_nice) niced_tids.insert(tid);
   // Every nice decision landed on a real executor thread, and every
@@ -450,8 +442,41 @@ TEST(NativeRuntimeDriverTest, RunnerSchedulesLiveExecutorThreads) {
     EXPECT_TRUE(executor_tids.count(tid)) << "niced unknown tid " << tid;
   }
   EXPECT_EQ(niced_tids, executor_tids);
-  // And traffic actually flowed while being scheduled.
-  EXPECT_GT(runtime.TotalEmitted(0), 0u);
+  // And traffic actually flowed while being scheduled, through the
+  // registry -> scrape -> store path too.
+  EXPECT_GT(stack.runtime()->TotalEmitted(0), 0u);
+  const std::vector<osctl::NativeQueryTotals> totals = stack.NativeTotals();
+  ASSERT_EQ(totals.size(), 1u);
+  EXPECT_GT(totals[0].scraped_tps, 0);
+}
+
+// The native smoke's two-chain soak (ci/run_native_smoke.sh step 3) for
+// about a second: every query ingested tuples, and the ingress throughput
+// read back from the driver's store is positive for each.
+TEST(DaemonStackTest, SmokeTwoChainConfigCarriesTrafficThroughTheStore) {
+  RecordingOsAdapter os;
+  osctl::DaemonStack stack(osctl::ParseDaemonConfig(R"(
+[lachesis]
+period_ms = 250
+[native-query light]
+rate_tps = 1000
+operators = in:5 filter:20 out:5
+[native-query heavy]
+rate_tps = 500
+operators = in:5 work:200 out:5
+)"),
+                           &os);
+  stack.Run(/*periods=*/4);
+  stack.Stop();
+
+  const std::vector<osctl::NativeQueryTotals> totals = stack.NativeTotals();
+  ASSERT_EQ(totals.size(), 2u);
+  EXPECT_EQ(totals[0].name, "light");
+  EXPECT_EQ(totals[1].name, "heavy");
+  for (const osctl::NativeQueryTotals& query : totals) {
+    EXPECT_GT(query.ingested, 0u) << query.name;
+    EXPECT_GT(query.scraped_tps, 0) << query.name;
+  }
 }
 
 }  // namespace
