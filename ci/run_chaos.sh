@@ -29,8 +29,11 @@ cmake -S "$SRC_DIR" -B "$BUILD_DIR" \
 # where the reboot path (retired runner graveyard, re-placed bindings,
 # catch-up replay) would leak or index out of bounds.
 # tsdb_test and sim_driver_test cover the metric store's sample rings and
-# the series handles the scraper and drivers cache: ring index arithmetic
-# and chunk carving are where an off-by-one reads outside a chunk.
+# the series handles the scraper and drivers cache: ring index arithmetic,
+# trimming and growth are where an off-by-one reads outside a ring.
+# spe_physical_test covers the egress state only egress operators allocate
+# and the chunked latency reservoirs: a null egress pointer or a reservoir
+# slot past the end is what ASan catches.
 # Schedules borrow entity pointers from the metric provider's snapshot, and
 # the delta layer keys health and recorder state by target id: the
 # policy, translator, transform, provider, runner and HR + shares golden
@@ -44,7 +47,7 @@ cmake --build "$BUILD_DIR" -j "$JOBS" \
            schedule_delta_test runner_dynamic_test \
            stable_pool_test hash_index_test alloc_regression_test \
            hetero_machine_test conformance_test \
-           tsdb_test sim_driver_test \
+           tsdb_test sim_driver_test spe_physical_test \
            policies_test translators_test transform_test \
            metric_provider_test runner_test hr_shares_golden_test \
            sim_os_adapter_test obs_ring_test \
@@ -56,7 +59,7 @@ for t in fault_tolerance_test failure_injection_test \
          schedule_delta_test runner_dynamic_test \
          stable_pool_test hash_index_test alloc_regression_test \
          hetero_machine_test conformance_test \
-         tsdb_test sim_driver_test \
+         tsdb_test sim_driver_test spe_physical_test \
          policies_test translators_test transform_test \
          metric_provider_test runner_test hr_shares_golden_test \
          sim_os_adapter_test obs_ring_test \

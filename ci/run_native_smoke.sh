@@ -3,7 +3,8 @@
 # simulator also drives a live Linux host.
 #
 #   1. lachesisd --dry-run over a real process (a spawned `sleep`),
-#      discovered via /proc -- needs no privileges.
+#      discovered via /proc -- needs no privileges; its tick lines must
+#      reach a redirected log before the SIGTERM that stops it.
 #   2. The sim-vs-native conformance differential (real setpriority /
 #      cgroupfs where permitted; the test skips internally otherwise).
 #   3. lachesisd serving two [native-query] chains itself: a short soak of
@@ -105,6 +106,20 @@ if ! grep -q "thread not resolved" "$WORK_DIR/unresolved.out" ||
   grep -q "would set nice(-1)" "$WORK_DIR/unresolved.out"; then
   echo "run_native_smoke.sh: FAIL dry run logs a write to an unresolved" \
     "thread" >&2
+  exit 1
+fi
+
+# --- 1d. tick lines reach a redirected log as they happen -------------------
+# stdout is line-buffered, so a daemon logging to a file shows each tick when
+# it runs, and the SIGTERM that stops it loses none of them.
+echo "run_native_smoke.sh: lachesisd --dry-run into a file, stopped by SIGTERM"
+status=0
+timeout 2 "$LACHESISD" "$WORK_DIR/config.ini" --dry-run \
+  --iterations 9223372036854775807 >"$WORK_DIR/ticks.log" || status=$?
+if [ "$status" -ne 124 ] || ! grep -q "^tick " "$WORK_DIR/ticks.log"; then
+  echo "run_native_smoke.sh: FAIL lachesisd exited $status (124 = stopped" \
+    "by timeout) with $(grep -c "^tick " "$WORK_DIR/ticks.log") tick lines" \
+    "in its redirected log" >&2
   exit 1
 fi
 

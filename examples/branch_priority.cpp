@@ -73,7 +73,7 @@ BranchLatencies Run(bool prioritize_tolls) {
   BranchLatencies result;
   for (const spe::DeployedOp& op : query.ops) {
     if (op.op->config().role != spe::OperatorRole::kEgress) continue;
-    const double mean_ms = op.op->egress().latency.mean() / 1e6;
+    const double mean_ms = op.op->egress()->latency.mean() / 1e6;
     if (op.op->config().name.find("toll_sink") != std::string::npos) {
       result.toll_ms = mean_ms;
     } else {

@@ -113,6 +113,9 @@ bool ParseIterations(const char* text, long* out) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  // Line-buffered even into a file or a pipe: each tick line shows when it
+  // happens, and a SIGTERM (default action) throws no buffered lines away.
+  std::setvbuf(stdout, nullptr, _IOLBF, 0);
   const auto usage = [argv] {
     std::fprintf(stderr,
                  "usage: %s <config-file> [--dry-run] [--iterations N] "

@@ -31,7 +31,7 @@ struct RawMetricSource;
 class RawMetricReader {
  public:
   RawMetricReader(const std::set<spe::RawMetric>& exposed,
-                  SimDuration delta_window);
+                  SimDuration delta_window = tsdb::kDeltaWindow);
 
   [[nodiscard]] bool Provides(MetricId metric) const {
     return slots_[static_cast<std::size_t>(metric)] != nullptr;
@@ -42,7 +42,8 @@ class RawMetricReader {
   // the row's scale; 0 while the store lacks the samples. The series handle
   // is cached under entity.id once the series exists, so every call must
   // pass the same store, and an entity id must keep its path.
-  // Precondition: Provides(metric).
+  // Preconditions: Provides(metric), and the store's retention covers the
+  // delta window.
   double Read(const tsdb::TimeSeriesStore& store, MetricId metric,
               const EntityInfo& entity);
 

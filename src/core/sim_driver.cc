@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
 
 namespace lachesis::core {
 
@@ -11,7 +12,14 @@ SimSpeDriver::SimSpeDriver(spe::SpeInstance& instance,
     : instance_(&instance),
       store_(&store),
       name_(instance.name()),
-      reader_(instance.flavor().exposed_metrics, delta_window) {}
+      reader_(instance.flavor().exposed_metrics, delta_window) {
+  if (delta_window > store.retention()) {
+    throw std::invalid_argument(
+        "SimSpeDriver: delta window " + std::to_string(delta_window) +
+        " ns exceeds the store's retention of " +
+        std::to_string(store.retention()) + " ns");
+  }
+}
 
 std::vector<EntityInfo> SimSpeDriver::Entities() {
   std::vector<EntityInfo> result;

@@ -24,8 +24,10 @@ namespace lachesis::core {
 
 class SimSpeDriver final : public SpeDriver {
  public:
+  // Throws std::invalid_argument when `delta_window` is longer than the
+  // store's retention: the store would not keep the samples it spans.
   SimSpeDriver(spe::SpeInstance& instance, const tsdb::TimeSeriesStore& store,
-               SimDuration delta_window = Seconds(1));
+               SimDuration delta_window = tsdb::kDeltaWindow);
 
   [[nodiscard]] const std::string& name() const override { return name_; }
   std::vector<EntityInfo> Entities() override;

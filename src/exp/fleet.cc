@@ -210,7 +210,9 @@ FleetResult RunFleet(const FleetSpec& spec) {
     }
 
     if (lachesis) {
-      node.store = std::make_unique<tsdb::TimeSeriesStore>();
+      // The driver's counter deltas span one scheduling period.
+      node.store = std::make_unique<tsdb::TimeSeriesStore>(
+          std::max(spec.scheduler.period, tsdb::kDeltaWindow));
       node.scraper = std::make_unique<tsdb::Scraper>(shard, *node.store,
                                                      spec.scrape_period);
       // The instance spans exactly this machine, but pass the explicit

@@ -166,7 +166,9 @@ RunResult RunScenario(const ScenarioSpec& spec) {
   }
 
   // --- metric reporting pipeline -------------------------------------------------
-  tsdb::TimeSeriesStore store;
+  // The drivers' counter deltas span one scheduling period.
+  tsdb::TimeSeriesStore store(
+      std::max(spec.scheduler.period, tsdb::kDeltaWindow));
   tsdb::Scraper scraper(sim, store, spec.scrape_period);
   for (auto& [name, instance] : instances) scraper.AddInstance(*instance);
   scraper.Start(end);

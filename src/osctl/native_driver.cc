@@ -131,7 +131,8 @@ double NativeSpeDriver::Fetch(core::MetricId metric,
           : metric == core::MetricId::kTuplesOutDelta
               ? core::MetricId::kTuplesOutTotal
               : core::MetricId::kBusyDeltaNs;
-      const auto delta = store_.Delta(Series(entity, counter), Seconds(1));
+      const auto delta =
+          store_.Delta(Series(entity, counter), tsdb::kDeltaWindow);
       return delta ? std::max(*delta, 0.0) : 0.0;
     }
     default: {

@@ -8,7 +8,8 @@ NativeRuntimeDriver::NativeRuntimeDriver(spe::NativeRuntime& runtime,
                                          SimDuration delta_window)
     : runtime_(&runtime),
       name_(runtime.name()),
-      reader_(spe::NativeRuntime::ExposedMetrics(), delta_window) {}
+      reader_(spe::NativeRuntime::ExposedMetrics(), delta_window),
+      store_(delta_window) {}
 
 std::string NativeRuntimeDriver::SeriesPrefix(
     const spe::NativeRuntime& runtime, const spe::NativeOperator& op) {

@@ -26,8 +26,10 @@ namespace lachesis::osctl {
 
 class NativeRuntimeDriver final : public core::SpeDriver {
  public:
+  // The owned store keeps `delta_window` (> 0, else std::invalid_argument)
+  // of history per series: what the counter deltas span.
   explicit NativeRuntimeDriver(spe::NativeRuntime& runtime,
-                               SimDuration delta_window = Seconds(1));
+                               SimDuration delta_window = tsdb::kDeltaWindow);
 
   [[nodiscard]] const std::string& name() const override { return name_; }
 

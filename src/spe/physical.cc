@@ -7,18 +7,14 @@
 namespace lachesis::spe {
 
 namespace {
-// Cap on retained latency samples per egress; beyond it, reservoir sampling
-// keeps the distribution unbiased for the letter-value analysis (Fig 13).
-constexpr std::size_t kMaxSamples = 100'000;
-
-void ReservoirAdd(std::vector<double>& samples, double value,
-                  std::uint64_t seen, Rng& rng) {
-  if (samples.size() < kMaxSamples) {
+void ReservoirAdd(std::deque<double>& samples, double value, std::uint64_t seen,
+                  Rng& rng) {
+  if (samples.size() < EgressMeasurements::kMaxSamples) {
     samples.push_back(value);
     return;
   }
   const std::uint64_t slot = rng.NextBounded(seen);
-  if (slot < kMaxSamples) samples[slot] = value;
+  if (slot < EgressMeasurements::kMaxSamples) samples[slot] = value;
 }
 }  // namespace
 
@@ -27,7 +23,10 @@ PhysicalOp::PhysicalOp(Config config, TupleQueue* input,
     : config_(std::move(config)),
       input_(input),
       logic_chain_(std::move(logic_chain)),
-      rng_(config_.seed) {
+      rng_(config_.seed),
+      egress_(config_.role == OperatorRole::kEgress
+                  ? std::make_unique<EgressMeasurements>()
+                  : nullptr) {
   assert(input_ != nullptr);
   assert(!logic_chain_.empty());
 }
@@ -65,20 +64,21 @@ SimDuration PhysicalOp::Finish(SimTime now) {
     scratch_in_.swap(scratch_out_);
   }
 
-  if (config_.role == OperatorRole::kEgress) {
+  if (egress_ != nullptr) {
     // Egress delivers to the user: record latency per produced result.
+    EgressMeasurements& egress = *egress_;
     for (const Tuple& t : scratch_in_) {
       const auto latency = static_cast<double>(now - t.ingested);
       const auto e2e = static_cast<double>(now - t.produced);
-      egress_.latency.Add(latency);
-      egress_.e2e_latency.Add(e2e);
-      egress_.latency_histogram.Record(static_cast<std::uint64_t>(
+      egress.latency.Add(latency);
+      egress.e2e_latency.Add(e2e);
+      egress.latency_histogram.Record(static_cast<std::uint64_t>(
           std::max<SimDuration>(now - t.ingested, 0)));
-      egress_.e2e_latency_histogram.Record(static_cast<std::uint64_t>(
+      egress.e2e_latency_histogram.Record(static_cast<std::uint64_t>(
           std::max<SimDuration>(now - t.produced, 0)));
-      ++egress_.tuples;
-      ReservoirAdd(egress_.latency_samples, latency, egress_.tuples, rng_);
-      ReservoirAdd(egress_.e2e_latency_samples, e2e, egress_.tuples, rng_);
+      ++egress.tuples;
+      ReservoirAdd(egress.latency_samples, latency, egress.tuples, rng_);
+      ReservoirAdd(egress.e2e_latency_samples, e2e, egress.tuples, rng_);
     }
     tuples_out_ += scratch_in_.size();
     scratch_in_.clear();
@@ -162,7 +162,7 @@ void PhysicalOp::ResetMeasurements() {
   // Counters (tuples_in/out, busy_ns) stay cumulative: the metric scraper
   // and the harness both difference them over windows. Only the egress
   // latency reservoirs are cleared (warmup trim).
-  egress_.Reset();
+  if (egress_ != nullptr) egress_->Reset();
 }
 
 }  // namespace lachesis::spe

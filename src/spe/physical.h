@@ -6,11 +6,13 @@
 // model Lachesis schedules) or by a user-level scheduler's worker threads
 // (the EdgeWise/Haren baselines in src/ulss/). The two-phase Begin/Finish
 // protocol lets both executors charge the simulated CPU cost between popping
-// a tuple and applying its effects.
+// a tuple and applying its effects. Egress state (the latency reservoirs and
+// histograms) lives only on egress operators.
 #ifndef LACHESIS_SPE_PHYSICAL_H_
 #define LACHESIS_SPE_PHYSICAL_H_
 
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <string>
 #include <vector>
@@ -47,14 +49,21 @@ struct PhysicalEdge {
   }
 };
 
-// Samples recorded by Egress operators (paper §3.2 latency definitions).
-// The reservoirs feed the letter-value analysis; the HDR histograms give
-// exact tail quantiles (p99/p99.9) regardless of volume.
+// Samples recorded by Egress operators (paper §3.2 latency definitions);
+// only an egress operator carries them. The reservoirs feed the letter-value
+// analysis; the HDR histograms give exact tail quantiles (p99/p99.9)
+// regardless of volume.
 struct EgressMeasurements {
+  // Cap on retained samples per reservoir; beyond it, reservoir sampling
+  // keeps the distribution unbiased for the letter-value analysis (Fig 13).
+  static constexpr std::size_t kMaxSamples = 100'000;
+
   RunningStat latency;       // processing latency, ns
   RunningStat e2e_latency;   // end-to-end latency, ns
-  std::vector<double> latency_samples;      // capped reservoir, ns
-  std::vector<double> e2e_latency_samples;  // capped reservoir, ns
+  // Capped reservoirs, ns. A deque grows in fixed-size chunks, so growth
+  // never copies and leaves no freed buffer behind.
+  std::deque<double> latency_samples;
+  std::deque<double> e2e_latency_samples;
   HdrHistogram latency_histogram;
   HdrHistogram e2e_latency_histogram;
   std::uint64_t tuples = 0;
@@ -130,7 +139,8 @@ class PhysicalOp {
   [[nodiscard]] std::uint64_t tuples_in() const { return tuples_in_; }
   [[nodiscard]] std::uint64_t tuples_out() const { return tuples_out_; }
   [[nodiscard]] SimDuration busy_ns() const { return busy_ns_; }
-  [[nodiscard]] EgressMeasurements& egress() { return egress_; }
+  // The latency samples of an egress operator; null for any other role.
+  [[nodiscard]] EgressMeasurements* egress() { return egress_.get(); }
   // Measured per-tuple cost (ns) and selectivity since the last reset;
   // 0 while no tuple was processed.
   [[nodiscard]] double MeasuredCostNs() const;
@@ -171,7 +181,7 @@ class PhysicalOp {
   std::uint64_t tuples_in_ = 0;
   std::uint64_t tuples_out_ = 0;
   SimDuration busy_ns_ = 0;
-  EgressMeasurements egress_;
+  std::unique_ptr<EgressMeasurements> egress_;  // egress role only
 };
 
 }  // namespace lachesis::spe

@@ -27,9 +27,7 @@ std::uint64_t DeployedQuery::TotalIngested() const {
 std::vector<EgressMeasurements*> DeployedQuery::Egresses() {
   std::vector<EgressMeasurements*> result;
   for (DeployedOp& d : ops) {
-    if (d.op->config().role == OperatorRole::kEgress) {
-      result.push_back(&d.op->egress());
-    }
+    if (EgressMeasurements* egress = d.op->egress()) result.push_back(egress);
   }
   return result;
 }

@@ -2,17 +2,19 @@
 //
 // All evaluated SPEs report their metrics to Graphite, which Lachesis then
 // queries; the store's one-second resolution is what bounds Lachesis'
-// scheduling period in the paper. The store keeps a bounded history per
-// series and supports the two reads drivers need: the latest sample and a
-// windowed delta (for rates / per-tuple costs from cumulative counters).
+// scheduling period in the paper. The store supports the two reads drivers
+// need: the latest sample and a windowed delta (for rates / per-tuple costs
+// from cumulative counters).
 //
 // Series names are interned: a writer or reader resolves "<path>.<suffix>"
 // to a dense SeriesId once and then appends or reads by handle, so the
 // scrape and the control tick build and hash no string per sample. Each
-// series keeps its newest max_samples points in a ring of fixed-size
-// chunks, carved from an arena as the ring first fills and overwritten in
-// place once it is full: memory is touched as samples arrive, and a full
-// store appends without touching the heap.
+// series keeps only the history those reads need: the samples younger than
+// the store's retention (the delta window drivers read) plus the newest one
+// at least that old. They sit in a ring that grows only while its oldest
+// sample is still needed and is overwritten in place after, so a series
+// appended to at a steady cadence stops touching the heap once its ring
+// holds one retention of samples.
 #ifndef LACHESIS_TSDB_TSDB_H_
 #define LACHESIS_TSDB_TSDB_H_
 
@@ -20,13 +22,13 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "common/arena.h"
 #include "common/hash_index.h"
 #include "common/ids.h"
 #include "common/sim_time.h"
@@ -73,25 +75,33 @@ using SeriesId = Id<SeriesIdTag>;
 // What Find returns for a name no series has; reads of it find no samples.
 inline constexpr SeriesId kNoSeries{~std::uint64_t{0}};
 
+// The window a driver's counter deltas span unless told otherwise -- the
+// engines' 1 s reporting resolution -- and so the history a TimeSeriesStore
+// keeps by default.
+inline constexpr SimDuration kDeltaWindow = Seconds(1);
+
 class TimeSeriesStore {
  public:
-  // Retains at most `max_samples` (>= 1) points per series (ring
-  // semantics).
-  explicit TimeSeriesStore(std::size_t max_samples = 600)
-      : max_samples_(static_cast<std::uint32_t>(max_samples)),
-        chunks_per_ring_((max_samples_ + kChunkSamples - 1) / kChunkSamples) {
-    if (max_samples == 0 || max_samples > UINT32_MAX) {
-      throw std::invalid_argument("TimeSeriesStore: max_samples out of range");
+  // Most samples a series keeps, whatever the retention.
+  static constexpr std::uint32_t kMaxSamples = 600;
+
+  // Keeps, per series, the samples newer than the newest one minus
+  // `retention` (> 0), plus the newest sample at least that old, and at
+  // most kMaxSamples: Latest and Delta(window <= retention) read exactly
+  // what they would from the series' newest kMaxSamples samples.
+  explicit TimeSeriesStore(SimDuration retention = kDeltaWindow)
+      : retention_(retention) {
+    if (retention <= 0) {
+      throw std::invalid_argument("TimeSeriesStore: retention must be > 0");
     }
   }
+
+  [[nodiscard]] SimDuration retention() const { return retention_; }
 
   // The handle of `series`, creating it empty if new.
   SeriesId Intern(std::string_view series) {
     const std::uint32_t id = names_.Intern(series);
-    if (id >= rings_.size()) {
-      rings_.resize(id + 1);
-      chunks_.resize(rings_.size() * chunks_per_ring_, nullptr);
-    }
+    if (id >= rings_.size()) rings_.resize(id + 1);
     return SeriesId(id);
   }
 
@@ -104,47 +114,48 @@ class TimeSeriesStore {
     return id != 0 || series.empty() ? SeriesId(id) : kNoSeries;
   }
 
-  // Precondition: `series` came from Intern on this store.
+  // Precondition: `series` came from Intern on this store. A series' times
+  // should not decrease: trimming takes append order for time order.
   void Append(SeriesId series, SimTime time, double value) {
     assert(series.value() < rings_.size());
     Ring& ring = rings_[series.value()];
     if (ring.size == 0) ++appended_;
-    Sample*& chunk = chunks_[series.value() * chunks_per_ring_ +
-                             ring.next / kChunkSamples];
-    if (chunk == nullptr) {
-      // The last chunk holds only what is left of max_samples.
-      const std::uint32_t first = ring.next - ring.next % kChunkSamples;
-      chunk = samples_.AllocateArray<Sample>(
-          std::min(kChunkSamples, max_samples_ - first));
+    // The oldest sample is needed until the next-oldest is itself at least
+    // retention_ older than the new one.
+    while (ring.size >= 2 && time - ring[1].time >= retention_) {
+      ring.PopOldest();
     }
-    chunk[ring.next % kChunkSamples] = Sample{time, value};
-    ring.next = ring.next + 1 == max_samples_ ? 0 : ring.next + 1;
-    if (ring.size < max_samples_) ++ring.size;
+    if (ring.size == ring.capacity) {
+      if (ring.capacity == kMaxSamples) {
+        ring.PopOldest();
+      } else {
+        ring.Grow();
+      }
+    }
+    ++ring.size;
+    ring[ring.size - 1] = Sample{time, value};
   }
 
   // The newest sample; nullopt for an empty series or kNoSeries.
   [[nodiscard]] std::optional<Sample> Latest(SeriesId series) const {
-    if (Size(series) == 0) return std::nullopt;
-    return At(series, Before(rings_[series.value()].next));
+    const Ring* ring = RingOf(series);
+    if (ring == nullptr) return std::nullopt;
+    return (*ring)[ring->size - 1];
   }
 
   // Difference between the newest sample and the newest sample at least
   // `window` older, or the oldest sample kept when none is that old;
   // nullopt when fewer than two samples exist. Useful for turning
-  // cumulative counters into windowed deltas.
+  // cumulative counters into windowed deltas. Exact for a window up to the
+  // retention.
   [[nodiscard]] std::optional<double> Delta(SeriesId series,
                                             SimDuration window) const {
-    const std::uint32_t size = Size(series);
-    if (size < 2) return std::nullopt;
-    std::uint32_t slot = Before(rings_[series.value()].next);
-    const Sample& last = At(series, slot);
-    const Sample* older = nullptr;
-    for (std::uint32_t i = 1; i < size; ++i) {
-      slot = Before(slot);
-      older = &At(series, slot);
-      if (last.time - older->time >= window) break;
-    }
-    return last.value - older->value;
+    const Ring* ring = RingOf(series);
+    if (ring == nullptr || ring->size < 2) return std::nullopt;
+    const Sample& last = (*ring)[ring->size - 1];
+    std::uint32_t i = ring->size - 2;
+    while (i > 0 && last.time - (*ring)[i].time < window) --i;
+    return last.value - (*ring)[i].value;
   }
 
   // By name: one lookup, then the handle overloads.
@@ -163,35 +174,48 @@ class TimeSeriesStore {
   [[nodiscard]] std::size_t series_count() const { return appended_; }
 
  private:
-  // Samples per chunk: 512 bytes, the node size of a std::deque<Sample>.
-  static constexpr std::uint32_t kChunkSamples = 32;
-
+  // One series' samples, oldest first from `head`.
   struct Ring {
-    std::uint32_t next = 0;  // slot the next sample goes to
-    std::uint32_t size = 0;  // samples kept, <= max_samples_
+    std::unique_ptr<Sample[]> slots;
+    std::uint32_t capacity = 0;
+    std::uint32_t head = 0;  // slot of the oldest sample
+    std::uint32_t size = 0;  // samples kept, <= capacity
+
+    // The i-th oldest sample, i < size.
+    Sample& operator[](std::uint32_t i) { return slots[Slot(i)]; }
+    const Sample& operator[](std::uint32_t i) const { return slots[Slot(i)]; }
+    [[nodiscard]] std::uint32_t Slot(std::uint32_t i) const {
+      const std::uint32_t slot = head + i;
+      return slot < capacity ? slot : slot - capacity;
+    }
+
+    void PopOldest() {
+      head = head + 1 == capacity ? 0 : head + 1;
+      --size;
+    }
+
+    // Doubles the capacity, up to kMaxSamples, and unrolls the ring.
+    void Grow() {
+      const std::uint32_t grown =
+          std::min(std::max(2 * capacity, std::uint32_t{2}), kMaxSamples);
+      auto grown_slots = std::make_unique_for_overwrite<Sample[]>(grown);
+      for (std::uint32_t i = 0; i < size; ++i) grown_slots[i] = (*this)[i];
+      slots = std::move(grown_slots);
+      capacity = grown;
+      head = 0;
+    }
   };
 
-  // Samples kept by `series`; 0 for kNoSeries.
-  [[nodiscard]] std::uint32_t Size(SeriesId series) const {
-    return series.value() < rings_.size() ? rings_[series.value()].size : 0;
+  // The ring of `series`; null for kNoSeries or a series never appended to.
+  [[nodiscard]] const Ring* RingOf(SeriesId series) const {
+    if (series.value() >= rings_.size()) return nullptr;
+    const Ring& ring = rings_[series.value()];
+    return ring.size > 0 ? &ring : nullptr;
   }
 
-  [[nodiscard]] std::uint32_t Before(std::uint32_t slot) const {
-    return slot == 0 ? max_samples_ - 1 : slot - 1;
-  }
-
-  [[nodiscard]] const Sample& At(SeriesId series, std::uint32_t slot) const {
-    return chunks_[series.value() * chunks_per_ring_ + slot / kChunkSamples]
-                  [slot % kChunkSamples];
-  }
-
-  std::uint32_t max_samples_;
-  std::uint32_t chunks_per_ring_;
+  SimDuration retention_;
   StringInterner names_;
   std::vector<Ring> rings_;  // by SeriesId
-  // chunks_per_ring_ chunk pointers per series, null until first written.
-  std::vector<Sample*> chunks_;
-  Arena samples_;  // the chunks
   std::size_t appended_ = 0;
 };
 

@@ -380,7 +380,8 @@ TEST(AllocRegressionTest, ScrapeAndFetchIntoFullRingsAllocateNothing) {
         [](Rng&, std::uint64_t) { return spe::Tuple{}; }, 3 + q));
     sources.back()->Start(100, Seconds(30));
   }
-  tsdb::TimeSeriesStore store(/*max_samples=*/4);
+  // At a 1 s scrape a 3 s retention keeps four samples per series.
+  tsdb::TimeSeriesStore store(/*retention=*/Seconds(3));
   tsdb::Scraper scraper(sim, store, Seconds(1));
   scraper.AddInstance(instance);
   SimSpeDriver driver(instance, store, Seconds(1));
@@ -397,8 +398,9 @@ TEST(AllocRegressionTest, ScrapeAndFetchIntoFullRingsAllocateNothing) {
     }
     return sum;
   };
-  // Warm-up: five scrapes fill every 4-sample ring, and the sweeps resolve
-  // every handle.
+  // Warm-up: by the fifth scrape every ring holds its four samples and
+  // overwrites its oldest from then on, and the sweeps resolve every
+  // handle.
   for (int s = 1; s <= 5; ++s) {
     sim.RunUntil(Seconds(s));
     scraper.ScrapeOnce();

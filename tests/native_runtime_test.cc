@@ -12,6 +12,7 @@
 #include <chrono>
 #include <map>
 #include <set>
+#include <stdexcept>
 #include <vector>
 
 #ifdef __linux__
@@ -316,6 +317,18 @@ TEST(NativeRuntimeDriverTest, PollScrapesAndFetchServesDeltas) {
   ASSERT_EQ(topo.names.size(), 2u);
   EXPECT_EQ(topo.ingress_indices, std::vector<int>{0});
   EXPECT_EQ(topo.egress_indices, std::vector<int>{1});
+}
+
+// The driver's store keeps one delta window of history per series.
+TEST(NativeRuntimeDriverTest, StoreRetentionIsTheDeltaWindow) {
+  spe::NativeRuntime runtime;
+  runtime.AddQuery(Chain("q", {0, 0}), ExactCount(10));
+  EXPECT_EQ(osctl::NativeRuntimeDriver(runtime).store().retention(),
+            tsdb::kDeltaWindow);
+  EXPECT_EQ(
+      osctl::NativeRuntimeDriver(runtime, Seconds(10)).store().retention(),
+      Seconds(10));
+  EXPECT_THROW(osctl::NativeRuntimeDriver(runtime, 0), std::invalid_argument);
 }
 
 TEST(NativeRuntimeDriverTest, EntitiesGenerationMovesWithOperatorsAndTids) {

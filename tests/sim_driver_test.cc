@@ -1,10 +1,12 @@
 // Tests of the simulated-SPE driver: flavor-dependent Provides(), metric
-// store reads (staleness), series handles resolved on first use, topology
-// export, and entity enumeration.
+// store reads (staleness), a delta window the store's retention must cover,
+// series handles resolved on first use, topology export, and entity
+// enumeration.
 #include "core/sim_driver.h"
 
 #include <map>
 #include <memory>
+#include <stdexcept>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -68,6 +70,17 @@ TEST(SimDriverTest, ProvidesFollowsFlavor) {
   EXPECT_TRUE(liebre_driver.Provides(MetricId::kCost));
   EXPECT_TRUE(liebre_driver.Provides(MetricId::kSelectivity));
   EXPECT_TRUE(liebre_driver.Provides(MetricId::kHeadTupleAge));
+}
+
+// The store keeps only one retention of history per series, so a longer
+// delta window would silently clamp to the oldest sample kept.
+TEST(SimDriverTest, RejectsADeltaWindowBeyondTheStoresRetention) {
+  DriverRig rig(spe::StormFlavor());
+  EXPECT_NO_THROW(SimSpeDriver(rig.instance, rig.store, rig.store.retention()));
+  EXPECT_THROW(SimSpeDriver(rig.instance, rig.store, rig.store.retention() + 1),
+               std::invalid_argument);
+  const tsdb::TimeSeriesStore longer(Seconds(5));
+  EXPECT_NO_THROW(SimSpeDriver(rig.instance, longer, Seconds(5)));
 }
 
 TEST(SimDriverTest, EntitiesDescribeDeployment) {

@@ -1,9 +1,11 @@
 // Unit tests of PhysicalOp and TupleQueue: two-phase execution, routing
 // (round-robin / key-by), staged emission with backpressure, egress
-// measurement, and the tuple-contributor timestamp rules.
+// measurement (only on egress operators; reservoirs against a vector
+// reference), and the tuple-contributor timestamp rules.
 #include "spe/physical.h"
 
 #include <memory>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -239,10 +241,102 @@ TEST(PhysicalOpTest, EgressRecordsBothLatencies) {
   SimDuration cost;
   ASSERT_TRUE(op->Begin(cost));
   op->Finish(Seconds(3));
-  const EgressMeasurements& m = op->egress();
+  const EgressMeasurements& m = *op->egress();
   EXPECT_EQ(m.tuples, 1u);
   EXPECT_DOUBLE_EQ(m.latency.mean(), static_cast<double>(Seconds(1)));
   EXPECT_DOUBLE_EQ(m.e2e_latency.mean(), static_cast<double>(Seconds(2)));
+}
+
+TEST(PhysicalOpTest, OnlyEgressOperatorsCarryEgressState) {
+  PhysicalRig rig;
+  for (const OperatorRole role :
+       {OperatorRole::kIngress, OperatorRole::kTransform}) {
+    auto in = rig.Queue();
+    auto op = rig.Op(in.get(), role);
+    EXPECT_EQ(op->egress(), nullptr);
+    in->Push({});
+    SimDuration cost;
+    ASSERT_TRUE(op->Begin(cost));
+    op->Finish(Seconds(1));
+    // Resetting touches no counter and allocates no egress state.
+    op->ResetMeasurements();
+    EXPECT_EQ(op->egress(), nullptr);
+    EXPECT_EQ(op->tuples_in(), 1u);
+    EXPECT_EQ(op->tuples_out(), 1u);
+    EXPECT_EQ(op->busy_ns(), Micros(100));
+  }
+  auto in = rig.Queue();
+  EXPECT_NE(rig.Op(in.get(), OperatorRole::kEgress)->egress(), nullptr);
+}
+
+// The reservoir step as it was on std::vector.
+void VectorReservoirAdd(std::vector<double>& samples, double value,
+                        std::uint64_t seen, Rng& rng) {
+  if (samples.size() < EgressMeasurements::kMaxSamples) {
+    samples.push_back(value);
+    return;
+  }
+  const std::uint64_t slot = rng.NextBounded(seen);
+  if (slot < EgressMeasurements::kMaxSamples) samples[slot] = value;
+}
+
+TEST(PhysicalOpTest, EgressReservoirsKeepArrivalOrderThenSample) {
+  constexpr std::size_t kCap = EgressMeasurements::kMaxSamples;
+  PhysicalRig rig;
+  auto in = rig.Queue();
+  auto op = rig.Op(in.get(), OperatorRole::kEgress);
+  // With no cost jitter and no blocking, the reservoirs are the operator's
+  // only Rng draws: the reference draws from the same seed.
+  Rng rng(PhysicalOp::Config{}.seed);
+  std::vector<double> latency;
+  std::vector<double> e2e;
+  const auto feed = [&](std::size_t from, std::size_t to) {
+    for (std::size_t i = from; i < to; ++i) {
+      Tuple t;
+      t.produced = static_cast<SimTime>(i);
+      t.ingested = static_cast<SimTime>(2 * i);
+      in->Push(t);
+      SimDuration cost;
+      ASSERT_TRUE(op->Begin(cost));
+      const auto now = static_cast<SimTime>(3 * i + 1000);
+      op->Finish(now);
+      const std::uint64_t seen = i + 1;
+      VectorReservoirAdd(latency, static_cast<double>(now - t.ingested), seen,
+                         rng);
+      VectorReservoirAdd(e2e, static_cast<double>(now - t.produced), seen,
+                         rng);
+    }
+  };
+  const EgressMeasurements& m = *op->egress();
+  const auto expect_reference = [&](const char* when) {
+    ASSERT_EQ(m.latency_samples.size(), latency.size()) << when;
+    ASSERT_EQ(m.e2e_latency_samples.size(), e2e.size()) << when;
+    for (std::size_t i = 0; i < latency.size(); ++i) {
+      ASSERT_EQ(m.latency_samples[i], latency[i]) << when << " slot " << i;
+      ASSERT_EQ(m.e2e_latency_samples[i], e2e[i]) << when << " slot " << i;
+    }
+  };
+
+  // Below the cap every sample is kept, in arrival order.
+  feed(0, kCap - 1);
+  expect_reference("below the cap");
+  for (std::size_t i = 0; i + 1 < kCap; ++i) {
+    ASSERT_EQ(m.latency_samples[i], static_cast<double>(i + 1000)) << i;
+    ASSERT_EQ(m.e2e_latency_samples[i], static_cast<double>(2 * i + 1000))
+        << i;
+  }
+  // Past it the reservoirs hold exactly kCap samples, the ones the vector
+  // reservoir keeps in the same slots.
+  feed(kCap - 1, kCap + kCap / 2);
+  EXPECT_EQ(m.tuples, kCap + kCap / 2);
+  EXPECT_EQ(m.latency_samples.size(), kCap);
+  EXPECT_EQ(m.e2e_latency_samples.size(), kCap);
+  expect_reference("past the cap");
+
+  op->ResetMeasurements();
+  EXPECT_EQ(op->egress()->tuples, 0u);
+  EXPECT_TRUE(op->egress()->latency_samples.empty());
+  EXPECT_TRUE(op->egress()->e2e_latency_samples.empty());
 }
 
 TEST(PhysicalOpTest, BlockingProbabilityProducesSleeps) {

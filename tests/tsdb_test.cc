@@ -1,8 +1,10 @@
 #include "tsdb/tsdb.h"
 
 #include <deque>
+#include <limits>
 #include <map>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -30,7 +32,7 @@ TEST(TsdbTest, LatestReturnsNewestSample) {
 }
 
 TEST(TsdbTest, DeltaOverWindow) {
-  TimeSeriesStore store;
+  TimeSeriesStore store(/*retention=*/Seconds(3));
   for (int t = 0; t <= 10; ++t) {
     store.Append("counter", Seconds(t), 100.0 * t);
   }
@@ -47,7 +49,7 @@ TEST(TsdbTest, DeltaNeedsTwoSamples) {
 }
 
 TEST(TsdbTest, DeltaFallsBackToOldestSample) {
-  TimeSeriesStore store;
+  TimeSeriesStore store(/*retention=*/Seconds(60));
   store.Append("s", Seconds(1), 10);
   store.Append("s", Seconds(1) + Millis(100), 17);
   // Window larger than the history: uses the oldest sample.
@@ -57,12 +59,33 @@ TEST(TsdbTest, DeltaFallsBackToOldestSample) {
 }
 
 TEST(TsdbTest, HistoryIsBounded) {
-  TimeSeriesStore store(/*max_samples=*/5);
+  TimeSeriesStore store(/*retention=*/Seconds(5));
   for (int t = 0; t < 100; ++t) store.Append("s", Seconds(t), t);
-  // Oldest retained sample is t=95; a huge window clamps to it.
-  const auto delta = store.Delta("s", Seconds(1000));
-  ASSERT_TRUE(delta.has_value());
-  EXPECT_DOUBLE_EQ(*delta, 4.0);
+  // Kept: t=95..99, younger than 5 s, and t=94, the newest at least 5 s
+  // old. A window up to the retention reads as over the full history; a
+  // longer one clamps to t=94.
+  EXPECT_EQ(store.Delta("s", Seconds(5)), 5.0);
+  EXPECT_EQ(store.Delta("s", Seconds(4) + 1), 5.0);
+  EXPECT_EQ(store.Delta("s", Seconds(4)), 4.0);
+  EXPECT_EQ(store.Delta("s", Seconds(6)), 5.0);
+  EXPECT_EQ(store.Delta("s", Seconds(1000)), 5.0);
+}
+
+TEST(TsdbTest, HistoryIsCappedAtMaxSamples) {
+  TimeSeriesStore store;
+  // 1,000 samples 1 us apart all fall inside the 1 s retention; only the
+  // newest kMaxSamples stay.
+  for (int i = 0; i < 1000; ++i) store.Append("s", Micros(i), i);
+  EXPECT_EQ(store.Delta("s", Seconds(1)),
+            static_cast<double>(TimeSeriesStore::kMaxSamples - 1));
+  EXPECT_EQ(store.Latest("s")->value, 999.0);
+}
+
+TEST(TsdbTest, RetentionMustBePositive) {
+  EXPECT_EQ(TimeSeriesStore().retention(), kDeltaWindow);
+  EXPECT_EQ(TimeSeriesStore(1).retention(), 1);
+  EXPECT_THROW(TimeSeriesStore(0), std::invalid_argument);
+  EXPECT_THROW(TimeSeriesStore(-Seconds(1)), std::invalid_argument);
 }
 
 TEST(TsdbTest, SeriesAreIndependent) {
@@ -102,7 +125,7 @@ TEST(TsdbTest, EmptyNameIsASeriesToo) {
 }
 
 TEST(TsdbTest, HandlesStayValidAsTheSeriesTableGrows) {
-  TimeSeriesStore store(/*max_samples=*/3);
+  TimeSeriesStore store;
   std::vector<SeriesId> handles;
   for (int i = 0; i < 2000; ++i) {
     handles.push_back(store.Intern("op" + std::to_string(i) + ".tuples_in"));
@@ -122,16 +145,23 @@ TEST(TsdbTest, HandlesStayValidAsTheSeriesTableGrows) {
   EXPECT_EQ(store.series_count(), 1000u);
 }
 
-// The store as it was before series were interned: one deque per name.
-// Every sequence below must read the same from the interned rings.
+// A deque per name, trimmed after every append: the front goes while the
+// next sample is at least `retention` older than the newest, and while more
+// than 600 are kept. With an unbounded retention it is the store as it was
+// before retention by time: the newest 600 samples of each series.
 class DequeStore {
  public:
-  explicit DequeStore(std::size_t max_samples) : max_samples_(max_samples) {}
+  explicit DequeStore(
+      SimDuration retention = std::numeric_limits<SimDuration>::max())
+      : retention_(retention) {}
 
   void Append(const std::string& series, SimTime time, double value) {
     auto& points = series_[series];
     points.push_back({time, value});
-    if (points.size() > max_samples_) points.pop_front();
+    while (points.size() >= 2 && time - points[1].time >= retention_) {
+      points.pop_front();
+    }
+    if (points.size() > 600) points.pop_front();
   }
 
   [[nodiscard]] std::optional<Sample> Latest(const std::string& series) const {
@@ -161,7 +191,7 @@ class DequeStore {
   [[nodiscard]] std::size_t series_count() const { return series_.size(); }
 
  private:
-  std::size_t max_samples_;
+  SimDuration retention_;
   std::map<std::string, std::deque<Sample>> series_;
 };
 
@@ -199,12 +229,19 @@ SimDuration PickWindow(Rng& rng, const std::deque<Sample>* points) {
 TEST(TsdbModelTest, RingsReadLikeTheDequeStore) {
   constexpr int kSequences = 240;
   constexpr int kSteps = 400;
+  // From below the smallest step between samples to beyond a whole
+  // sequence's span.
+  constexpr SimDuration kRetentions[] = {1,           Millis(1),
+                                         Millis(250), Seconds(1),
+                                         Millis(1500), Seconds(3),
+                                         Seconds(10), Seconds(1000)};
   for (int seq = 0; seq < kSequences; ++seq) {
     Rng rng(1000 + static_cast<std::uint64_t>(seq));
-    const std::size_t max_samples = 1 + static_cast<std::size_t>(seq) % 9;
+    const SimDuration retention =
+        kRetentions[static_cast<std::size_t>(seq) % std::size(kRetentions)];
     const int series = 20 + static_cast<int>(rng.NextBounded(11));
-    TimeSeriesStore store(max_samples);
-    DequeStore model(max_samples);
+    TimeSeriesStore store(retention);
+    DequeStore model(retention);
     std::vector<std::string> names;
     std::vector<SeriesId> handles;
     std::vector<SimTime> clock;
@@ -217,7 +254,8 @@ TEST(TsdbModelTest, RingsReadLikeTheDequeStore) {
     for (int step = 0; step < kSteps; ++step) {
       const std::size_t k = rng.NextBounded(names.size());
       const std::string& name = names[k];
-      const std::string what = "seq " + std::to_string(seq) + " step " +
+      const std::string what = "seq " + std::to_string(seq) + " retention " +
+                               std::to_string(retention) + " step " +
                                std::to_string(step) + " " + name;
       const std::uint64_t op = rng.NextBounded(10);
       if (op < 5) {
@@ -252,6 +290,67 @@ TEST(TsdbModelTest, RingsReadLikeTheDequeStore) {
       }
       ASSERT_EQ(store.series_count(), model.series_count()) << what;
       if (::testing::Test::HasFailure()) return;
+    }
+  }
+}
+
+// A store at the default 1 s retention against the newest 600 samples of
+// each series, at the sim scraper's 1 s cadence and the native driver's
+// 100 ms poll, each exact and with jitter. Delta is a step function of the
+// window that steps only at the age of a sample, so every window up to the
+// retention is covered by 0, the retention, and each kept age and its two
+// neighbours.
+TEST(TsdbModelTest, RetentionReadsLikeTheNewest600Samples) {
+  constexpr int kSeries = 3;
+  constexpr int kAppends = 2400;
+  for (const SimDuration cadence : {Seconds(1), Millis(100)}) {
+    for (int seq = 0; seq < 6; ++seq) {
+      Rng rng(7000 + static_cast<std::uint64_t>(seq));
+      // Exact steps land samples exactly one retention apart; jittered
+      // ones (up to +-10% or +-50%) straddle it.
+      const SimDuration jitter =
+          seq % 3 == 0 ? 0 : cadence / (seq % 3 == 1 ? 10 : 2);
+      TimeSeriesStore store;
+      DequeStore full;
+      std::vector<SeriesId> handles;
+      std::vector<std::string> names;
+      std::vector<SimTime> clock;
+      for (int k = 0; k < kSeries; ++k) {
+        names.push_back("q.op" + std::to_string(k) + ".tuples_in");
+        handles.push_back(store.Intern(names.back()));
+        clock.push_back(
+            Millis(static_cast<std::int64_t>(rng.NextBounded(1000))));
+      }
+      double counter = 0;
+      for (int step = 0; step < kAppends; ++step) {
+        const std::size_t k = rng.NextBounded(kSeries);
+        // A repeated scrape time now and then; time never goes backwards.
+        if (!rng.Chance(0.05)) {
+          clock[k] +=
+              cadence + (jitter > 0 ? rng.UniformInt(-jitter, jitter) : 0);
+        }
+        counter += static_cast<double>(rng.UniformInt(0, 100));
+        store.Append(handles[k], clock[k], counter);
+        full.Append(names[k], clock[k], counter);
+
+        const std::string what = "cadence " + std::to_string(cadence) +
+                                 " seq " + std::to_string(seq) + " step " +
+                                 std::to_string(step) + " " + names[k];
+        ExpectSame(store.Latest(handles[k]), full.Latest(names[k]), what);
+        const std::deque<Sample>& points = *full.Points(names[k]);
+        std::vector<SimDuration> windows = {0, store.retention()};
+        for (const Sample& p : points) {
+          const SimDuration age = points.back().time - p.time;
+          for (const SimDuration w : {age - 1, age, age + 1}) {
+            if (w >= 0 && w <= store.retention()) windows.push_back(w);
+          }
+        }
+        for (const SimDuration w : windows) {
+          EXPECT_EQ(store.Delta(handles[k], w), full.Delta(names[k], w))
+              << what << " window " << w;
+        }
+        if (::testing::Test::HasFailure()) return;
+      }
     }
   }
 }
