@@ -33,7 +33,8 @@ cmake -S "$SRC_DIR" -B "$BUILD_DIR" \
 # trimming and growth are where an off-by-one reads outside a ring.
 # spe_physical_test covers the egress state only egress operators allocate
 # and the chunked latency reservoirs: a null egress pointer or a reservoir
-# slot past the end is what ASan catches.
+# slot past the end is what ASan catches. spe_runtime_test and
+# spe_property_test fill the same 4-byte reservoirs from deployed queries.
 # Schedules borrow entity pointers from the metric provider's snapshot, and
 # the delta layer keys health and recorder state by target id: the
 # policy, translator, transform, provider, runner and HR + shares golden
@@ -48,6 +49,7 @@ cmake --build "$BUILD_DIR" -j "$JOBS" \
            stable_pool_test hash_index_test alloc_regression_test \
            hetero_machine_test conformance_test \
            tsdb_test sim_driver_test spe_physical_test \
+           spe_runtime_test spe_property_test \
            policies_test translators_test transform_test \
            metric_provider_test runner_test hr_shares_golden_test \
            sim_os_adapter_test obs_ring_test \
@@ -60,6 +62,7 @@ for t in fault_tolerance_test failure_injection_test \
          stable_pool_test hash_index_test alloc_regression_test \
          hetero_machine_test conformance_test \
          tsdb_test sim_driver_test spe_physical_test \
+         spe_runtime_test spe_property_test \
          policies_test translators_test transform_test \
          metric_provider_test runner_test hr_shares_golden_test \
          sim_os_adapter_test obs_ring_test \

@@ -87,8 +87,9 @@ case "$(head -c 16 "$WORK_DIR/trace.json")" in
 esac
 
 # --- 1c. an operator thread discovery never resolved ------------------------
-# LinuxOsAdapter skips an entity whose pattern matched no thread, so the
-# dry-run log must say that nothing is set instead of a would-set line.
+# An op on an entity whose pattern matched no thread fails, in LinuxOsAdapter
+# and in the dry run alike: the log must say that nothing is set instead of a
+# would-set line, and the exit line must count no op as applied.
 cat > "$WORK_DIR/unresolved.ini" <<EOF
 [lachesis]
 period_ms = 100
@@ -106,6 +107,11 @@ if ! grep -q "thread not resolved" "$WORK_DIR/unresolved.out" ||
   grep -q "would set nice(-1)" "$WORK_DIR/unresolved.out"; then
   echo "run_native_smoke.sh: FAIL dry run logs a write to an unresolved" \
     "thread" >&2
+  exit 1
+fi
+if ! grep -q "^lachesisd: .* ops applied=0 " "$WORK_DIR/unresolved.out"; then
+  echo "run_native_smoke.sh: FAIL an op on an unresolved thread counts as" \
+    "applied" >&2
   exit 1
 fi
 

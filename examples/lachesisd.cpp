@@ -35,6 +35,7 @@
 #include "obs/trace_export.h"
 #include "osctl/daemon_config.h"
 #include "osctl/daemon_stack.h"
+#include "osctl/linux_os_adapter.h"
 #include "spe/native_runtime.h"
 
 using namespace lachesis;
@@ -47,12 +48,16 @@ volatile std::sig_atomic_t g_trace_requested = 0;
 void HandleTraceSignal(int) { g_trace_requested = 1; }
 
 // Adapter that only logs -- for --dry-run and unprivileged smoke tests.
-// A thread the driver never resolved (os_tid < 0) is one LinuxOsAdapter
-// skips, so the log says that nothing is set instead of a would-set line.
+// A thread the driver never resolved (os_tid < 0) fails as it does in
+// LinuxOsAdapter: the log says that nothing is set, and the op counts as an
+// error, not as applied.
 class LoggingOsAdapter final : public core::OsAdapter {
  public:
   void SetNice(const core::ThreadHandle& thread, int nice) override {
-    if (Unresolved(thread, "nice")) return;
+    if (thread.os_tid < 0) {
+      std::printf("  thread not resolved: nice not set\n");
+    }
+    osctl::RequireResolved(thread, "nice");
     std::printf("  would set nice(%ld) = %d\n", thread.os_tid, nice);
   }
   void SetGroupShares(const std::string& group, std::uint64_t shares) override {
@@ -61,11 +66,17 @@ class LoggingOsAdapter final : public core::OsAdapter {
   }
   void MoveToGroup(const core::ThreadHandle& thread,
                    const std::string& group) override {
-    if (Unresolved(thread, "cgroup")) return;
+    if (thread.os_tid < 0) {
+      std::printf("  thread not resolved: cgroup not set\n");
+    }
+    osctl::RequireResolved(thread, "cgroup");
     std::printf("  would move tid %ld into %s\n", thread.os_tid, group.c_str());
   }
   void SetRtPriority(const core::ThreadHandle& thread, int priority) override {
-    if (Unresolved(thread, "SCHED_FIFO")) return;
+    if (thread.os_tid < 0) {
+      std::printf("  thread not resolved: SCHED_FIFO not set\n");
+    }
+    osctl::RequireResolved(thread, "SCHED_FIFO");
     std::printf("  would set SCHED_FIFO(%ld) = %d\n", thread.os_tid, priority);
   }
   void SetGroupQuota(const std::string& group, SimDuration quota,
@@ -76,7 +87,10 @@ class LoggingOsAdapter final : public core::OsAdapter {
   }
   void SetDeadline(const core::ThreadHandle& thread, SimDuration runtime,
                    SimDuration deadline, SimDuration period) override {
-    if (Unresolved(thread, "SCHED_DEADLINE")) return;
+    if (thread.os_tid < 0) {
+      std::printf("  thread not resolved: SCHED_DEADLINE not set\n");
+    }
+    osctl::RequireResolved(thread, "SCHED_DEADLINE");
     std::printf("  would set SCHED_DEADLINE(%ld) = %lld/%lld/%lld us\n",
                 thread.os_tid, static_cast<long long>(runtime / kMicrosecond),
                 static_cast<long long>(deadline / kMicrosecond),
@@ -84,19 +98,15 @@ class LoggingOsAdapter final : public core::OsAdapter {
   }
   void SetCpuAffinity(const core::ThreadHandle& thread,
                       core::CpuPreference pref) override {
-    if (Unresolved(thread, "affinity")) return;
+    if (thread.os_tid < 0) {
+      std::printf("  thread not resolved: affinity not set\n");
+    }
+    osctl::RequireResolved(thread, "affinity");
     const char* name = pref == core::CpuPreference::kPreferBig ? "big"
                        : pref == core::CpuPreference::kPreferLittle
                            ? "little"
                            : "any";
     std::printf("  would bind tid %ld to %s cores\n", thread.os_tid, name);
-  }
-
- private:
-  static bool Unresolved(const core::ThreadHandle& thread, const char* what) {
-    if (thread.os_tid >= 0) return false;
-    std::printf("  thread not resolved: %s not set\n", what);
-    return true;
   }
 };
 

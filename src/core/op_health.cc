@@ -104,6 +104,11 @@ bool OpHealthTracker::AllowAttempt(OpClass cls, TargetId target, SimTime now) {
   ClassHealth& ch = classes_[static_cast<int>(cls)];
   if (ch.state == BreakerState::kOpen) {
     if (now < ch.probe_at) return false;
+    // A vanished target says nothing about the class (see RecordFailure):
+    // while it backs off it is not handed the probe, so the next op of the
+    // class takes it.
+    const TargetHealth* t = targets_[static_cast<int>(cls)].Find(target);
+    if (t != nullptr && t->vanished && now < t->next_retry) return false;
     ch.state = BreakerState::kHalfOpen;  // this attempt is the probe
     if (recorder_ != nullptr) {
       recorder_->BreakerTransition(now, static_cast<int>(cls),
@@ -148,6 +153,7 @@ void OpHealthTracker::RecordFailure(OpClass cls, TargetId target, SimTime now,
   TargetHealth& t = *targets_[static_cast<int>(cls)].FindOrInsert(target);
   t.failures += severity == ErrorSeverity::kPermanent ? 2 : 1;
   t.next_retry = now + BackoffDelay(target, t.failures);
+  t.vanished = severity == ErrorSeverity::kVanished;
   if (recorder_ != nullptr) {
     recorder_->BackoffArmed(now, static_cast<int>(cls), TargetName(target),
                             t.failures, t.next_retry);
@@ -158,14 +164,21 @@ void OpHealthTracker::RecordFailure(OpClass cls, TargetId target, SimTime now,
     // Probe failed: reopen, and double the probe interval (up to the
     // ceiling). A permanently dead class therefore costs O(log T) probes
     // over T ticks, not O(T / probe_interval); a fault that clears after a
-    // few intervals is still picked up within a couple of probes.
+    // few intervals is still picked up within a couple of probes. A probe
+    // whose target vanished is inconclusive: it neither doubles the interval
+    // nor moves the probe time, so the next op of the class probes. Else a
+    // gone (or never resolved) thread listed first in every tick would take
+    // every probe and hold the breaker open for good.
     ch.state = BreakerState::kOpen;
-    ++ch.probe_failures;
-    SimDuration interval = config_.probe_interval;
-    for (int i = 0; i < ch.probe_failures && interval < kBackoffCeiling; ++i) {
-      interval *= 2;
+    if (severity != ErrorSeverity::kVanished) {
+      ++ch.probe_failures;
+      SimDuration interval = config_.probe_interval;
+      for (int i = 0; i < ch.probe_failures && interval < kBackoffCeiling;
+           ++i) {
+        interval *= 2;
+      }
+      ch.probe_at = now + std::min(interval, kBackoffCeiling);
     }
-    ch.probe_at = now + std::min(interval, kBackoffCeiling);
     if (recorder_ != nullptr) {
       recorder_->BreakerTransition(now, static_cast<int>(cls),
                                    StateInt(BreakerState::kHalfOpen),

@@ -23,7 +23,9 @@
 //    cannot succeed until the environment changes) deepens backoff twice as
 //    fast; kVanished (ESRCH/ENOENT: the target is gone) backs off the
 //    target but does NOT count against the class -- one dead thread says
-//    nothing about the backend.
+//    nothing about the backend. For the same reason a vanished target in
+//    its backoff is not handed a half-open probe, and a probe that fails
+//    as vanished leaves the probe due for the next op of the class.
 //
 // All delays are deterministic: jitter is derived from SplitMix64 over
 // (seed, target, attempt), never from a global RNG, so chaos runs replay
@@ -144,7 +146,8 @@ class OpHealthTracker {
   }
   [[nodiscard]] int open_breakers() const;
   // True when the class breaker is open and its next probe is due at `now`
-  // (the next op of the class will be let through as the probe).
+  // (the next op of the class will be let through as the probe, unless its
+  // target vanished and is still backing off).
   [[nodiscard]] bool ProbeDue(OpClass cls, SimTime now) const;
   [[nodiscard]] std::size_t tracked_targets() const;
   // Introspection by name: consecutive failures / next allowed retry of a
@@ -161,6 +164,7 @@ class OpHealthTracker {
   struct TargetHealth {
     int failures = 0;
     SimTime next_retry = 0;
+    bool vanished = false;  // the last failure was kVanished
   };
   struct ClassHealth {
     int consecutive_failures = 0;

@@ -305,9 +305,6 @@ RunResult RunScenario(const ScenarioSpec& spec) {
       for (const double v : egress->latency_samples) {
         qr.latency_samples_ms.push_back(v / 1e6);
       }
-      for (const double v : egress->e2e_latency_samples) {
-        qr.e2e_latency_samples_ms.push_back(v / 1e6);
-      }
     }
     qr.avg_latency_ms = latency.mean() / 1e6;
     qr.avg_e2e_latency_ms = e2e.mean() / 1e6;

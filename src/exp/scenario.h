@@ -101,8 +101,7 @@ struct QueryResult {
   double offered_tps = 0;         // source emission rate achieved
   double avg_latency_ms = 0;      // processing latency
   double avg_e2e_latency_ms = 0;  // end-to-end latency
-  std::vector<double> latency_samples_ms;
-  std::vector<double> e2e_latency_samples_ms;
+  std::vector<double> latency_samples_ms;  // processing-latency reservoir
 };
 
 struct RunResult {

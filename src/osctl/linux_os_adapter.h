@@ -12,9 +12,11 @@
 // else is transient. The runner's schedule-delta layer absorbs the
 // exception, feeds the severity into its backoff/circuit-breaker state,
 // and moves on to the next operation, so a vanished operator never aborts
-// a scheduling tick. Entities that were never resolved (os_tid < 0) are
-// skipped silently: that is the steady state until the driver matches the
-// thread.
+// a scheduling tick. An entity whose thread the driver never resolved
+// (os_tid < 0) fails every thread operation with kVanished before any
+// controller is reached: nothing was set, so the delta layer counts an
+// error, caches nothing and backs that target off, and since kVanished is
+// no class signal the binding's ladder does not degrade.
 #ifndef LACHESIS_OSCTL_LINUX_OS_ADAPTER_H_
 #define LACHESIS_OSCTL_LINUX_OS_ADAPTER_H_
 
@@ -44,6 +46,16 @@ inline core::ErrorSeverity SeverityFromErrno(int err) {
   }
 }
 
+// Throws the error every thread operation on an unresolved entity
+// (os_tid < 0) fails with; `what` names the operation ("nice", ...).
+inline void RequireResolved(const core::ThreadHandle& thread,
+                            const char* what) {
+  if (thread.os_tid >= 0) return;
+  throw core::OsOperationError(
+      std::string("thread not resolved: ") + what + " not set",
+      core::ErrorSeverity::kVanished);
+}
+
 class LinuxOsAdapter final : public core::OsAdapter {
  public:
   LinuxOsAdapter(NiceController& nice, CgroupController& cgroups,
@@ -62,7 +74,7 @@ class LinuxOsAdapter final : public core::OsAdapter {
   }
 
   void SetNice(const core::ThreadHandle& thread, int nice) override {
-    if (thread.os_tid < 0) return;
+    RequireResolved(thread, "nice");
     errno = 0;
     if (!nice_->SetNice(thread.os_tid, nice)) {
       const int err = errno;
@@ -84,7 +96,7 @@ class LinuxOsAdapter final : public core::OsAdapter {
 
   void MoveToGroup(const core::ThreadHandle& thread,
                    const std::string& group) override {
-    if (thread.os_tid < 0) return;
+    RequireResolved(thread, "cgroup");
     errno = 0;
     if (!cgroups_->MoveThread(group, thread.os_tid)) {
       const int err = errno;
@@ -97,7 +109,8 @@ class LinuxOsAdapter final : public core::OsAdapter {
 
   void SetRtPriority(const core::ThreadHandle& thread,
                      int rt_priority) override {
-    if (rt_ == nullptr || thread.os_tid < 0) return;
+    RequireResolved(thread, "SCHED_FIFO");
+    if (rt_ == nullptr) return;
     errno = 0;
     if (!rt_->SetRtPriority(thread.os_tid, rt_priority)) {
       const int err = errno;
@@ -121,7 +134,8 @@ class LinuxOsAdapter final : public core::OsAdapter {
 
   void SetDeadline(const core::ThreadHandle& thread, SimDuration runtime,
                    SimDuration deadline, SimDuration period) override {
-    if (deadline_ == nullptr || thread.os_tid < 0) return;
+    RequireResolved(thread, "SCHED_DEADLINE");
+    if (deadline_ == nullptr) return;
     errno = 0;
     if (!deadline_->SetDeadline(thread.os_tid,
                                 static_cast<std::uint64_t>(runtime),
@@ -140,7 +154,8 @@ class LinuxOsAdapter final : public core::OsAdapter {
 
   void SetCpuAffinity(const core::ThreadHandle& thread,
                       core::CpuPreference pref) override {
-    if (affinity_ == nullptr || thread.os_tid < 0) return;
+    RequireResolved(thread, "affinity");
+    if (affinity_ == nullptr) return;
     const std::vector<int>* cpus = nullptr;
     static const std::vector<int> kAll;
     switch (pref) {

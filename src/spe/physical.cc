@@ -2,21 +2,55 @@
 
 #include <algorithm>
 #include <cassert>
+#include <limits>
 #include <utility>
 
 namespace lachesis::spe {
 
 namespace {
-void ReservoirAdd(std::deque<double>& samples, double value, std::uint64_t seen,
-                  Rng& rng) {
+// True for a sample in [0, 2^32) ns; a negative one wraps past the limit.
+bool FitsNarrow(SimDuration ns) {
+  return static_cast<std::uint64_t>(ns) <=
+         std::numeric_limits<std::uint32_t>::max();
+}
+
+void ReservoirAdd(LatencySamples& samples, SimDuration value,
+                  std::uint64_t seen, Rng& rng) {
   if (samples.size() < EgressMeasurements::kMaxSamples) {
-    samples.push_back(value);
+    samples.Append(value);
     return;
   }
   const std::uint64_t slot = rng.NextBounded(seen);
-  if (slot < EgressMeasurements::kMaxSamples) samples[slot] = value;
+  if (slot < EgressMeasurements::kMaxSamples) samples.Set(slot, value);
 }
 }  // namespace
+
+void LatencySamples::Append(SimDuration ns) {
+  if (!wide_ && FitsNarrow(ns)) {
+    narrow_.push_back(static_cast<std::uint32_t>(ns));
+    return;
+  }
+  Widen();
+  wide_samples_.push_back(ns);
+}
+
+void LatencySamples::Set(std::size_t i, SimDuration ns) {
+  assert(i < size());
+  if (!wide_ && FitsNarrow(ns)) {
+    narrow_[i] = static_cast<std::uint32_t>(ns);
+    return;
+  }
+  Widen();
+  wide_samples_[i] = ns;
+}
+
+void LatencySamples::Widen() {
+  if (wide_) return;
+  wide_samples_.assign(narrow_.begin(), narrow_.end());
+  narrow_.clear();
+  narrow_.shrink_to_fit();
+  wide_ = true;
+}
 
 PhysicalOp::PhysicalOp(Config config, TupleQueue* input,
                        std::vector<std::unique_ptr<OperatorLogic>> logic_chain)
@@ -68,14 +102,12 @@ SimDuration PhysicalOp::Finish(SimTime now) {
     // Egress delivers to the user: record latency per produced result.
     EgressMeasurements& egress = *egress_;
     for (const Tuple& t : scratch_in_) {
-      const auto latency = static_cast<double>(now - t.ingested);
-      const auto e2e = static_cast<double>(now - t.produced);
-      egress.latency.Add(latency);
-      egress.e2e_latency.Add(e2e);
-      egress.latency_histogram.Record(static_cast<std::uint64_t>(
-          std::max<SimDuration>(now - t.ingested, 0)));
-      egress.e2e_latency_histogram.Record(static_cast<std::uint64_t>(
-          std::max<SimDuration>(now - t.produced, 0)));
+      const SimDuration latency = now - t.ingested;
+      const SimDuration e2e = now - t.produced;
+      egress.latency.Add(static_cast<double>(latency));
+      egress.e2e_latency.Add(static_cast<double>(e2e));
+      egress.latency_histogram.Record(
+          static_cast<std::uint64_t>(std::max<SimDuration>(latency, 0)));
       ++egress.tuples;
       ReservoirAdd(egress.latency_samples, latency, egress.tuples, rng_);
       ReservoirAdd(egress.e2e_latency_samples, e2e, egress.tuples, rng_);

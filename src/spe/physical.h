@@ -6,11 +6,12 @@
 // model Lachesis schedules) or by a user-level scheduler's worker threads
 // (the EdgeWise/Haren baselines in src/ulss/). The two-phase Begin/Finish
 // protocol lets both executors charge the simulated CPU cost between popping
-// a tuple and applying its effects. Egress state (the latency reservoirs and
-// histograms) lives only on egress operators.
+// a tuple and applying its effects. Egress state (the latency reservoirs,
+// the histogram and the running stats) lives only on egress operators.
 #ifndef LACHESIS_SPE_PHYSICAL_H_
 #define LACHESIS_SPE_PHYSICAL_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -49,10 +50,69 @@ struct PhysicalEdge {
   }
 };
 
+// One latency reservoir's samples, whole nanoseconds of simulated time.
+//
+// Every egress tuple adds a sample to two reservoirs, so a run of hundreds
+// of queries keeps millions of them. While every sample lies in
+// [0, 2^32) ns (4.29 s), each is kept in 4 bytes instead of a double's 8.
+// The first sample outside that range (a negative difference, or a backlog
+// past 4.29 s) widens the store once to 8-byte integers, copying every
+// earlier sample; the wide side allocates nothing before that. Either way a
+// read returns the double of the exact sample.
+class LatencySamples {
+ public:
+  // Enough of an iterator for a range-for over the samples as doubles.
+  class Iterator {
+   public:
+    Iterator(const LatencySamples* samples, std::size_t index)
+        : samples_(samples), index_(index) {}
+    double operator*() const { return (*samples_)[index_]; }
+    Iterator& operator++() {
+      ++index_;
+      return *this;
+    }
+    bool operator==(const Iterator&) const = default;
+
+   private:
+    const LatencySamples* samples_;
+    std::size_t index_;
+  };
+
+  [[nodiscard]] std::size_t size() const {
+    return wide_ ? wide_samples_.size() : narrow_.size();
+  }
+  [[nodiscard]] bool empty() const { return size() == 0; }
+  // True once a sample outside [0, 2^32) ns has widened the store.
+  [[nodiscard]] bool wide() const { return wide_; }
+  [[nodiscard]] double operator[](std::size_t i) const {
+    return wide_ ? static_cast<double>(wide_samples_[i])
+                 : static_cast<double>(narrow_[i]);
+  }
+  [[nodiscard]] Iterator begin() const { return {this, 0}; }
+  [[nodiscard]] Iterator end() const { return {this, size()}; }
+
+  void Append(SimDuration ns);
+  // Overwrites sample `i` (< size()).
+  void Set(std::size_t i, SimDuration ns);
+
+ private:
+  void Widen();
+
+  // A deque grows in fixed-size chunks, so growth never copies and leaves
+  // no freed buffer behind.
+  std::deque<std::uint32_t> narrow_;
+  std::vector<SimDuration> wide_samples_;  // empty until Widen()
+  bool wide_ = false;
+};
+
 // Samples recorded by Egress operators (paper §3.2 latency definitions);
-// only an egress operator carries them. The reservoirs feed the letter-value
-// analysis; the HDR histograms give exact tail quantiles (p99/p99.9)
-// regardless of volume.
+// only an egress operator carries them. Who reads what:
+//  - the reservoirs: `latency_samples` pooled for Fig 13's letter-value
+//    analysis and per query by bench_hetero, `e2e_latency_samples` by
+//    perfbench's sim-scale quantiles;
+//  - `latency_histogram`: Fig 13's exact tail quantiles (p99/p99.9),
+//    whatever the volume;
+//  - the running stats: the average latencies of every experiment.
 struct EgressMeasurements {
   // Cap on retained samples per reservoir; beyond it, reservoir sampling
   // keeps the distribution unbiased for the letter-value analysis (Fig 13).
@@ -60,12 +120,9 @@ struct EgressMeasurements {
 
   RunningStat latency;       // processing latency, ns
   RunningStat e2e_latency;   // end-to-end latency, ns
-  // Capped reservoirs, ns. A deque grows in fixed-size chunks, so growth
-  // never copies and leaves no freed buffer behind.
-  std::deque<double> latency_samples;
-  std::deque<double> e2e_latency_samples;
-  HdrHistogram latency_histogram;
-  HdrHistogram e2e_latency_histogram;
+  LatencySamples latency_samples;      // capped reservoir, processing
+  LatencySamples e2e_latency_samples;  // capped reservoir, end-to-end
+  HdrHistogram latency_histogram;      // processing latency, ns
   std::uint64_t tuples = 0;
 
   void Reset() { *this = EgressMeasurements(); }

@@ -383,6 +383,37 @@ TEST(OpHealthTest, VanishedErrorsNeverOpenTheBreaker) {
   EXPECT_EQ(tracker.class_state(OpClass::kSetNice), BreakerState::kClosed);
 }
 
+TEST(OpHealthTest, VanishedTargetsNeverDecideAProbe) {
+  OpHealthTracker tracker(FastHealth());  // threshold 3, probe 2s
+  std::vector<OpHealthTracker::TargetId> t;
+  for (int i = 0; i < 3; ++i) {
+    t.push_back(tracker.InternTarget("t" + std::to_string(i)));
+    tracker.RecordFailure(OpClass::kSetNice, t[i], 0,
+                          ErrorSeverity::kTransient);
+  }
+  const auto gone = tracker.InternTarget("gone");
+  ASSERT_EQ(tracker.class_state(OpClass::kSetNice), BreakerState::kOpen);
+
+  // A probe that fails as vanished is inconclusive: the breaker reopens
+  // with the probe still due, and the vanished target, now backing off, is
+  // not handed it again.
+  ASSERT_TRUE(tracker.AllowAttempt(OpClass::kSetNice, gone, Seconds(2)));
+  tracker.RecordFailure(OpClass::kSetNice, gone, Seconds(2),
+                        ErrorSeverity::kVanished);
+  EXPECT_EQ(tracker.class_state(OpClass::kSetNice), BreakerState::kOpen);
+  EXPECT_TRUE(tracker.ProbeDue(OpClass::kSetNice, Seconds(2)));
+  EXPECT_FALSE(tracker.AllowAttempt(OpClass::kSetNice, gone, Seconds(2)));
+  EXPECT_EQ(tracker.class_state(OpClass::kSetNice), BreakerState::kOpen);
+
+  // The next op probes; its failure is the first that doubles the interval
+  // (2 s -> 4 s), as if the vanished probe had never happened.
+  ASSERT_TRUE(tracker.AllowAttempt(OpClass::kSetNice, t[0], Seconds(2)));
+  tracker.RecordFailure(OpClass::kSetNice, t[0], Seconds(2),
+                        ErrorSeverity::kTransient);
+  EXPECT_FALSE(tracker.ProbeDue(OpClass::kSetNice, Millis(5999)));
+  EXPECT_TRUE(tracker.ProbeDue(OpClass::kSetNice, Seconds(6)));
+}
+
 TEST(OpHealthTest, ForgetTargetDropsStateAcrossClasses) {
   OpHealthTracker tracker(FastHealth());
   const auto target = tracker.InternTarget("t:1/0");

@@ -3,7 +3,11 @@
 #include <cerrno>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -350,16 +354,45 @@ TEST(LinuxOsAdapterTest, SnapshotReportsDeadlineReservations) {
   EXPECT_TRUE(snapshot.threads[1].deadline->is_zero());
 }
 
-TEST(LinuxOsAdapterTest, IgnoresEntitiesWithoutOsTid) {
+// A thread the driver never resolved: nothing can be set, so every thread
+// op fails as vanished (the target backs off, no class breaker counts it)
+// before it reaches a controller.
+TEST(LinuxOsAdapterTest, UnresolvedThreadFailsEveryThreadOpAsVanished) {
   TempDir tmp;
   FakeNiceController nice;
   CgroupController cgroups(tmp.path(), CgroupVersion::kV1);
-  LinuxOsAdapter adapter(nice, cgroups);
-  core::ThreadHandle handle;  // os_tid = -1
-  adapter.SetNice(handle, -10);
-  adapter.MoveToGroup(handle, "g");
+  FakeRtController rt;
+  FakeDeadlineController deadline;
+  FakeAffinityController affinity;
+  LinuxOsAdapter adapter(nice, cgroups, &rt, &deadline, &affinity);
+  adapter.SetCoreClasses({1}, {0});
+  const core::ThreadHandle handle;  // os_tid = -1
+  ASSERT_LT(handle.os_tid, 0);
+
+  const std::vector<std::pair<const char*, std::function<void()>>> ops = {
+      {"nice", [&] { adapter.SetNice(handle, -10); }},
+      {"cgroup", [&] { adapter.MoveToGroup(handle, "g"); }},
+      {"SCHED_FIFO", [&] { adapter.SetRtPriority(handle, 10); }},
+      {"SCHED_DEADLINE",
+       [&] { adapter.SetDeadline(handle, Millis(4), Millis(10), Millis(10)); }},
+      {"affinity",
+       [&] { adapter.SetCpuAffinity(handle, core::CpuPreference::kPreferBig); }},
+  };
+  for (const auto& [what, op] : ops) {
+    try {
+      op();
+      ADD_FAILURE() << what << " on an unresolved thread succeeded";
+    } catch (const core::OsOperationError& e) {
+      EXPECT_EQ(e.severity(), core::ErrorSeverity::kVanished) << what;
+      EXPECT_EQ(std::string(e.what()),
+                std::string("thread not resolved: ") + what + " not set");
+    }
+  }
   EXPECT_TRUE(nice.nices().empty());
-  EXPECT_FALSE(fs::exists(tmp.path() / "g" / "tasks"));
+  EXPECT_TRUE(rt.priorities().empty());
+  EXPECT_TRUE(deadline.deadlines().empty());
+  EXPECT_TRUE(affinity.affinities().empty());
+  EXPECT_TRUE(cgroups.ListGroups().empty());
 }
 
 // An empty cgroup_root means no hierarchy. The writes used to resolve

@@ -7,7 +7,9 @@
 #include <array>
 #include <cerrno>
 #include <functional>
+#include <map>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -19,6 +21,9 @@
 #include "core/sim_executor.h"
 #include "obs/explain.h"
 #include "obs/recorder.h"
+#include "osctl/cgroupfs.h"
+#include "osctl/linux_os_adapter.h"
+#include "osctl/nice.h"
 #include "sim/simulator.h"
 #include "tests/fake_driver.h"
 
@@ -169,6 +174,92 @@ TEST(ScheduleDeltaTest, FailedValueIsRetriedNextTime) {
   delta.SetNice(Thread(0), 5);  // same value, but retried because it failed
   EXPECT_EQ(os.nices.at(0), 5);
   EXPECT_EQ(delta.totals().applied, 1u);
+}
+
+// LinuxOsAdapter fails an op on a thread the driver never resolved
+// (os_tid < 0), so nothing is cached: the same op on the next tick is tried
+// again, never skipped as unchanged. With health on, the failure backs the
+// target off without counting toward the class breaker.
+TEST(ScheduleDeltaTest, UnresolvedThreadIsNeverAppliedOrSkipped) {
+  osctl::FakeNiceController nice;
+  osctl::CgroupController cgroups("", osctl::CgroupVersion::kV1);
+  osctl::LinuxOsAdapter os(nice, cgroups);
+  for (const bool health_on : {false, true}) {
+    ScheduleDeltaAdapter delta(os);
+    HealthConfig health;
+    health.enabled = health_on;
+    health.jitter_frac = 0.0;
+    health.breaker_threshold = 1;  // a class signal would open it at once
+    delta.SetHealthConfig(health);
+    const ThreadHandle unresolved;  // os_tid = -1
+
+    for (int tick = 0; tick < 2; ++tick) {
+      delta.BeginTick(Seconds(tick));  // past the 500 ms backoff
+      delta.SetNice(unresolved, 5);
+      delta.MoveToGroup(unresolved, "g");
+      EXPECT_EQ(delta.tick_stats().applied, 0u) << health_on << tick;
+      EXPECT_EQ(delta.tick_stats().skipped, 0u) << health_on << tick;
+      EXPECT_EQ(delta.tick_stats().errors, 2u) << health_on << tick;
+    }
+    EXPECT_EQ(delta.health().open_breakers(), 0) << health_on;
+  }
+  EXPECT_TRUE(nice.nices().empty());
+}
+
+// Nice backend that refuses every write with EPERM while `deny` is set.
+class DenyingNiceController final : public osctl::NiceController {
+ public:
+  bool SetNice(long tid, int nice) override {
+    if (deny) {
+      errno = EPERM;
+      return false;
+    }
+    nices[tid] = nice;
+    return true;
+  }
+  std::optional<int> GetNice(long) override { return std::nullopt; }
+
+  bool deny = true;
+  std::map<long, int> nices;
+};
+
+// The nice breaker opens on permanent errors while an unresolved thread is
+// listed first in every tick. Its vanished failures must not take every
+// half-open probe: once the backend accepts writes again, a resolved op
+// probes, the breaker closes and every resolved thread is set.
+TEST(ScheduleDeltaTest, UnresolvedThreadDoesNotHoldTheBreakerOpen) {
+  DenyingNiceController nice;
+  osctl::CgroupController cgroups("", osctl::CgroupVersion::kV1);
+  osctl::LinuxOsAdapter os(nice, cgroups);
+  ScheduleDeltaAdapter delta(os);
+  HealthConfig health;  // the runner's defaults, jitter included
+  health.enabled = true;
+  delta.SetHealthConfig(health);
+  const ThreadHandle unresolved;  // os_tid = -1
+  std::vector<ThreadHandle> resolved(3);
+  for (int i = 0; i < 3; ++i) {
+    resolved[i].sim_tid = ThreadId(i + 1);
+    resolved[i].os_tid = 101 + i;
+  }
+
+  constexpr int kDeniedTicks = 20;
+  bool opened = false;
+  int closed_at = -1;
+  for (int tick = 0; tick < 200 && closed_at < 0; ++tick) {
+    nice.deny = tick < kDeniedTicks;
+    delta.BeginTick(Seconds(tick));
+    delta.SetNice(unresolved, 5);
+    for (const ThreadHandle& thread : resolved) delta.SetNice(thread, 5);
+    const BreakerState state = delta.health().class_state(OpClass::kSetNice);
+    opened = opened || state == BreakerState::kOpen;
+    if (opened && state == BreakerState::kClosed) closed_at = tick;
+  }
+  ASSERT_TRUE(opened);
+  // The first probe due after the denial ends closes the breaker; the
+  // interval has doubled to 16 s by then.
+  EXPECT_GE(closed_at, kDeniedTicks);
+  EXPECT_LE(closed_at, kDeniedTicks + 16);
+  EXPECT_EQ(nice.nices, (std::map<long, int>{{101, 5}, {102, 5}, {103, 5}}));
 }
 
 TEST(ScheduleDeltaTest, GroupFailureDoesNotPoisonOtherGroups) {

@@ -1,10 +1,13 @@
 // Unit tests of PhysicalOp and TupleQueue: two-phase execution, routing
 // (round-robin / key-by), staged emission with backpressure, egress
 // measurement (only on egress operators; reservoirs against a vector
-// reference), and the tuple-contributor timestamp rules.
+// reference), the 4-byte latency store and its one-time widening, and the
+// tuple-contributor timestamp rules.
 #include "spe/physical.h"
 
+#include <cstddef>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -269,74 +272,188 @@ TEST(PhysicalOpTest, OnlyEgressOperatorsCarryEgressState) {
   EXPECT_NE(rig.Op(in.get(), OperatorRole::kEgress)->egress(), nullptr);
 }
 
-// The reservoir step as it was on std::vector.
-void VectorReservoirAdd(std::vector<double>& samples, double value,
+// The reservoir step as it was on std::vector<double>; true when `value`
+// took a slot.
+bool VectorReservoirAdd(std::vector<double>& samples, double value,
                         std::uint64_t seen, Rng& rng) {
   if (samples.size() < EgressMeasurements::kMaxSamples) {
     samples.push_back(value);
-    return;
+    return true;
   }
   const std::uint64_t slot = rng.NextBounded(seen);
-  if (slot < EgressMeasurements::kMaxSamples) samples[slot] = value;
+  if (slot >= EgressMeasurements::kMaxSamples) return false;
+  samples[slot] = value;
+  return true;
 }
 
 TEST(PhysicalOpTest, EgressReservoirsKeepArrivalOrderThenSample) {
   constexpr std::size_t kCap = EgressMeasurements::kMaxSamples;
-  PhysicalRig rig;
-  auto in = rig.Queue();
-  auto op = rig.Op(in.get(), OperatorRole::kEgress);
-  // With no cost jitter and no blocking, the reservoirs are the operator's
-  // only Rng draws: the reference draws from the same seed.
-  Rng rng(PhysicalOp::Config{}.seed);
-  std::vector<double> latency;
-  std::vector<double> e2e;
-  const auto feed = [&](std::size_t from, std::size_t to) {
-    for (std::size_t i = from; i < to; ++i) {
-      Tuple t;
-      t.produced = static_cast<SimTime>(i);
-      t.ingested = static_cast<SimTime>(2 * i);
-      in->Push(t);
-      SimDuration cost;
-      ASSERT_TRUE(op->Begin(cost));
-      const auto now = static_cast<SimTime>(3 * i + 1000);
-      op->Finish(now);
-      const std::uint64_t seen = i + 1;
-      VectorReservoirAdd(latency, static_cast<double>(now - t.ingested), seen,
-                         rng);
-      VectorReservoirAdd(e2e, static_cast<double>(now - t.produced), seen,
-                         rng);
-    }
-  };
-  const EgressMeasurements& m = *op->egress();
-  const auto expect_reference = [&](const char* when) {
-    ASSERT_EQ(m.latency_samples.size(), latency.size()) << when;
-    ASSERT_EQ(m.e2e_latency_samples.size(), e2e.size()) << when;
-    for (std::size_t i = 0; i < latency.size(); ++i) {
-      ASSERT_EQ(m.latency_samples[i], latency[i]) << when << " slot " << i;
-      ASSERT_EQ(m.e2e_latency_samples[i], e2e[i]) << when << " slot " << i;
-    }
-  };
+  constexpr std::size_t kNoSlowTuple = ~std::size_t{0};
+  // One run with every latency in the 4-byte range, and two in which one
+  // tuple's latencies are 5 s and more (past 2^32 ns): once below the cap,
+  // once past it.
+  for (const std::size_t slow : {kNoSlowTuple, kCap / 3, kCap + kCap / 4}) {
+    SCOPED_TRACE(slow == kNoSlowTuple ? std::string("no slow tuple")
+                                      : "slow tuple " + std::to_string(slow));
+    PhysicalRig rig;
+    auto in = rig.Queue();
+    auto op = rig.Op(in.get(), OperatorRole::kEgress);
+    // With no cost jitter and no blocking, the reservoirs are the
+    // operator's only Rng draws: the reference draws from the same seed.
+    Rng rng(PhysicalOp::Config{}.seed);
+    std::vector<double> latency;
+    std::vector<double> e2e;
+    bool slow_latency_kept = false;
+    bool slow_e2e_kept = false;
+    const auto feed = [&](std::size_t from, std::size_t to) {
+      for (std::size_t i = from; i < to; ++i) {
+        const auto now = static_cast<SimTime>(3 * i + 1000);
+        Tuple t;
+        t.ingested = i == slow ? now - Seconds(5) : static_cast<SimTime>(2 * i);
+        t.produced = t.ingested - static_cast<SimTime>(i);
+        in->Push(t);
+        SimDuration cost;
+        ASSERT_TRUE(op->Begin(cost));
+        op->Finish(now);
+        const std::uint64_t seen = i + 1;
+        const bool latency_kept = VectorReservoirAdd(
+            latency, static_cast<double>(now - t.ingested), seen, rng);
+        const bool e2e_kept = VectorReservoirAdd(
+            e2e, static_cast<double>(now - t.produced), seen, rng);
+        if (i == slow) {
+          slow_latency_kept = latency_kept;
+          slow_e2e_kept = e2e_kept;
+        }
+      }
+    };
+    const EgressMeasurements& m = *op->egress();
+    const auto expect_reference = [&](const char* when) {
+      ASSERT_EQ(m.latency_samples.size(), latency.size()) << when;
+      ASSERT_EQ(m.e2e_latency_samples.size(), e2e.size()) << when;
+      for (std::size_t i = 0; i < latency.size(); ++i) {
+        ASSERT_EQ(m.latency_samples[i], latency[i]) << when << " slot " << i;
+        ASSERT_EQ(m.e2e_latency_samples[i], e2e[i]) << when << " slot " << i;
+      }
+      // The store widens exactly when a sample past 2^32 ns took a slot.
+      EXPECT_EQ(m.latency_samples.wide(), slow_latency_kept) << when;
+      EXPECT_EQ(m.e2e_latency_samples.wide(), slow_e2e_kept) << when;
+    };
 
-  // Below the cap every sample is kept, in arrival order.
-  feed(0, kCap - 1);
-  expect_reference("below the cap");
-  for (std::size_t i = 0; i + 1 < kCap; ++i) {
-    ASSERT_EQ(m.latency_samples[i], static_cast<double>(i + 1000)) << i;
-    ASSERT_EQ(m.e2e_latency_samples[i], static_cast<double>(2 * i + 1000))
-        << i;
+    // Below the cap every sample is kept, in arrival order.
+    feed(0, kCap - 1);
+    expect_reference("below the cap");
+    for (std::size_t i = 0; i + 1 < kCap; ++i) {
+      if (i == slow) {
+        ASSERT_EQ(m.latency_samples[i], static_cast<double>(Seconds(5)));
+        ASSERT_EQ(m.e2e_latency_samples[i],
+                  static_cast<double>(Seconds(5) + static_cast<SimTime>(i)));
+        continue;
+      }
+      ASSERT_EQ(m.latency_samples[i], static_cast<double>(i + 1000)) << i;
+      ASSERT_EQ(m.e2e_latency_samples[i], static_cast<double>(2 * i + 1000))
+          << i;
+    }
+    // Past it the reservoirs hold exactly kCap samples, the ones the vector
+    // reservoir keeps in the same slots.
+    feed(kCap - 1, kCap + kCap / 2);
+    EXPECT_EQ(m.tuples, kCap + kCap / 2);
+    EXPECT_EQ(m.latency_samples.size(), kCap);
+    EXPECT_EQ(m.e2e_latency_samples.size(), kCap);
+    expect_reference("past the cap");
+    // Each slow run reaches the wide store; the seed's draws keep the slow
+    // tuple past the cap too.
+    if (slow != kNoSlowTuple) {
+      EXPECT_TRUE(slow_latency_kept && slow_e2e_kept);
+    }
+
+    op->ResetMeasurements();
+    EXPECT_EQ(op->egress()->tuples, 0u);
+    EXPECT_TRUE(op->egress()->latency_samples.empty());
+    EXPECT_TRUE(op->egress()->e2e_latency_samples.empty());
+    EXPECT_FALSE(op->egress()->latency_samples.wide());
+    EXPECT_FALSE(op->egress()->e2e_latency_samples.wide());
   }
-  // Past it the reservoirs hold exactly kCap samples, the ones the vector
-  // reservoir keeps in the same slots.
-  feed(kCap - 1, kCap + kCap / 2);
-  EXPECT_EQ(m.tuples, kCap + kCap / 2);
-  EXPECT_EQ(m.latency_samples.size(), kCap);
-  EXPECT_EQ(m.e2e_latency_samples.size(), kCap);
-  expect_reference("past the cap");
+}
 
-  op->ResetMeasurements();
-  EXPECT_EQ(op->egress()->tuples, 0u);
-  EXPECT_TRUE(op->egress()->latency_samples.empty());
-  EXPECT_TRUE(op->egress()->e2e_latency_samples.empty());
+constexpr SimDuration kNarrowMax = (SimDuration{1} << 32) - 1;
+
+std::vector<double> ReadAll(const LatencySamples& samples) {
+  std::vector<double> out;
+  for (std::size_t i = 0; i < samples.size(); ++i) out.push_back(samples[i]);
+  return out;
+}
+
+TEST(LatencySamplesTest, FourByteRangeStaysNarrowAndReadsBackExactly) {
+  LatencySamples samples;
+  EXPECT_TRUE(samples.empty());
+  for (const SimDuration ns : {SimDuration{0}, SimDuration{1}, kNarrowMax}) {
+    samples.Append(ns);
+  }
+  EXPECT_FALSE(samples.wide());
+  EXPECT_EQ(ReadAll(samples), (std::vector<double>{0.0, 1.0, 4294967295.0}));
+}
+
+TEST(LatencySamplesTest, SampleOutsideTheRangeWidensAndKeepsEarlierOnes) {
+  const std::vector<SimDuration> earlier = {0, 7, kNarrowMax, Millis(250)};
+  for (const SimDuration outside :
+       {kNarrowMax + 1, SimDuration{-1}, -Seconds(3)}) {
+    SCOPED_TRACE(outside);
+    LatencySamples samples;
+    for (const SimDuration ns : earlier) samples.Append(ns);
+    ASSERT_FALSE(samples.wide());
+    samples.Append(outside);
+    EXPECT_TRUE(samples.wide());
+    samples.Append(3);  // a 4-byte value after widening stays wide
+    EXPECT_TRUE(samples.wide());
+    std::vector<double> expected(earlier.begin(), earlier.end());
+    expected.push_back(static_cast<double>(outside));
+    expected.push_back(3.0);
+    EXPECT_EQ(ReadAll(samples), expected);
+  }
+}
+
+TEST(LatencySamplesTest, SetWidensForAWideValueAndStoresANarrowOneWide) {
+  LatencySamples samples;
+  for (const SimDuration ns : {10, 20, 30}) samples.Append(ns);
+  samples.Set(1, 25);
+  EXPECT_FALSE(samples.wide());
+  EXPECT_EQ(ReadAll(samples), (std::vector<double>{10.0, 25.0, 30.0}));
+
+  samples.Set(1, Seconds(5));
+  EXPECT_TRUE(samples.wide());
+  EXPECT_EQ(ReadAll(samples), (std::vector<double>{10.0, 5e9, 30.0}));
+
+  samples.Set(1, 40);
+  samples.Set(2, -5);
+  EXPECT_TRUE(samples.wide());
+  EXPECT_EQ(ReadAll(samples), (std::vector<double>{10.0, 40.0, -5.0}));
+}
+
+TEST(LatencySamplesTest, RangeForYieldsTheIndexSequence) {
+  LatencySamples samples;
+  for (SimDuration i = 0; i < 1000; ++i) samples.Append(i * 7919);
+  for (const bool wide : {false, true}) {
+    if (wide) samples.Append(kNarrowMax + 1);
+    ASSERT_EQ(samples.wide(), wide);
+    std::vector<double> ranged;
+    for (const double ns : samples) ranged.push_back(ns);
+    EXPECT_EQ(ranged, ReadAll(samples));
+  }
+}
+
+TEST(LatencySamplesTest, EgressResetLeavesEmptyNarrowStores) {
+  EgressMeasurements m;
+  m.latency_samples.Append(Seconds(5));
+  m.e2e_latency_samples.Append(-1);
+  ASSERT_TRUE(m.latency_samples.wide());
+  ASSERT_TRUE(m.e2e_latency_samples.wide());
+  m.Reset();
+  for (LatencySamples* samples : {&m.latency_samples, &m.e2e_latency_samples}) {
+    EXPECT_TRUE(samples->empty());
+    EXPECT_FALSE(samples->wide());
+    samples->Append(kNarrowMax);
+    EXPECT_FALSE(samples->wide());
+  }
 }
 
 TEST(PhysicalOpTest, BlockingProbabilityProducesSleeps) {
