@@ -43,38 +43,33 @@ cmake -S "$SRC_DIR" -B "$BUILD_DIR" \
 # native_queue_test and native_runtime_test run here as well as under TSan:
 # the executor's parks hand the futex syscall a pointer derived from an
 # atomic, and ring slot indexing wraps on every lap.
-cmake --build "$BUILD_DIR" -j "$JOBS" \
-  --target fault_tolerance_test failure_injection_test \
-           schedule_delta_test runner_dynamic_test \
-           stable_pool_test hash_index_test alloc_regression_test \
-           hetero_machine_test conformance_test \
-           tsdb_test sim_driver_test spe_physical_test \
-           spe_runtime_test spe_property_test \
-           policies_test translators_test transform_test \
-           metric_provider_test runner_test hr_shares_golden_test \
-           sim_os_adapter_test obs_ring_test \
-           native_queue_test native_runtime_test \
-           fleet_sim_test fleet_chaos_test
+# native_driver_test, daemon_config_test and raw_metric_mapping_test parse
+# text from outside the program (graphite lines, config files) and drive the
+# raw-metric reader's series-handle table from the file driver.
+SUITES=(
+  fault_tolerance_test failure_injection_test
+  schedule_delta_test runner_dynamic_test
+  stable_pool_test hash_index_test alloc_regression_test
+  hetero_machine_test conformance_test
+  tsdb_test sim_driver_test spe_physical_test
+  spe_runtime_test spe_property_test
+  policies_test translators_test transform_test
+  metric_provider_test runner_test hr_shares_golden_test
+  sim_os_adapter_test obs_ring_test
+  native_queue_test native_runtime_test
+  native_driver_test daemon_config_test raw_metric_mapping_test
+  fleet_sim_test fleet_chaos_test
+)
+cmake --build "$BUILD_DIR" -j "$JOBS" --target "${SUITES[@]}"
 
+# The fleet soak's epoch count is trimmed under sanitizers: the schedule is
+# a pure hash of (seed, machine, epoch), so the shorter run replays an exact
+# prefix of the default-length chaos.
+export LACHESIS_FLEET_CHAOS_EPOCHS="${LACHESIS_FLEET_CHAOS_EPOCHS:-4000}"
 status=0
-for t in fault_tolerance_test failure_injection_test \
-         schedule_delta_test runner_dynamic_test \
-         stable_pool_test hash_index_test alloc_regression_test \
-         hetero_machine_test conformance_test \
-         tsdb_test sim_driver_test spe_physical_test \
-         spe_runtime_test spe_property_test \
-         policies_test translators_test transform_test \
-         metric_provider_test runner_test hr_shares_golden_test \
-         sim_os_adapter_test obs_ring_test \
-         native_queue_test native_runtime_test \
-         fleet_sim_test; do
+for t in "${SUITES[@]}"; do
   "$BUILD_DIR/tests/$t" --gtest_brief=1 || status=$?
 done
-# The soak's epoch count is trimmed under sanitizers: the schedule is a
-# pure hash of (seed, machine, epoch), so the shorter run replays an exact
-# prefix of the default-length chaos.
-LACHESIS_FLEET_CHAOS_EPOCHS="${LACHESIS_FLEET_CHAOS_EPOCHS:-4000}" \
-  "$BUILD_DIR/tests/fleet_chaos_test" --gtest_brief=1 || status=$?
 if [ "$status" -ne 0 ]; then
   echo "run_chaos.sh: chaos suites exited with status $status" >&2
 fi

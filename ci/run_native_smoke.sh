@@ -4,7 +4,8 @@
 #
 #   1. lachesisd --dry-run over a real process (a spawned `sleep`),
 #      discovered via /proc -- needs no privileges; its tick lines must
-#      reach a redirected log before the SIGTERM that stops it.
+#      reach a redirected log before the SIGTERM that stops it, and a
+#      series in its metrics file must reach the policy.
 #   2. The sim-vs-native conformance differential (real setpriority /
 #      cgroupfs where permitted; the test skips internally otherwise).
 #   3. lachesisd serving two [native-query] chains itself: a short soak of
@@ -48,11 +49,11 @@ period_ms = 100
 policy = queue-size
 translator = nice
 metrics_file = $WORK_DIR/metrics.log
+provides = queue_size
 
 [query smoke]
 pid = $SLEEP_PID
 operator main = sleep smoke.main ingress
-provides = queue_size
 EOF
 
 echo "run_native_smoke.sh: lachesisd --dry-run (2 iterations)"
@@ -94,11 +95,11 @@ cat > "$WORK_DIR/unresolved.ini" <<EOF
 [lachesis]
 period_ms = 100
 metrics_file = $WORK_DIR/metrics.log
+provides = queue_size
 
 [query unresolved]
 pid = $SLEEP_PID
 operator main = no-such-thread smoke.main ingress
-provides = queue_size
 EOF
 echo "run_native_smoke.sh: lachesisd --dry-run, pattern matching no thread"
 "$LACHESISD" "$WORK_DIR/unresolved.ini" --dry-run --iterations 2 |
@@ -126,6 +127,33 @@ if [ "$status" -ne 124 ] || ! grep -q "^tick " "$WORK_DIR/ticks.log"; then
   echo "run_native_smoke.sh: FAIL lachesisd exited $status (124 = stopped" \
     "by timeout) with $(grep -c "^tick " "$WORK_DIR/ticks.log") tick lines" \
     "in its redirected log" >&2
+  exit 1
+fi
+
+# --- 1e. a metric read from the file through the [query] path ---------------
+# FCFS ranks by head_tuple_age, which the raw-metric table serves from the
+# operator's head_tuple_age_ns series; the verbose trace records each value
+# the provider read, so the file's 5000 must appear under the entity path.
+echo "smoke.main.head_tuple_age_ns 5000 1" >"$WORK_DIR/fcfs_metrics.log"
+cat > "$WORK_DIR/fcfs.ini" <<EOF
+[lachesis]
+period_ms = 100
+policy = fcfs
+metrics_file = $WORK_DIR/fcfs_metrics.log
+provides = head_tuple_age_ns
+obs_verbose = true
+
+[query smoke]
+pid = $SLEEP_PID
+operator main = sleep smoke.main ingress
+EOF
+echo "run_native_smoke.sh: lachesisd --dry-run reads a metric from the file"
+"$LACHESISD" "$WORK_DIR/fcfs.ini" --dry-run --iterations 2 \
+  --trace "$WORK_DIR/fcfs_trace.json"
+if ! grep -qF '"metric:head_tuple_age","args":{"smoke.main":5000}' \
+  "$WORK_DIR/fcfs_trace.json"; then
+  echo "run_native_smoke.sh: FAIL the trace holds no head_tuple_age of" \
+    "5000 for smoke.main read from the metrics file" >&2
   exit 1
 fi
 

@@ -4,8 +4,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <filesystem>
-#include <fstream>
 
 namespace lachesis::exp {
 
@@ -44,7 +42,6 @@ std::string FormatCi(const MeanCi& ci) {
 void PrintTable(const std::string& title,
                 const std::vector<std::string>& header,
                 const std::vector<std::vector<std::string>>& rows) {
-  MaybeWriteCsv(title, header, rows);
   std::printf("\n== %s ==\n", title.c_str());
   std::vector<std::size_t> widths(header.size());
   for (std::size_t c = 0; c < header.size(); ++c) widths[c] = header[c].size();
@@ -89,38 +86,6 @@ void PrintLetterValues(const std::string& label, std::vector<double> samples) {
 double Percentile(std::vector<double> samples, double q) {
   if (samples.empty()) return 0.0;
   return Quantile(std::move(samples), q);
-}
-
-std::string MaybeWriteCsv(const std::string& title,
-                          const std::vector<std::string>& header,
-                          const std::vector<std::vector<std::string>>& rows) {
-  const char* dir = std::getenv("LACHESIS_BENCH_CSV");
-  if (dir == nullptr || *dir == '\0') return {};
-  std::error_code ec;
-  std::filesystem::create_directories(dir, ec);
-  std::string file_name = title;
-  for (char& c : file_name) {
-    if (!(std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '-' ||
-          c == '_' || c == '.')) {
-      c = '_';
-    }
-  }
-  const std::filesystem::path path =
-      std::filesystem::path(dir) / (file_name + ".csv");
-  std::ofstream out(path);
-  if (!out) return {};
-  const auto write_row = [&out](const std::vector<std::string>& row) {
-    for (std::size_t c = 0; c < row.size(); ++c) {
-      if (c > 0) out << ',';
-      // +/- separated mean and CI become two columns downstream tools can
-      // split on; quote cells containing commas just in case.
-      out << row[c];
-    }
-    out << '\n';
-  };
-  write_row(header);
-  for (const auto& row : rows) write_row(row);
-  return path.string();
 }
 
 }  // namespace lachesis::exp

@@ -46,13 +46,6 @@ void PrintLetterValues(const std::string& label, std::vector<double> samples);
 // Percentile helper on a sample set (q in [0,1]); 0 for empty input.
 double Percentile(std::vector<double> samples, double q);
 
-// Plot-ready CSV export: when LACHESIS_BENCH_CSV names a directory, writes
-// "<table-title>.csv" with header + rows there (slashes/spaces sanitized).
-// No-op when the variable is unset. Returns the file path written, if any.
-std::string MaybeWriteCsv(const std::string& title,
-                          const std::vector<std::string>& header,
-                          const std::vector<std::vector<std::string>>& rows);
-
 }  // namespace lachesis::exp
 
 #endif  // LACHESIS_EXP_REPORT_H_

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "core/policies.h"
+#include "tsdb/tsdb.h"
 
 namespace lachesis::osctl {
 
@@ -152,18 +153,12 @@ double ParseDouble(const std::string& value, int line, const std::string& key) {
   return parsed;
 }
 
-// A `provides` name is the metric's MetricName, the suffix NativeSpeDriver
-// reads the series under. Rates and pressure are never fetched from the
-// metrics file (derived, or read from the OS), so they are not accepted.
-core::MetricId MetricFromName(const std::string& name, int line) {
-  for (std::size_t i = 0; i < core::kMetricCount; ++i) {
-    const auto id = static_cast<core::MetricId>(i);
-    if (id == core::MetricId::kInputRate ||
-        id == core::MetricId::kHighestRate ||
-        id == core::MetricId::kCpuPressure) {
-      continue;
-    }
-    if (name == core::MetricName(id)) return id;
+// A `provides` name is the raw metric's tsdb::RawMetricName, the suffix
+// of the series NativeSpeDriver reads it from.
+spe::RawMetric RawMetricFromName(const std::string& name, int line) {
+  for (std::size_t i = 0; i < spe::kRawMetricCount; ++i) {
+    const auto raw = static_cast<spe::RawMetric>(i);
+    if (name == tsdb::RawMetricName(raw)) return raw;
   }
   Fail(line, "unknown metric '" + name + "'");
 }
@@ -302,6 +297,13 @@ DaemonConfig ParseDaemonConfig(const std::string& text) {
         config.translator = CheckedName(kTranslators, key, value, line_number);
       } else if (key == "metrics_file") {
         config.spe.metrics_file = value;
+      } else if (key == "provides") {
+        std::istringstream names(value);
+        std::string name;
+        config.spe.provided.clear();
+        while (names >> name) {
+          config.spe.provided.insert(RawMetricFromName(name, line_number));
+        }
       } else if (key == "cgroup_root") {
         config.cgroup_root = value;
       } else if (key == "proc_root") {
@@ -399,12 +401,6 @@ DaemonConfig ParseDaemonConfig(const std::string& text) {
         Fail(line_number, "edge references unknown operator");
       }
       current_query->edges.emplace_back(from_it->second, to_it->second);
-    } else if (key == "provides") {
-      std::istringstream fields(value);
-      std::string metric;
-      while (fields >> metric) {
-        config.spe.provided.insert(MetricFromName(metric, line_number));
-      }
     } else {
       Fail(line_number, "unknown key '" + key + "'");
     }

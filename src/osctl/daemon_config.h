@@ -8,6 +8,7 @@
 //   policy      = queue-size        # queue-size|fcfs|highest-rate|random|min-memory
 //   translator  = nice              # nice|cpu.shares|quota|rt|deadline
 //   metrics_file = /var/lib/engine/graphite.log
+//   provides     = queue_size tuples_in   # raw metrics the file holds
 //   cgroup_root  = /sys/fs/cgroup/cpu/lachesis
 //
 // Every knob is documented with defaults, ranges and tuning guidance in
@@ -21,7 +22,6 @@
 //   operator sink  = exec-sink  storm.my.sink  egress
 //   edge = spout parse
 //   edge = parse sink
-//   provides = queue_size tuples_in_total
 //
 // In-process native executor queries (spe/native_runtime.h) are linear
 // operator chains the daemon itself serves; first operator is the ingress,

@@ -8,7 +8,9 @@
 namespace lachesis::osctl {
 
 NativeSpeDriver::NativeSpeDriver(NativeSpeConfig config)
-    : config_(std::move(config)), name_(config_.name) {
+    : config_(std::move(config)),
+      name_(config_.name),
+      reader_(config_.provided) {
   for (const NativeQueryConfig& query : config_.queries) {
     core::LogicalTopology topo;
     for (int i = 0; i < static_cast<int>(query.operators.size()); ++i) {
@@ -105,41 +107,6 @@ std::uint64_t NativeSpeDriver::EntitiesGeneration() const {
 
 const core::LogicalTopology& NativeSpeDriver::Topology(QueryId query) {
   return topologies_.at(query.value());
-}
-
-bool NativeSpeDriver::Provides(core::MetricId metric) const {
-  return config_.provided.count(metric) > 0;
-}
-
-tsdb::SeriesId NativeSpeDriver::Series(const core::EntityInfo& entity,
-                                       core::MetricId named) {
-  return series_.Get(entity.id.value(), static_cast<std::size_t>(named), [&] {
-    return store_.Find(entity.path + "." + core::MetricName(named));
-  });
-}
-
-double NativeSpeDriver::Fetch(core::MetricId metric,
-                              const core::EntityInfo& entity) {
-  switch (metric) {
-    // Windowed metrics come from counter deltas over the last second.
-    case core::MetricId::kTuplesInDelta:
-    case core::MetricId::kTuplesOutDelta:
-    case core::MetricId::kBusyDeltaNs: {
-      const core::MetricId counter =
-          metric == core::MetricId::kTuplesInDelta
-              ? core::MetricId::kTuplesInTotal
-          : metric == core::MetricId::kTuplesOutDelta
-              ? core::MetricId::kTuplesOutTotal
-              : core::MetricId::kBusyDeltaNs;
-      const auto delta =
-          store_.Delta(Series(entity, counter), tsdb::kDeltaWindow);
-      return delta ? std::max(*delta, 0.0) : 0.0;
-    }
-    default: {
-      const auto sample = store_.Latest(Series(entity, metric));
-      return sample ? sample->value : 0.0;
-    }
-  }
 }
 
 }  // namespace lachesis::osctl

@@ -7,11 +7,14 @@
 //  - RAW METRICS come from the metric store the engine already reports to.
 //    Here that is a Graphite-plaintext file ("<series> <value> <timestamp>"
 //    lines, the graphite line protocol) that a scraper/exporter appends to;
-//    Refresh() tails it into an in-memory TimeSeriesStore.
+//    Refresh() tails it into an in-memory TimeSeriesStore, read through the
+//    raw-metric table the other drivers use (core/registry_driver.h), so a
+//    series means the same in the file as in their stores.
 //
 // The driver is configured with a NativeSpeConfig describing the queries:
-// logical topology, per-operator thread-name patterns and metric series
-// names. Nothing about the engine is modified (goal G2).
+// logical topology, per-operator thread-name patterns and series prefixes,
+// and the raw metrics the exporter publishes. Nothing about the engine is
+// modified (goal G2).
 #ifndef LACHESIS_OSCTL_NATIVE_DRIVER_H_
 #define LACHESIS_OSCTL_NATIVE_DRIVER_H_
 
@@ -21,6 +24,8 @@
 #include <vector>
 
 #include "core/driver.h"
+#include "core/registry_driver.h"
+#include "spe/flavor.h"
 #include "tsdb/tsdb.h"
 
 namespace lachesis::osctl {
@@ -28,8 +33,8 @@ namespace lachesis::osctl {
 struct NativeOperatorConfig {
   std::string name;            // logical operator name
   std::string thread_pattern;  // substring matched against /proc comm values
-  // Series prefix in the metric file; "<prefix>.<metric>" is looked up with
-  // the MetricName() suffixes (queue_size, tuples_in_delta, ...).
+  // Series prefix in the metrics file: raw metric r is read from
+  // tsdb::SeriesName(prefix, r), "<prefix>.<RawMetricName(r)>".
   std::string series_prefix;
   bool is_ingress = false;
   bool is_egress = false;
@@ -46,8 +51,9 @@ struct NativeSpeConfig {
   std::string name = "native";
   std::string proc_root = "/proc";
   std::string metrics_file;  // graphite line-protocol file
-  // Metrics the engine's exporter actually publishes (drives Provides()).
-  std::set<core::MetricId> provided;
+  // Raw metrics the engine's exporter publishes, one set for the file;
+  // resolved through the raw-metric table into Provides().
+  std::set<spe::RawMetric> provided;
   std::vector<NativeQueryConfig> queries;
 };
 
@@ -68,21 +74,21 @@ class NativeSpeDriver final : public core::SpeDriver {
   // Moves when a Refresh resolves an operator to a different tid.
   [[nodiscard]] std::uint64_t EntitiesGeneration() const override;
   const core::LogicalTopology& Topology(QueryId query) override;
-  [[nodiscard]] bool Provides(core::MetricId metric) const override;
-  double Fetch(core::MetricId metric, const core::EntityInfo& entity) override;
+  [[nodiscard]] bool Provides(core::MetricId metric) const override {
+    return reader_.Provides(metric);
+  }
+  double Fetch(core::MetricId metric, const core::EntityInfo& entity) override {
+    return reader_.Read(store_, metric, entity);
+  }
 
   [[nodiscard]] const tsdb::TimeSeriesStore& store() const { return store_; }
 
  private:
-  // The handle of "<entity path>.<MetricName(named)>", cached per entity
-  // once the series exists.
-  tsdb::SeriesId Series(const core::EntityInfo& entity, core::MetricId named);
-
   NativeSpeConfig config_;
   std::string name_;
   std::vector<core::LogicalTopology> topologies_;
+  core::RawMetricReader reader_;
   tsdb::TimeSeriesStore store_;
-  tsdb::SeriesHandles series_{core::kMetricCount};  // by entity id x metric
   std::streamoff metrics_offset_ = 0;
   // (query idx, operator idx) -> resolved tid (-1 while unresolved).
   std::map<std::pair<std::size_t, std::size_t>, long> tids_;

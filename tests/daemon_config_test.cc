@@ -3,12 +3,13 @@
 
 #include <gtest/gtest.h>
 
-#include <iterator>
 #include <map>
 #include <set>
 #include <stdexcept>
 #include <string>
 #include <vector>
+
+#include "tsdb/tsdb.h"
 
 namespace lachesis::osctl {
 namespace {
@@ -20,6 +21,7 @@ period_ms   = 500
 policy      = fcfs
 translator  = cpu.shares
 metrics_file = /tmp/graphite.log
+provides     = queue_size tuples_in head_tuple_age_ns
 cgroup_root  = /sys/fs/cgroup/cpu/lachesis
 proc_root    = /proc
 name         = storm-prod
@@ -31,7 +33,6 @@ operator parse = exec-parse storm.tolls.parse
 operator sink  = exec-sink  storm.tolls.sink  egress
 edge = spout parse
 edge = parse sink
-provides = queue_size tuples_in_total head_tuple_age
 )";
 
 TEST(DaemonConfigTest, ParsesFullConfig) {
@@ -54,8 +55,10 @@ TEST(DaemonConfigTest, ParsesFullConfig) {
   EXPECT_TRUE(query.operators[2].is_egress);
   EXPECT_EQ(query.edges,
             (std::vector<std::pair<int, int>>{{0, 1}, {1, 2}}));
-  EXPECT_EQ(config.spe.provided.size(), 3u);
-  EXPECT_TRUE(config.spe.provided.count(core::MetricId::kHeadTupleAge));
+  EXPECT_EQ(config.spe.provided,
+            (std::set<spe::RawMetric>{spe::RawMetric::kQueueSize,
+                                      spe::RawMetric::kTuplesIn,
+                                      spe::RawMetric::kHeadTupleAgeNs}));
 }
 
 TEST(DaemonConfigTest, DefaultsApply) {
@@ -97,54 +100,72 @@ operator a = pat series sideways
 }
 
 TEST(DaemonConfigTest, RejectsUnknownMetric) {
-  EXPECT_THROW(ParseDaemonConfig(R"(
+  try {
+    ParseDaemonConfig(R"(
+[lachesis]
+provides = queue_size warp_factor
 [query q]
 pid = 1
 operator a = pat series
-provides = warp_factor
-)"),
-               std::runtime_error);
+)");
+    FAIL() << "expected a config error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "config line 3: unknown metric 'warp_factor'");
+  }
 }
 
-// `provides` takes the metric's MetricName, the same string the driver's
-// series names end in. Rates and pressure are never read from the metric
-// file (derived, or read from the OS), so the parser rejects them.
-TEST(DaemonConfigTest, ProvidesAcceptsEveryFetchableMetricName) {
-  const struct {
-    core::MetricId id;
-    const char* name;
-    bool accepted;
-  } kNames[] = {
-      {core::MetricId::kTuplesInTotal, "tuples_in_total", true},
-      {core::MetricId::kTuplesOutTotal, "tuples_out_total", true},
-      {core::MetricId::kTuplesInDelta, "tuples_in_delta", true},
-      {core::MetricId::kTuplesOutDelta, "tuples_out_delta", true},
-      {core::MetricId::kBusyDeltaNs, "busy_delta_ns", true},
-      {core::MetricId::kBufferUsage, "buffer_usage", true},
-      {core::MetricId::kBufferCapacity, "buffer_capacity", true},
-      {core::MetricId::kQueueSize, "queue_size", true},
-      {core::MetricId::kCost, "cost", true},
-      {core::MetricId::kSelectivity, "selectivity", true},
-      {core::MetricId::kInputRate, "input_rate", false},
-      {core::MetricId::kHeadTupleAge, "head_tuple_age", true},
-      {core::MetricId::kHighestRate, "highest_rate", false},
-      {core::MetricId::kCpuPressure, "cpu_pressure", false},
-      {core::MetricId::kQueueHighWater, "queue_high_water", true},
+// `provides` takes the raw metric's RawMetricName, the suffix of the series
+// the driver reads it from. The Lachesis metric names of the same values
+// (tuples_in_total, busy_delta_ns, cost, ...) are not aliases: rates and
+// deltas are read through the raw-metric table, and pressure comes from
+// the OS.
+TEST(DaemonConfigTest, ProvidesAcceptsEveryRawMetricName) {
+  const auto parse = [](const std::string& names) {
+    return ParseDaemonConfig("[lachesis]\nprovides = " + names +
+                             "\n[query q]\npid = 1\noperator a = pat series\n");
   };
-  ASSERT_EQ(std::size(kNames), core::kMetricCount);
-  for (const auto& entry : kNames) {
-    EXPECT_STREQ(core::MetricName(entry.id), entry.name);
-    const std::string config =
-        std::string("[query q]\npid = 1\noperator a = pat series\nprovides = ") +
-        entry.name + "\n";
-    if (entry.accepted) {
-      EXPECT_EQ(ParseDaemonConfig(config).spe.provided,
-                std::set<core::MetricId>{entry.id})
-          << entry.name;
-    } else {
-      EXPECT_THROW(ParseDaemonConfig(config), std::runtime_error)
-          << entry.name;
-    }
+  for (std::size_t i = 0; i < spe::kRawMetricCount; ++i) {
+    const auto raw = static_cast<spe::RawMetric>(i);
+    EXPECT_EQ(parse(tsdb::RawMetricName(raw)).spe.provided,
+              std::set<spe::RawMetric>{raw})
+        << tsdb::RawMetricName(raw);
+  }
+  for (const char* name :
+       {"tuples_in_total", "tuples_out_total", "tuples_in_delta",
+        "tuples_out_delta", "busy_delta_ns", "cost", "head_tuple_age",
+        "input_rate", "highest_rate", "cpu_pressure"}) {
+    EXPECT_THROW(parse(name), std::runtime_error) << name;
+  }
+}
+
+// One metrics file, one set: `provides` names what the file holds for
+// every query, so it is a [lachesis] key, and the last line wins like any
+// other key there. In a [query] section it is an unknown key.
+TEST(DaemonConfigTest, ProvidesIsOneSetPerMetricsFile) {
+  const DaemonConfig config = ParseDaemonConfig(R"(
+[lachesis]
+provides = buffer_usage
+provides = queue_size tuples_in
+[query a]
+pid = 1
+operator x = pat a.x
+[query b]
+pid = 2
+operator y = pat b.y
+)");
+  EXPECT_EQ(config.spe.provided,
+            (std::set<spe::RawMetric>{spe::RawMetric::kQueueSize,
+                                      spe::RawMetric::kTuplesIn}));
+  try {
+    ParseDaemonConfig(R"(
+[query a]
+pid = 1
+operator x = pat a.x
+provides = queue_size
+)");
+    FAIL() << "expected a config error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "config line 5: unknown key 'provides'");
   }
 }
 

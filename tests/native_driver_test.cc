@@ -45,9 +45,7 @@ class NativeRig {
     config.name = "storm-native";
     config.proc_root = (dir_ / "proc").string();
     config.metrics_file = (dir_ / "metrics.txt").string();
-    config.provided = {core::MetricId::kQueueSize,
-                       core::MetricId::kTuplesInTotal,
-                       core::MetricId::kTuplesInDelta};
+    config.provided = {spe::RawMetric::kQueueSize, spe::RawMetric::kTuplesIn};
     NativeQueryConfig query;
     query.name = "lr";
     query.pid = 500;
@@ -139,8 +137,8 @@ TEST(NativeDriverTest, TailsGraphiteFileIncrementally) {
 TEST(NativeDriverTest, CounterDeltasComputed) {
   NativeRig rig;
   NativeSpeDriver driver(rig.BaseConfig());
-  rig.AppendMetric("storm.lr.spout.tuples_in_total", 1000, 1.0);
-  rig.AppendMetric("storm.lr.spout.tuples_in_total", 1750, 2.0);
+  rig.AppendMetric("storm.lr.spout.tuples_in", 1000, 1.0);
+  rig.AppendMetric("storm.lr.spout.tuples_in", 1750, 2.0);
   driver.Refresh(Seconds(2));
   const auto entities = driver.Entities();
   EXPECT_DOUBLE_EQ(driver.Fetch(core::MetricId::kTuplesInDelta, entities[0]),
@@ -185,8 +183,8 @@ TEST(NativeDriverTest, TruncatedLastLineIsNotDuplicated) {
   NativeSpeDriver driver(rig.BaseConfig());
   // Writer crashed mid-line: no trailing newline after the value column.
   std::ofstream(rig.dir() / "metrics.txt", std::ios::app)
-      << "storm.lr.spout.tuples_in_total 100 1.0\n"
-      << "storm.lr.spout.tuples_in_total 150";
+      << "storm.lr.spout.tuples_in 100 1.0\n"
+      << "storm.lr.spout.tuples_in 150";
   driver.Refresh(Seconds(1));
   // The writer finishes the line later; the counter store must end up with
   // exactly the two samples (a re-read of the partial line would produce a
@@ -241,8 +239,8 @@ TEST(NativeDriverTest, WorksWithMetricProvider) {
   // publish and which have no derivation of their own -> configuration
   // error (Algorithm 3 L15). Input counters must be non-zero first, or the
   // cost computation short-circuits before touching the missing dependency.
-  rig.AppendMetric("storm.lr.parse.tuples_in_total", 100, 1.0);
-  rig.AppendMetric("storm.lr.parse.tuples_in_total", 300, 2.0);
+  rig.AppendMetric("storm.lr.parse.tuples_in", 100, 1.0);
+  rig.AppendMetric("storm.lr.parse.tuples_in", 300, 2.0);
   driver.Refresh(Seconds(2));
   core::MetricProvider strict;
   strict.Register(core::MetricId::kCost);

@@ -1,19 +1,28 @@
-// Pins how the two registry drivers (SimSpeDriver over the Storm, Flink and
-// Liebre flavors, NativeRuntimeDriver over the native executor) map an
-// engine's raw metrics onto Lachesis metrics -- the per-engine resolution
-// of the paper's Fig 4. Every cell of Provides() is listed literally, and
-// every fetched value is checked against an independent read of the store
-// series it must come from, spelled out as a string ("<path>.cost_ns").
+// Pins how the three drivers that read one raw-metric table (SimSpeDriver
+// over the Storm, Flink and Liebre flavors, NativeRuntimeDriver over the
+// native executor, and NativeSpeDriver over an engine's graphite file) map
+// an engine's raw metrics onto Lachesis metrics -- the per-engine
+// resolution of the paper's Fig 4. Every cell of Provides() is listed
+// literally, every fetched value is checked against an independent read of
+// the store series it must come from, spelled out as a string
+// ("<path>.cost_ns"), and the two native drivers must read one runtime
+// alike.
+#include <unistd.h>
+
 #include <algorithm>
 #include <chrono>
+#include <cstdio>
+#include <filesystem>
 #include <iterator>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 
 #include <gtest/gtest.h>
 
 #include "core/sim_driver.h"
+#include "osctl/native_driver.h"
 #include "osctl/native_runtime_driver.h"
 #include "sim/simulator.h"
 #include "spe/native_runtime.h"
@@ -155,6 +164,13 @@ struct SimRig {
   }
 };
 
+// A file driver whose exporter publishes `exposed`.
+osctl::NativeSpeDriver FileDriver(const std::set<spe::RawMetric>& exposed) {
+  osctl::NativeSpeConfig config;
+  config.provided = exposed;
+  return osctl::NativeSpeDriver(std::move(config));
+}
+
 TEST(RawMetricMappingTest, ProvidesTableOfEveryEngine) {
   SimRig storm(spe::StormFlavor());
   SimRig flink(spe::FlinkFlavor());
@@ -164,6 +180,17 @@ TEST(RawMetricMappingTest, ProvidesTableOfEveryEngine) {
   core::SimSpeDriver liebre_driver(liebre.instance, liebre.store);
   spe::NativeRuntime runtime;
   osctl::NativeRuntimeDriver native_driver(runtime);
+  // The file driver reads the same table, so an exporter publishing an
+  // engine's raw metrics serves that engine's column; pressure is the one
+  // metric the sim reads from its kernel rather than from the store.
+  const osctl::NativeSpeDriver storm_file =
+      FileDriver(spe::StormFlavor().exposed_metrics);
+  const osctl::NativeSpeDriver flink_file =
+      FileDriver(spe::FlinkFlavor().exposed_metrics);
+  const osctl::NativeSpeDriver liebre_file =
+      FileDriver(spe::LiebreFlavor().exposed_metrics);
+  const osctl::NativeSpeDriver native_file =
+      FileDriver(spe::NativeRuntime::ExposedMetrics());
 
   for (std::size_t i = 0; i < std::size(kProvides); ++i) {
     const ProvidesRow& row = kProvides[i];
@@ -175,6 +202,15 @@ TEST(RawMetricMappingTest, ProvidesTableOfEveryEngine) {
         << "liebre " << name;
     EXPECT_EQ(native_driver.Provides(row.metric), row.native)
         << "native " << name;
+    const bool stored = row.metric != MetricId::kCpuPressure;
+    EXPECT_EQ(storm_file.Provides(row.metric), row.storm && stored)
+        << "storm file " << name;
+    EXPECT_EQ(flink_file.Provides(row.metric), row.flink && stored)
+        << "flink file " << name;
+    EXPECT_EQ(liebre_file.Provides(row.metric), row.liebre && stored)
+        << "liebre file " << name;
+    EXPECT_EQ(native_file.Provides(row.metric), row.native)
+        << "native file " << name;
   }
 }
 
@@ -245,6 +281,114 @@ TEST(RawMetricMappingTest, NativeFetchReadsTheRegistrySeries) {
   EXPECT_GT(ExpectFetchReadsLiteralSeries(driver, driver.store(),
                                           {"cost_ns", 1.0}, Seconds(1)),
             0);
+}
+
+// Appends the samples `driver`'s last poll stored -- one per exposed raw
+// metric of every operator -- to a graphite-plaintext file under the same
+// series names, as an engine's exporter would.
+void ExportLastPoll(osctl::NativeRuntimeDriver& driver,
+                    const std::string& path) {
+  std::FILE* out = std::fopen(path.c_str(), "a");
+  ASSERT_NE(out, nullptr) << path;
+  for (const core::EntityInfo& e : driver.Entities()) {
+    for (const spe::RawMetric raw : spe::NativeRuntime::ExposedMetrics()) {
+      const std::string series = tsdb::SeriesName(e.path, raw);
+      const auto sample = driver.store().Latest(series);
+      if (!sample) {
+        ADD_FAILURE() << "no sample of " << series;
+        continue;
+      }
+      std::fprintf(out, "%s %.17g %.17g\n", series.c_str(), sample->value,
+                   static_cast<double>(sample->time) /
+                       static_cast<double>(kSecond));
+    }
+  }
+  std::fclose(out);
+}
+
+// One runtime observed through both native drivers: in process through its
+// registry, and from outside through /proc and the file an exporter writes
+// from the same polls. Every metric either driver provides reads the same.
+TEST(RawMetricMappingTest, BothNativeDriversReadOneRuntimeAlike) {
+  spe::LogicalQuery q;
+  q.name = "agree";
+  const int in = q.Add(spe::MakeIngress("agr-in", Micros(2)));
+  const int map = q.Add(spe::MakeTransform("agr-map", Micros(5), [] {
+    return std::make_unique<spe::IdentityLogic>();
+  }));
+  const int out = q.Add(spe::MakeEgress("agr-out", Micros(2)));
+  q.Connect(in, map);
+  q.Connect(map, out);
+  spe::NativeRuntime runtime;
+  spe::NativeDeployOptions deploy;
+  deploy.source_rate_tps = 20000;
+  runtime.AddQuery(q, deploy);
+  runtime.Start();
+  osctl::NativeRuntimeDriver registry(runtime);
+
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("lachesis_agree_" + std::to_string(::getpid()) + ".log"))
+          .string();
+  std::filesystem::remove(path);
+  osctl::NativeSpeConfig config;
+  config.metrics_file = path;
+  config.provided = spe::NativeRuntime::ExposedMetrics();
+  osctl::NativeQueryConfig query;
+  query.name = q.name;
+  query.pid = ::getpid();
+  for (const core::EntityInfo& e : registry.Entities()) {
+    const std::string& op =
+        q.operators[static_cast<std::size_t>(e.logical_indices.front())].name;
+    query.operators.push_back({op, op, e.path, e.is_ingress, e.is_egress});
+  }
+  query.edges = registry.Topology(QueryId(0)).edges;
+  config.queries.push_back(std::move(query));
+  osctl::NativeSpeDriver file(std::move(config));
+
+  int compared = 0;
+  int moved = 0;  // non-zero deltas
+  for (int poll = 1; poll <= 3; ++poll) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    registry.Poll(Seconds(poll));
+    ExportLastPoll(registry, path);
+    file.Poll(Seconds(poll));
+
+    for (std::size_t m = 0; m < core::kMetricCount; ++m) {
+      const auto metric = static_cast<MetricId>(m);
+      EXPECT_EQ(file.Provides(metric), registry.Provides(metric))
+          << core::MetricName(metric);
+    }
+    const auto registry_entities = registry.Entities();
+    const auto file_entities = file.Entities();
+    ASSERT_EQ(file_entities.size(), registry_entities.size());
+    for (std::size_t i = 0; i < file_entities.size(); ++i) {
+      const core::EntityInfo& r = registry_entities[i];
+      const core::EntityInfo& f = file_entities[i];
+      ASSERT_EQ(f.path, r.path);
+      // A source thread is named after its ingress ("src.agr-in"), so the
+      // ingress pattern may match the source instead.
+      if (!r.is_ingress) {
+        EXPECT_EQ(f.thread.os_tid, r.thread.os_tid) << r.path;
+      }
+      for (std::size_t m = 0; m < core::kMetricCount; ++m) {
+        const auto metric = static_cast<MetricId>(m);
+        if (!registry.Provides(metric)) continue;
+        const double value = registry.Fetch(metric, r);
+        EXPECT_EQ(file.Fetch(metric, f), value)
+            << "poll " << poll << " " << core::MetricName(metric) << " of "
+            << r.path;
+        ++compared;
+        moved += (metric == MetricId::kTuplesInDelta ||
+                  metric == MetricId::kTuplesOutDelta ||
+                  metric == MetricId::kBusyDeltaNs) &&
+                 value != 0.0;
+      }
+    }
+  }
+  std::filesystem::remove(path);
+  EXPECT_EQ(compared, 3 * 3 * 11);
+  EXPECT_GT(moved, 0);
 }
 
 }  // namespace
