@@ -52,19 +52,15 @@ int main() {
       spec.measure = mode.measure;
 
       std::vector<double> pooled;
-      HdrHistogram exact_tails;
       for (const exp::RunResult& run :
            exp::RunRepetitions(spec, mode.repetitions)) {
-        pooled.insert(pooled.end(), run.latency_samples_ms.begin(),
-                      run.latency_samples_ms.end());
-        exact_tails.Merge(run.latency_histogram_ns);
+        for (const auto& [query, result] : run.per_query) {
+          pooled.insert(pooled.end(), result.latency_samples_ms.begin(),
+                        result.latency_samples_ms.end());
+        }
       }
       exp::PrintLetterValues(setup.name + " / " + variant.name,
                              std::move(pooled));
-      std::printf("  exact  p99 %10.3f ms   p99.9 %10.3f ms  (HDR, n=%llu)\n",
-                  static_cast<double>(exact_tails.ValueAtQuantile(0.99)) / 1e6,
-                  static_cast<double>(exact_tails.ValueAtQuantile(0.999)) / 1e6,
-                  static_cast<unsigned long long>(exact_tails.total_count()));
     }
   }
   return 0;

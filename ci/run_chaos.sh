@@ -46,6 +46,9 @@ cmake -S "$SRC_DIR" -B "$BUILD_DIR" \
 # native_driver_test, daemon_config_test and raw_metric_mapping_test parse
 # text from outside the program (graphite lines, config files) and drive the
 # raw-metric reader's series-handle table from the file driver.
+# osctl_test parses /proc fixtures, text from outside the program, and
+# covers the resolver that picks an operator's thread among them.
+# exp_report_test indexes the letter-value name table by depth.
 SUITES=(
   fault_tolerance_test failure_injection_test
   schedule_delta_test runner_dynamic_test
@@ -58,6 +61,7 @@ SUITES=(
   sim_os_adapter_test obs_ring_test
   native_queue_test native_runtime_test
   native_driver_test daemon_config_test raw_metric_mapping_test
+  osctl_test exp_report_test
   fleet_sim_test fleet_chaos_test
 )
 cmake --build "$BUILD_DIR" -j "$JOBS" --target "${SUITES[@]}"

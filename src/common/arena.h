@@ -83,13 +83,6 @@ class Arena {
     bytes_used_ = 0;
   }
 
-  // Releases all blocks (used by tests and by owners being destroyed
-  // early; normal per-tick use wants Reset()).
-  void Release() {
-    blocks_.clear();
-    Reset();
-  }
-
   [[nodiscard]] std::size_t block_count() const { return blocks_.size(); }
   [[nodiscard]] std::size_t bytes_used() const { return bytes_used_; }
   [[nodiscard]] std::size_t bytes_reserved() const {

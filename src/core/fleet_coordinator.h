@@ -112,9 +112,6 @@ class FleetCoordinator {
   void SetFailoverConfig(const FleetFailoverConfig& config) {
     failover_ = config;
   }
-  [[nodiscard]] const FleetFailoverConfig& failover_config() const {
-    return failover_;
-  }
 
   [[nodiscard]] std::size_t shard_count() const { return shards_.size(); }
   [[nodiscard]] LachesisRunner& runner(std::size_t shard) {

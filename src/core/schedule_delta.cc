@@ -35,14 +35,6 @@ void ScheduleDeltaAdapter::ForgetThread(const ThreadHandle& thread) {
   if (target != OpHealthTracker::kNoTarget) health_.ForgetTarget(target);
 }
 
-void ScheduleDeltaAdapter::ForgetGroup(const std::string& group) {
-  const std::uint32_t gid = group_ids_.Intern(group);
-  shares_.Erase(gid);
-  quota_.Erase(gid);
-  const auto target = health_.FindTarget(HealthKeyOf(group));
-  if (target != OpHealthTracker::kNoTarget) health_.ForgetTarget(target);
-}
-
 std::size_t ScheduleDeltaAdapter::SeedFromSnapshot(
     const OsStateSnapshot& snapshot) {
   std::size_t seeded = 0;

@@ -142,8 +142,6 @@ class ScheduleDeltaAdapter final : public OsAdapter {
   // when the entity is removed from the control plane: retrying a pending
   // failed op against a dead entity would be a leak and a bug.
   void ForgetThread(const ThreadHandle& thread);
-  // Same for a group target.
-  void ForgetGroup(const std::string& group);
 
   // Seeds the cache from observed kernel state (restart reconciliation).
   // Returns the number of cache entries seeded. Groups present in the

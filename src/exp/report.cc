@@ -72,11 +72,15 @@ void PrintLetterValues(const std::string& label, std::vector<double> samples) {
   std::sort(samples.begin(), samples.end());
   const auto lvs = LetterValues(samples);
   std::printf("%s  (n=%zu)\n", label.c_str(), samples.size());
-  static const char* kNames[] = {"M",  "F", "E", "D", "C", "B",
-                                 "A",  "Z", "Y", "X", "W"};
+  // Hofmann, Kafadar and Wickham's letters by depth: the median, fourths
+  // and eighths, then D back to A and on from Z; past N, the depth itself.
+  static constexpr const char* kNames[] = {
+      "M", "F", "E", "D", "C", "B", "A", "Z", "Y", "X",
+      "W", "V", "U", "T", "S", "R", "Q", "P", "O", "N"};
   for (std::size_t i = 0; i < lvs.size(); ++i) {
-    const char* name = i < std::size(kNames) ? kNames[i] : "?";
-    std::printf("  LV %-2s  [%12.3f , %12.3f]\n", name, lvs[i].lower,
+    const std::string name =
+        i < std::size(kNames) ? kNames[i] : std::to_string(lvs[i].depth);
+    std::printf("  LV %-2s  [%12.3f , %12.3f]\n", name.c_str(), lvs[i].lower,
                 lvs[i].upper);
   }
   std::printf("  p99    %12.3f\n", QuantileSorted(samples, 0.99));

@@ -301,7 +301,6 @@ RunResult RunScenario(const ScenarioSpec& spec) {
     for (spe::EgressMeasurements* egress : d.query->Egresses()) {
       latency.Merge(egress->latency);
       e2e.Merge(egress->e2e_latency);
-      result.latency_histogram_ns.Merge(egress->latency_histogram);
       for (const double v : egress->latency_samples) {
         qr.latency_samples_ms.push_back(v / 1e6);
       }
@@ -310,9 +309,6 @@ RunResult RunScenario(const ScenarioSpec& spec) {
     qr.avg_e2e_latency_ms = e2e.mean() / 1e6;
     all_latency.Merge(latency);
     all_e2e.Merge(e2e);
-    result.latency_samples_ms.insert(result.latency_samples_ms.end(),
-                                     qr.latency_samples_ms.begin(),
-                                     qr.latency_samples_ms.end());
     result.throughput_tps += qr.throughput_tps;
     result.per_query[d.query->name] = std::move(qr);
   }

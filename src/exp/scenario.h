@@ -16,7 +16,6 @@
 #include <string>
 #include <vector>
 
-#include "common/hdr_histogram.h"
 #include "common/sim_time.h"
 #include "core/policies.h"
 #include "core/runner.h"
@@ -101,7 +100,10 @@ struct QueryResult {
   double offered_tps = 0;         // source emission rate achieved
   double avg_latency_ms = 0;      // processing latency
   double avg_e2e_latency_ms = 0;  // end-to-end latency
-  std::vector<double> latency_samples_ms;  // processing-latency reservoir
+  // The processing-latency reservoirs of this query's egresses, ms: every
+  // sample up to EgressMeasurements::kMaxSamples tuples per egress, an
+  // unbiased sample past it. Fig 13 pools them over a setup's runs.
+  std::vector<double> latency_samples_ms;
 };
 
 struct RunResult {
@@ -114,10 +116,8 @@ struct RunResult {
   double qs_goal = 0;    // time-avg variance of operator input queue sizes
   double fcfs_goal_ms = 0;  // time-avg max head-of-line tuple age
   double cpu_utilization = 0;  // fraction of total core time busy
-  std::vector<double> latency_samples_ms;       // pooled reservoir (Fig 13)
-  HdrHistogram latency_histogram_ns;            // exact tails (p99/p99.9)
   std::vector<double> queue_size_samples;       // pooled over ops/time (Fig 6/8)
-  std::map<std::string, QueryResult> per_query;  // Fig 14/18
+  std::map<std::string, QueryResult> per_query;  // Fig 13/14/18, bench_hetero
   std::uint64_t lachesis_schedules = 0;
   // Delta-layer counters: OS operations the middleware issued vs. elided
   // because the schedule was unchanged since the last period.

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "core/policies.h"
+#include "osctl/procfs.h"
 #include "tsdb/tsdb.h"
 
 namespace lachesis::osctl {
@@ -377,6 +378,12 @@ DaemonConfig ParseDaemonConfig(const std::string& text) {
       std::string role;
       if (!(fields >> op.thread_pattern >> op.series_prefix)) {
         Fail(line_number, "operator needs '<thread-pattern> <series-prefix>'");
+      }
+      if (op.thread_pattern.size() > kMaxThreadNameBytes) {
+        Fail(line_number, "thread pattern '" + op.thread_pattern +
+                              "' is longer than the " +
+                              std::to_string(kMaxThreadNameBytes) +
+                              " bytes the kernel keeps of a thread name");
       }
       if (fields >> role) {
         if (role == "ingress") {

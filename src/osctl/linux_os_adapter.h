@@ -2,8 +2,10 @@
 //
 // Lets the exact policy/translator stack that runs against the simulator
 // drive a live system: nice via setpriority, groups via cgroupfs. Entities
-// must carry os_tid (e.g. resolved through osctl::FindThreadsByName against
-// the SPE's process).
+// must carry os_tid (e.g. resolved by osctl::ResolveThreadByName among the
+// SPE process's threads: the thread whose comm equals the pattern, else the
+// lowest tid whose comm contains it; the kernel keeps at most 15 bytes of a
+// thread name, so a longer pattern matches nothing).
 //
 // Failures (thread exited between discovery and apply, unwritable cgroup
 // root, missing CAP_SYS_NICE) throw core::OsOperationError carrying the

@@ -33,14 +33,8 @@ void NativeSpeDriver::Refresh(SimTime now) {
     if (query.pid < 0) continue;
     const auto threads = ListThreads(query.pid, config_.proc_root);
     for (std::size_t o = 0; o < query.operators.size(); ++o) {
-      const auto& pattern = query.operators[o].thread_pattern;
-      long resolved = -1;
-      for (const OsThreadInfo& info : threads) {
-        if (info.comm.find(pattern) != std::string::npos) {
-          resolved = info.tid;
-          break;
-        }
-      }
+      const long resolved =
+          ResolveThreadByName(threads, query.operators[o].thread_pattern);
       const auto [it, inserted] = tids_.try_emplace({q, o}, resolved);
       if (inserted || it->second != resolved) {
         it->second = resolved;

@@ -32,7 +32,9 @@ namespace lachesis::osctl {
 
 struct NativeOperatorConfig {
   std::string name;            // logical operator name
-  std::string thread_pattern;  // substring matched against /proc comm values
+  // Names the operator's thread by its /proc comm: osctl::ResolveThreadByName
+  // (an exact match, else the lowest tid containing it). At most 15 bytes.
+  std::string thread_pattern;
   // Series prefix in the metrics file: raw metric r is read from
   // tsdb::SeriesName(prefix, r), "<prefix>.<RawMetricName(r)>".
   std::string series_prefix;

@@ -28,15 +28,16 @@ std::vector<OsThreadInfo> ListThreads(long pid, const std::string& proc_root) {
   return result;
 }
 
-std::vector<OsThreadInfo> FindThreadsByName(long pid, const std::string& needle,
-                                            const std::string& proc_root) {
-  std::vector<OsThreadInfo> result;
-  for (OsThreadInfo& info : ListThreads(pid, proc_root)) {
-    if (info.comm.find(needle) != std::string::npos) {
-      result.push_back(std::move(info));
-    }
+long ResolveThreadByName(const std::vector<OsThreadInfo>& threads,
+                         std::string_view pattern) {
+  long exact = -1;
+  long contains = -1;
+  for (const OsThreadInfo& info : threads) {
+    if (info.comm.find(pattern) == std::string::npos) continue;
+    long& best = info.comm == pattern ? exact : contains;
+    if (best < 0 || info.tid < best) best = info.tid;
   }
-  return result;
+  return exact >= 0 ? exact : contains;
 }
 
 }  // namespace lachesis::osctl

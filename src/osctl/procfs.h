@@ -7,7 +7,9 @@
 #ifndef LACHESIS_OSCTL_PROCFS_H_
 #define LACHESIS_OSCTL_PROCFS_H_
 
+#include <cstddef>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace lachesis::osctl {
@@ -21,10 +23,17 @@ struct OsThreadInfo {
 std::vector<OsThreadInfo> ListThreads(long pid,
                                       const std::string& proc_root = "/proc");
 
-// Threads whose comm contains `needle`.
-std::vector<OsThreadInfo> FindThreadsByName(
-    long pid, const std::string& needle,
-    const std::string& proc_root = "/proc");
+// The kernel keeps at most this many bytes of a thread name (comm), so a
+// longer pattern can match no thread.
+inline constexpr std::size_t kMaxThreadNameBytes = 15;
+
+// The tid of the thread `pattern` names among `threads`: the thread whose
+// comm equals the pattern; failing that, the lowest tid whose comm contains
+// it; failing that, -1. Neither depends on the order of `threads`. (The
+// exact rule matters because the native runtime names a source thread
+// "src.<ingress>", so an ingress's pattern also matches its source.)
+long ResolveThreadByName(const std::vector<OsThreadInfo>& threads,
+                         std::string_view pattern);
 
 }  // namespace lachesis::osctl
 

@@ -67,7 +67,6 @@ class WaitChannel {
 
   void NotifyOne();
   void NotifyAll();
-  [[nodiscard]] bool has_waiters() const { return !waiters_.empty(); }
 
  private:
   friend class Machine;

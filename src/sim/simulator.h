@@ -71,7 +71,6 @@ class Simulator {
   [[nodiscard]] bool idle() const { return queue_.empty(); }
   // Total events dispatched; useful for performance diagnostics.
   [[nodiscard]] std::uint64_t dispatched() const { return dispatched_; }
-  [[nodiscard]] std::size_t pending_events() const { return queue_.size(); }
 
   // --- fleet context ---------------------------------------------------------
   // Set by FleetSimulator when this queue is one shard of a parallel fleet

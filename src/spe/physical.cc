@@ -1,6 +1,5 @@
 #include "spe/physical.h"
 
-#include <algorithm>
 #include <cassert>
 #include <limits>
 #include <utility>
@@ -12,16 +11,6 @@ namespace {
 bool FitsNarrow(SimDuration ns) {
   return static_cast<std::uint64_t>(ns) <=
          std::numeric_limits<std::uint32_t>::max();
-}
-
-void ReservoirAdd(LatencySamples& samples, SimDuration value,
-                  std::uint64_t seen, Rng& rng) {
-  if (samples.size() < EgressMeasurements::kMaxSamples) {
-    samples.Append(value);
-    return;
-  }
-  const std::uint64_t slot = rng.NextBounded(seen);
-  if (slot < EgressMeasurements::kMaxSamples) samples.Set(slot, value);
 }
 }  // namespace
 
@@ -52,6 +41,28 @@ void LatencySamples::Widen() {
   wide_ = true;
 }
 
+// The sampler is stream 1 of the operator's seed. The operator's rng_ is
+// Rng(seed) itself, so no sampler draw moves its cost jitter or blocking.
+EgressMeasurements::EgressMeasurements(std::uint64_t seed)
+    : seed_(seed), sampler_(Rng(seed).Split(1)) {}
+
+void EgressMeasurements::Record(SimDuration latency_ns, SimDuration e2e_ns) {
+  latency.Add(static_cast<double>(latency_ns));
+  e2e_latency.Add(static_cast<double>(e2e_ns));
+  ++tuples;
+  if (tuples <= kMaxSamples) {
+    latency_samples.Append(latency_ns);
+    e2e_latency_samples.Append(e2e_ns);
+    return;
+  }
+  // Reservoir sampling: the tuple takes a uniform slot of the first
+  // `tuples`, so each tuple is kept with probability kMaxSamples / tuples.
+  const std::uint64_t slot = sampler_.NextBounded(tuples);
+  if (slot >= kMaxSamples) return;
+  latency_samples.Set(slot, latency_ns);
+  e2e_latency_samples.Set(slot, e2e_ns);
+}
+
 PhysicalOp::PhysicalOp(Config config, TupleQueue* input,
                        std::vector<std::unique_ptr<OperatorLogic>> logic_chain)
     : config_(std::move(config)),
@@ -59,7 +70,7 @@ PhysicalOp::PhysicalOp(Config config, TupleQueue* input,
       logic_chain_(std::move(logic_chain)),
       rng_(config_.seed),
       egress_(config_.role == OperatorRole::kEgress
-                  ? std::make_unique<EgressMeasurements>()
+                  ? std::make_unique<EgressMeasurements>(config_.seed)
                   : nullptr) {
   assert(input_ != nullptr);
   assert(!logic_chain_.empty());
@@ -100,17 +111,8 @@ SimDuration PhysicalOp::Finish(SimTime now) {
 
   if (egress_ != nullptr) {
     // Egress delivers to the user: record latency per produced result.
-    EgressMeasurements& egress = *egress_;
     for (const Tuple& t : scratch_in_) {
-      const SimDuration latency = now - t.ingested;
-      const SimDuration e2e = now - t.produced;
-      egress.latency.Add(static_cast<double>(latency));
-      egress.e2e_latency.Add(static_cast<double>(e2e));
-      egress.latency_histogram.Record(
-          static_cast<std::uint64_t>(std::max<SimDuration>(latency, 0)));
-      ++egress.tuples;
-      ReservoirAdd(egress.latency_samples, latency, egress.tuples, rng_);
-      ReservoirAdd(egress.e2e_latency_samples, e2e, egress.tuples, rng_);
+      egress_->Record(now - t.ingested, now - t.produced);
     }
     tuples_out_ += scratch_in_.size();
     scratch_in_.clear();

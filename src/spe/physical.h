@@ -6,8 +6,8 @@
 // model Lachesis schedules) or by a user-level scheduler's worker threads
 // (the EdgeWise/Haren baselines in src/ulss/). The two-phase Begin/Finish
 // protocol lets both executors charge the simulated CPU cost between popping
-// a tuple and applying its effects. Egress state (the latency reservoirs,
-// the histogram and the running stats) lives only on egress operators.
+// a tuple and applying its effects. Egress state (the latency reservoirs and
+// the running stats) lives only on egress operators.
 #ifndef LACHESIS_SPE_PHYSICAL_H_
 #define LACHESIS_SPE_PHYSICAL_H_
 
@@ -18,7 +18,6 @@
 #include <string>
 #include <vector>
 
-#include "common/hdr_histogram.h"
 #include "common/ids.h"
 #include "common/rng.h"
 #include "common/sim_time.h"
@@ -58,7 +57,8 @@ struct PhysicalEdge {
 // The first sample outside that range (a negative difference, or a backlog
 // past 4.29 s) widens the store once to 8-byte integers, copying every
 // earlier sample; the wide side allocates nothing before that. Either way a
-// read returns the double of the exact sample.
+// read returns the double of the exact sample. Which slot a sample takes
+// is EgressMeasurements::Record's choice; the store only appends and sets.
 class LatencySamples {
  public:
   // Enough of an iterator for a range-for over the samples as doubles.
@@ -106,26 +106,40 @@ class LatencySamples {
 };
 
 // Samples recorded by Egress operators (paper §3.2 latency definitions);
-// only an egress operator carries them. Who reads what:
-//  - the reservoirs: `latency_samples` pooled for Fig 13's letter-value
-//    analysis and per query by bench_hetero, `e2e_latency_samples` by
-//    perfbench's sim-scale quantiles;
-//  - `latency_histogram`: Fig 13's exact tail quantiles (p99/p99.9),
-//    whatever the volume;
+// only an egress operator carries them, and `Record` is their one writer.
+// Who reads what:
+//  - `latency_samples`: exp::RunScenario copies it per query, for Fig 13's
+//    letter-value analysis (pooled over a setup's runs) and bench_hetero;
+//  - `e2e_latency_samples`: perfbench's sim-scale quantiles;
 //  - the running stats: the average latencies of every experiment.
-struct EgressMeasurements {
+//
+// Recording never draws from the operator's own generator, so what a run
+// keeps cannot change what it simulates.
+class EgressMeasurements {
+ public:
   // Cap on retained samples per reservoir; beyond it, reservoir sampling
   // keeps the distribution unbiased for the letter-value analysis (Fig 13).
   static constexpr std::size_t kMaxSamples = 100'000;
+
+  // `seed` is the operator's; the sampler is a stream split off it.
+  explicit EgressMeasurements(std::uint64_t seed);
+
+  // Records one delivered tuple in both running stats and both reservoirs.
+  // Past the cap, one draw picks the slot both reservoirs overwrite, so
+  // slot i of each holds the same tuple.
+  void Record(SimDuration latency_ns, SimDuration e2e_ns);
+  // Warmup trim: drops every sample and restarts the sampler from the seed.
+  void Reset() { *this = EgressMeasurements(seed_); }
 
   RunningStat latency;       // processing latency, ns
   RunningStat e2e_latency;   // end-to-end latency, ns
   LatencySamples latency_samples;      // capped reservoir, processing
   LatencySamples e2e_latency_samples;  // capped reservoir, end-to-end
-  HdrHistogram latency_histogram;      // processing latency, ns
   std::uint64_t tuples = 0;
 
-  void Reset() { *this = EgressMeasurements(); }
+ private:
+  std::uint64_t seed_;
+  Rng sampler_;  // reservoir slots past the cap, and nothing else
 };
 
 class PhysicalOp {
@@ -215,7 +229,8 @@ class PhysicalOp {
   std::function<void(TupleQueue*, const Tuple&, SimDuration)> remote_push_;
   std::function<std::size_t()> pending_fn_;
   std::size_t pending_cap_ = 0;
-  Rng rng_;
+  Rng rng_;  // cost jitter (Begin) and blocking (Finish) only
+
 
   // In-flight tuple between Begin and Finish.
   Tuple current_{};

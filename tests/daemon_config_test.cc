@@ -440,6 +440,27 @@ TEST(DaemonConfigTest, RejectsDuplicateOperatorInQueryWithLineNumber) {
   EXPECT_EQ(config.spe.queries.size(), 2u);
 }
 
+// The kernel keeps at most 15 bytes of a thread name, so a longer pattern
+// could never match and the operator would never be managed.
+TEST(DaemonConfigTest, RejectsThreadPatternLongerThanAKernelThreadName) {
+  const std::string fifteen = "exec-parse-bolt";
+  ASSERT_EQ(fifteen.size(), 15u);
+  const DaemonConfig config = ParseDaemonConfig(
+      "[query q]\npid = 1\noperator a = " + fifteen + " s.a\n");
+  ASSERT_EQ(config.spe.queries.at(0).operators.size(), 1u);
+  EXPECT_EQ(config.spe.queries[0].operators[0].thread_pattern, fifteen);
+  try {
+    ParseDaemonConfig("[query q]\npid = 1\noperator a = pat s.a\n"
+                      "operator b = " + fifteen + "s s.b\n");
+    FAIL() << "expected throw";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("line 4"), std::string::npos) << what;
+    EXPECT_NE(what.find("'exec-parse-bolts'"), std::string::npos) << what;
+    EXPECT_NE(what.find("15 bytes"), std::string::npos) << what;
+  }
+}
+
 TEST(DaemonConfigTest, RejectsMalformedPidWithLineNumber) {
   // A trailing-garbage pid must not be read as its numeric prefix: lachesisd
   // would scan (and renice) some other process's threads.

@@ -1,7 +1,13 @@
 // Tests of the experiment-harness reporting utilities.
 #include "exp/report.h"
 
+#include <cstddef>
 #include <cstdlib>
+#include <set>
+#include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -59,6 +65,40 @@ TEST(PrintingTest, TablesAndLetterValuesDoNotCrash) {
   for (int i = 0; i < 1000; ++i) samples.push_back(i * 0.5);
   PrintLetterValues("smoke-lv", samples);
   PrintLetterValues("empty", {});
+}
+
+// Fig 13 prints depths up to 15 in full mode (500,000 pooled samples);
+// every depth printed, to 17 here, must carry its own name.
+TEST(PrintingTest, EveryLetterValueDepthHasItsOwnName) {
+  // Depth d needs 8 samples in each tail beyond quantile 2^-d: 8 * 2^17.
+  constexpr std::size_t kSamples = std::size_t{8} << 17;
+  std::vector<double> samples(kSamples);
+  for (std::size_t i = 0; i < kSamples; ++i) {
+    samples[i] = static_cast<double>(i);
+  }
+  testing::internal::CaptureStdout();
+  PrintLetterValues("deep", std::move(samples));
+  const std::string out = testing::internal::GetCapturedStdout();
+
+  std::istringstream lines(out);
+  std::string line;
+  std::vector<std::string> names;
+  while (std::getline(lines, line)) {
+    EXPECT_EQ(line.find('?'), std::string::npos) << line;
+    if (line.rfind("  LV ", 0) != 0) continue;
+    std::istringstream fields(line.substr(5));
+    std::string name;
+    fields >> name;
+    names.push_back(name);
+  }
+  ASSERT_EQ(names.size(), 17u) << out;
+  EXPECT_EQ(std::set<std::string>(names.begin(), names.end()).size(),
+            names.size())
+      << out;
+  EXPECT_EQ(names.front(), "M");
+  EXPECT_EQ(names[10], "W");
+  EXPECT_EQ(names[11], "V");
+  EXPECT_EQ(names.back(), "Q");
 }
 
 }  // namespace

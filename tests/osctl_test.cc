@@ -1,5 +1,6 @@
 // Tests of the real-Linux control layer against fake roots: /proc scanning,
 // cgroupfs v1/v2 writes, shares->weight conversion, and the OsAdapter glue.
+#include <algorithm>
 #include <cerrno>
 #include <filesystem>
 #include <fstream>
@@ -92,16 +93,41 @@ TEST(ProcfsTest, MissingProcessYieldsEmpty) {
   EXPECT_TRUE(ListThreads(4242, tmp.path().string()).empty());
 }
 
+// ResolveThreadByName: an exact comm wins, else the lowest tid containing
+// the pattern, else -1; the order /proc lists the threads in never matters,
+// so every case runs with the fixture's threads created in both orders.
 TEST(ProcfsTest, FindsThreadsByNameSubstring) {
-  TempDir tmp;
-  WriteFakeThread(tmp.path(), 100, 100, "java");
-  WriteFakeThread(tmp.path(), 100, 101, "executor-parse-1");
-  WriteFakeThread(tmp.path(), 100, 102, "executor-sink-2");
-  const auto found = FindThreadsByName(100, "executor", tmp.path().string());
-  ASSERT_EQ(found.size(), 2u);
-  const auto parse = FindThreadsByName(100, "parse", tmp.path().string());
-  ASSERT_EQ(parse.size(), 1u);
-  EXPECT_EQ(parse[0].tid, 101);
+  struct Case {
+    const char* name;
+    std::vector<std::pair<long, std::string>> threads;  // tid, comm
+    const char* pattern;
+    long tid;
+  };
+  const std::vector<Case> cases = {
+      {"substring", {{100, "java"}, {101, "executor-parse-1"},
+                     {102, "executor-sink-2"}}, "parse", 101},
+      {"exact", {{100, "java"}, {101, "executor-parse-1"}}, "java", 100},
+      {"no match", {{100, "java"}, {101, "executor-parse-1"}}, "sink", -1},
+      // The native runtime names a source thread after its ingress.
+      {"exact over a lower substring tid", {{201, "src.in"}, {202, "in"}},
+       "in", 202},
+      {"lowest of two substrings",
+       {{302, "exec-spout-2"}, {301, "exec-spout-1"}}, "exec-spout", 301},
+  };
+  for (const Case& c : cases) {
+    for (const bool reversed : {false, true}) {
+      SCOPED_TRACE(std::string(c.name) + (reversed ? ", reversed" : ""));
+      TempDir tmp;
+      auto threads = c.threads;
+      if (reversed) std::reverse(threads.begin(), threads.end());
+      for (const auto& [tid, comm] : threads) {
+        WriteFakeThread(tmp.path(), 100, tid, comm);
+      }
+      const auto listed = ListThreads(100, tmp.path().string());
+      ASSERT_EQ(listed.size(), threads.size());
+      EXPECT_EQ(ResolveThreadByName(listed, c.pattern), c.tid);
+    }
+  }
 }
 
 // --- malformed / truncated procfs fixtures ----------------------------------
@@ -128,7 +154,7 @@ TEST(ProcfsTest, MissingCommFileYieldsEmptyName) {
   ASSERT_EQ(threads.size(), 1u);
   EXPECT_EQ(threads[0].tid, 102);
   EXPECT_TRUE(threads[0].comm.empty());
-  EXPECT_TRUE(FindThreadsByName(100, "x", tmp.path().string()).empty());
+  EXPECT_EQ(ResolveThreadByName(threads, "x"), -1);
 }
 
 TEST(ProcfsTest, TruncatedCommWithoutNewlineIsRead) {

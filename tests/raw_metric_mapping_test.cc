@@ -366,11 +366,9 @@ TEST(RawMetricMappingTest, BothNativeDriversReadOneRuntimeAlike) {
       const core::EntityInfo& r = registry_entities[i];
       const core::EntityInfo& f = file_entities[i];
       ASSERT_EQ(f.path, r.path);
-      // A source thread is named after its ingress ("src.agr-in"), so the
-      // ingress pattern may match the source instead.
-      if (!r.is_ingress) {
-        EXPECT_EQ(f.thread.os_tid, r.thread.os_tid) << r.path;
-      }
+      // The source thread "src.agr-in" also contains the ingress's pattern;
+      // the exact name wins.
+      EXPECT_EQ(f.thread.os_tid, r.thread.os_tid) << r.path;
       for (std::size_t m = 0; m < core::kMetricCount; ++m) {
         const auto metric = static_cast<MetricId>(m);
         if (!registry.Provides(metric)) continue;

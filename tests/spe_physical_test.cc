@@ -1,7 +1,8 @@
 // Unit tests of PhysicalOp and TupleQueue: two-phase execution, routing
 // (round-robin / key-by), staged emission with backpressure, egress
 // measurement (only on egress operators; reservoirs against a vector
-// reference), the 4-byte latency store and its one-time widening, and the
+// reference; recording draws nothing from the operator's generator), the
+// 4-byte latency store and its one-time widening, and the
 // tuple-contributor timestamp rules.
 #include "spe/physical.h"
 
@@ -272,17 +273,20 @@ TEST(PhysicalOpTest, OnlyEgressOperatorsCarryEgressState) {
   EXPECT_NE(rig.Op(in.get(), OperatorRole::kEgress)->egress(), nullptr);
 }
 
-// The reservoir step as it was on std::vector<double>; true when `value`
-// took a slot.
-bool VectorReservoirAdd(std::vector<double>& samples, double value,
-                        std::uint64_t seen, Rng& rng) {
-  if (samples.size() < EgressMeasurements::kMaxSamples) {
-    samples.push_back(value);
+// The reservoir step on std::vector<double>s: past the cap, one slot draw
+// per tuple serves both vectors. True when the tuple took a slot.
+bool VectorReservoirAdd(std::vector<double>& latency, std::vector<double>& e2e,
+                        double latency_ns, double e2e_ns, std::uint64_t seen,
+                        Rng& sampler) {
+  if (latency.size() < EgressMeasurements::kMaxSamples) {
+    latency.push_back(latency_ns);
+    e2e.push_back(e2e_ns);
     return true;
   }
-  const std::uint64_t slot = rng.NextBounded(seen);
+  const std::uint64_t slot = sampler.NextBounded(seen);
   if (slot >= EgressMeasurements::kMaxSamples) return false;
-  samples[slot] = value;
+  latency[slot] = latency_ns;
+  e2e[slot] = e2e_ns;
   return true;
 }
 
@@ -298,13 +302,11 @@ TEST(PhysicalOpTest, EgressReservoirsKeepArrivalOrderThenSample) {
     PhysicalRig rig;
     auto in = rig.Queue();
     auto op = rig.Op(in.get(), OperatorRole::kEgress);
-    // With no cost jitter and no blocking, the reservoirs are the
-    // operator's only Rng draws: the reference draws from the same seed.
-    Rng rng(PhysicalOp::Config{}.seed);
+    // The reservoirs' sampler is stream 1 of the operator's seed.
+    Rng sampler = Rng(PhysicalOp::Config{}.seed).Split(1);
     std::vector<double> latency;
     std::vector<double> e2e;
-    bool slow_latency_kept = false;
-    bool slow_e2e_kept = false;
+    bool slow_kept = false;
     const auto feed = [&](std::size_t from, std::size_t to) {
       for (std::size_t i = from; i < to; ++i) {
         const auto now = static_cast<SimTime>(3 * i + 1000);
@@ -315,28 +317,25 @@ TEST(PhysicalOpTest, EgressReservoirsKeepArrivalOrderThenSample) {
         SimDuration cost;
         ASSERT_TRUE(op->Begin(cost));
         op->Finish(now);
-        const std::uint64_t seen = i + 1;
-        const bool latency_kept = VectorReservoirAdd(
-            latency, static_cast<double>(now - t.ingested), seen, rng);
-        const bool e2e_kept = VectorReservoirAdd(
-            e2e, static_cast<double>(now - t.produced), seen, rng);
-        if (i == slow) {
-          slow_latency_kept = latency_kept;
-          slow_e2e_kept = e2e_kept;
-        }
+        const bool kept = VectorReservoirAdd(
+            latency, e2e, static_cast<double>(now - t.ingested),
+            static_cast<double>(now - t.produced), i + 1, sampler);
+        if (i == slow) slow_kept = kept;
       }
     };
     const EgressMeasurements& m = *op->egress();
     const auto expect_reference = [&](const char* when) {
       ASSERT_EQ(m.latency_samples.size(), latency.size()) << when;
       ASSERT_EQ(m.e2e_latency_samples.size(), e2e.size()) << when;
+      // Slot by slot: past the cap this also pins that slot i of both
+      // reservoirs holds the same tuple.
       for (std::size_t i = 0; i < latency.size(); ++i) {
         ASSERT_EQ(m.latency_samples[i], latency[i]) << when << " slot " << i;
         ASSERT_EQ(m.e2e_latency_samples[i], e2e[i]) << when << " slot " << i;
       }
       // The store widens exactly when a sample past 2^32 ns took a slot.
-      EXPECT_EQ(m.latency_samples.wide(), slow_latency_kept) << when;
-      EXPECT_EQ(m.e2e_latency_samples.wide(), slow_e2e_kept) << when;
+      EXPECT_EQ(m.latency_samples.wide(), slow_kept) << when;
+      EXPECT_EQ(m.e2e_latency_samples.wide(), slow_kept) << when;
     };
 
     // Below the cap every sample is kept, in arrival order.
@@ -360,10 +359,10 @@ TEST(PhysicalOpTest, EgressReservoirsKeepArrivalOrderThenSample) {
     EXPECT_EQ(m.latency_samples.size(), kCap);
     EXPECT_EQ(m.e2e_latency_samples.size(), kCap);
     expect_reference("past the cap");
-    // Each slow run reaches the wide store; the seed's draws keep the slow
-    // tuple past the cap too.
+    // Each slow run reaches the wide store; the sampler's draws keep the
+    // slow tuple past the cap too.
     if (slow != kNoSlowTuple) {
-      EXPECT_TRUE(slow_latency_kept && slow_e2e_kept);
+      EXPECT_TRUE(slow_kept);
     }
 
     op->ResetMeasurements();
@@ -373,6 +372,49 @@ TEST(PhysicalOpTest, EgressReservoirsKeepArrivalOrderThenSample) {
     EXPECT_FALSE(op->egress()->latency_samples.wide());
     EXPECT_FALSE(op->egress()->e2e_latency_samples.wide());
   }
+}
+
+// Recording draws nothing from the operator's generator: an egress and a
+// transform operator with one seed charge the same jittered costs and
+// block for the same times, past the reservoir cap too.
+TEST(PhysicalOpTest, RecordingDrawsNothingFromTheSimulatedCosts) {
+  constexpr std::size_t kTuples = 150'000;
+  PhysicalRig rig;
+  const auto make = [](TupleQueue* input, OperatorRole role) {
+    PhysicalOp::Config config;
+    config.name = "spe.q.op.0";
+    config.role = role;
+    config.cost = Micros(100);
+    config.cost_jitter = 0.5;
+    config.block_probability = 0.3;
+    config.block_max = Millis(10);
+    config.seed = 42;
+    std::vector<std::unique_ptr<OperatorLogic>> logic;
+    logic.push_back(std::make_unique<IdentityLogic>());
+    return std::make_unique<PhysicalOp>(config, input, std::move(logic));
+  };
+  auto egress_in = rig.Queue();
+  auto transform_in = rig.Queue();
+  auto egress = make(egress_in.get(), OperatorRole::kEgress);
+  auto transform = make(transform_in.get(), OperatorRole::kTransform);
+  for (std::size_t i = 0; i < kTuples; ++i) {
+    Tuple t;
+    t.ingested = static_cast<SimTime>(i);
+    t.produced = t.ingested;
+    egress_in->Push(t);
+    transform_in->Push(t);
+    SimDuration egress_cost = 0;
+    SimDuration transform_cost = 0;
+    ASSERT_TRUE(egress->Begin(egress_cost));
+    ASSERT_TRUE(transform->Begin(transform_cost));
+    ASSERT_EQ(egress_cost, transform_cost) << "cost of tuple " << i;
+    const auto now = static_cast<SimTime>(2 * i + 1000);
+    ASSERT_EQ(egress->Finish(now), transform->Finish(now))
+        << "block after tuple " << i;
+  }
+  EXPECT_EQ(egress->egress()->tuples, kTuples);
+  EXPECT_EQ(egress->egress()->latency_samples.size(),
+            EgressMeasurements::kMaxSamples);
 }
 
 constexpr SimDuration kNarrowMax = (SimDuration{1} << 32) - 1;
@@ -442,7 +484,7 @@ TEST(LatencySamplesTest, RangeForYieldsTheIndexSequence) {
 }
 
 TEST(LatencySamplesTest, EgressResetLeavesEmptyNarrowStores) {
-  EgressMeasurements m;
+  EgressMeasurements m(/*seed=*/1);
   m.latency_samples.Append(Seconds(5));
   m.e2e_latency_samples.Append(-1);
   ASSERT_TRUE(m.latency_samples.wide());
@@ -454,6 +496,32 @@ TEST(LatencySamplesTest, EgressResetLeavesEmptyNarrowStores) {
     samples->Append(kNarrowMax);
     EXPECT_FALSE(samples->wide());
   }
+}
+
+// The warmup trim restarts the sampler: after Reset, measurements past the
+// cap keep the slots a fresh one with the same seed keeps.
+TEST(EgressMeasurementsTest, ResetRestartsTheSampler) {
+  constexpr std::size_t kTuples = EgressMeasurements::kMaxSamples * 3 / 2;
+  const auto record = [](EgressMeasurements& m, std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i) {
+      m.Record(static_cast<SimDuration>(i), static_cast<SimDuration>(2 * i));
+    }
+  };
+  EgressMeasurements reset(/*seed=*/9);
+  record(reset, kTuples);
+  reset.Reset();
+  record(reset, kTuples);
+  EgressMeasurements fresh(/*seed=*/9);
+  record(fresh, kTuples);
+  ASSERT_EQ(reset.tuples, fresh.tuples);
+  ASSERT_EQ(reset.latency_samples.size(), fresh.latency_samples.size());
+  for (std::size_t i = 0; i < fresh.latency_samples.size(); ++i) {
+    ASSERT_EQ(reset.latency_samples[i], fresh.latency_samples[i]) << i;
+    ASSERT_EQ(reset.e2e_latency_samples[i], fresh.e2e_latency_samples[i]) << i;
+    // Both reservoirs hold the same tuple in each slot.
+    ASSERT_EQ(2 * fresh.latency_samples[i], fresh.e2e_latency_samples[i]) << i;
+  }
+  EXPECT_DOUBLE_EQ(reset.latency.mean(), fresh.latency.mean());
 }
 
 TEST(PhysicalOpTest, BlockingProbabilityProducesSleeps) {

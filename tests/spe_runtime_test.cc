@@ -1,11 +1,16 @@
 // Deployment and runtime tests for the SPE substrate: DAG validation,
 // fusion/fission, wiring, flow control, raw-metric exposure, and end-to-end
-// pipeline execution on the simulator.
+// pipeline execution on the simulator, whose schedule the egress
+// measurements cannot move.
 #include "spe/runtime.h"
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
+#include <string>
+#include <tuple>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -388,6 +393,61 @@ TEST(RuntimeTest, MeasuredCostAndSelectivityMatchConfig) {
     EXPECT_NEAR(op.op->MeasuredSelectivity(), 2.0, 0.01);
     // cost + flavor overhead (25us for storm), ±jitter.
     EXPECT_NEAR(op.op->MeasuredCostNs(), 125000.0, 15000.0);
+  }
+}
+
+// What a run records cannot change what it simulates. Resetting the egress
+// measurements (the warmup trim) at 1 s or 3 s, or never, moves the tuple
+// at which the egress's reservoirs pass their cap, yet every scheduler
+// transition and every operator's counters stay the same.
+TEST(RuntimeTest, WhenMeasurementsResetDoesNotMoveTheRun) {
+  using Transition = std::tuple<SimTime, std::uint64_t, sim::SchedTransition>;
+  struct Transitions final : sim::SchedTraceObserver {
+    void OnSchedTransition(SimTime time, ThreadId tid,
+                           sim::SchedTransition kind) override {
+      log.emplace_back(time, tid.value(), kind);
+    }
+    std::vector<Transition> log;
+  };
+  struct Run {
+    std::vector<Transition> transitions;
+    // tuples_in, tuples_out and busy_ns of each operator.
+    std::vector<std::tuple<std::uint64_t, std::uint64_t, SimDuration>> ops;
+  };
+  const auto run = [](std::optional<SimTime> reset_at) {
+    Transitions observer;  // outlives the machine that reports to it
+    TestRig rig;
+    rig.machine->set_trace_observer(&observer);
+    // Three operators, each with the default cost jitter.
+    DeployedQuery& dq = rig.instance->Deploy(SimplePipeline(1), {});
+    ExternalSource source(rig.sim, dq.source_channels(),
+                          [](Rng&, std::uint64_t) { return Tuple{}; }, 7);
+    source.Start(12000, Seconds(12));
+    if (reset_at) {
+      rig.sim.ScheduleAt(*reset_at, [&dq] { dq.ResetMeasurements(); });
+    }
+    rig.sim.RunUntil(Seconds(12));
+    // The egress passed its cap in every run.
+    EXPECT_GT(dq.Egresses().at(0)->tuples, EgressMeasurements::kMaxSamples);
+    Run result;
+    result.transitions = std::move(observer.log);
+    for (const DeployedOp& op : dq.ops) {
+      result.ops.emplace_back(op.op->tuples_in(), op.op->tuples_out(),
+                              op.op->busy_ns());
+    }
+    return result;
+  };
+  const Run never = run(std::nullopt);
+  ASSERT_GT(never.transitions.size(), 1000u);
+  for (const SimTime reset_at : {Seconds(1), Seconds(3)}) {
+    SCOPED_TRACE("reset at " + std::to_string(reset_at / kSecond) + " s");
+    const Run reset = run(reset_at);
+    EXPECT_EQ(reset.ops, never.ops);
+    ASSERT_EQ(reset.transitions.size(), never.transitions.size());
+    for (std::size_t i = 0; i < never.transitions.size(); ++i) {
+      ASSERT_EQ(reset.transitions[i], never.transitions[i])
+          << "transition " << i;
+    }
   }
 }
 
