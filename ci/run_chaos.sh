@@ -49,6 +49,10 @@ cmake -S "$SRC_DIR" -B "$BUILD_DIR" \
 # osctl_test parses /proc fixtures, text from outside the program, and
 # covers the resolver that picks an operator's thread among them.
 # exp_report_test indexes the letter-value name table by depth.
+# integration_test runs exp::RunScenario, whose egresses keep only the
+# processing reservoir, and ulss_test deploys passive operators and reads
+# their egresses: an unkept reservoir read past its end is what ASan
+# catches.
 SUITES=(
   fault_tolerance_test failure_injection_test
   schedule_delta_test runner_dynamic_test
@@ -62,6 +66,7 @@ SUITES=(
   native_queue_test native_runtime_test
   native_driver_test daemon_config_test raw_metric_mapping_test
   osctl_test exp_report_test
+  integration_test ulss_test
   fleet_sim_test fleet_chaos_test
 )
 cmake --build "$BUILD_DIR" -j "$JOBS" --target "${SUITES[@]}"

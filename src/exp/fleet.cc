@@ -197,6 +197,8 @@ FleetResult RunFleet(const FleetSpec& spec) {
       spe::DeployOptions options;
       options.seed = spec.seed * 7919 + static_cast<std::uint64_t>(m) * 131 +
                      q * 17;
+      // The fleet reads only the running latency stat.
+      options.reservoirs = spe::LatencyReservoirs::kNone;
       spe::DeployedQuery& dq =
           node.instance->Deploy(workloads[q].query, options);
       node.queries.push_back(&dq);

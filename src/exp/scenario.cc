@@ -142,6 +142,7 @@ RunResult RunScenario(const ScenarioSpec& spec) {
     options.chaining = spec.chaining;
     options.create_threads = !ulss_mode;
     options.seed = spec.seed * 7919 + i * 131;
+    options.reservoirs = spe::LatencyReservoirs::kProcessing;
     spe::DeployedQuery& dq = instance->Deploy(w.workload.query, options);
 
     DeployedWorkload d;

@@ -100,9 +100,11 @@ struct QueryResult {
   double offered_tps = 0;         // source emission rate achieved
   double avg_latency_ms = 0;      // processing latency
   double avg_e2e_latency_ms = 0;  // end-to-end latency
-  // The processing-latency reservoirs of this query's egresses, ms: every
-  // sample up to EgressMeasurements::kMaxSamples tuples per egress, an
-  // unbiased sample past it. Fig 13 pools them over a setup's runs.
+  // The processing-latency reservoirs of this query's egresses, ms, the
+  // one reservoir RunScenario deploys them to keep: every sample up to
+  // EgressMeasurements::kMaxSamples tuples per egress, an unbiased sample
+  // past it. Fig 13 pools them over a setup's runs, and bench_hetero reads
+  // them; the end-to-end latency is kept only as avg_e2e_latency_ms.
   std::vector<double> latency_samples_ms;
 };
 

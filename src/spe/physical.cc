@@ -43,24 +43,28 @@ void LatencySamples::Widen() {
 
 // The sampler is stream 1 of the operator's seed. The operator's rng_ is
 // Rng(seed) itself, so no sampler draw moves its cost jitter or blocking.
-EgressMeasurements::EgressMeasurements(std::uint64_t seed)
-    : seed_(seed), sampler_(Rng(seed).Split(1)) {}
+EgressMeasurements::EgressMeasurements(std::uint64_t seed,
+                                       LatencyReservoirs reservoirs)
+    : seed_(seed), reservoirs_(reservoirs), sampler_(Rng(seed).Split(1)) {}
 
 void EgressMeasurements::Record(SimDuration latency_ns, SimDuration e2e_ns) {
   latency.Add(static_cast<double>(latency_ns));
   e2e_latency.Add(static_cast<double>(e2e_ns));
   ++tuples;
+  if (reservoirs_ == LatencyReservoirs::kNone) return;
+  const bool keep_latency = Keeps(LatencyReservoirs::kProcessing);
+  const bool keep_e2e = Keeps(LatencyReservoirs::kEndToEnd);
   if (tuples <= kMaxSamples) {
-    latency_samples.Append(latency_ns);
-    e2e_latency_samples.Append(e2e_ns);
+    if (keep_latency) latency_samples.Append(latency_ns);
+    if (keep_e2e) e2e_latency_samples.Append(e2e_ns);
     return;
   }
   // Reservoir sampling: the tuple takes a uniform slot of the first
   // `tuples`, so each tuple is kept with probability kMaxSamples / tuples.
   const std::uint64_t slot = sampler_.NextBounded(tuples);
   if (slot >= kMaxSamples) return;
-  latency_samples.Set(slot, latency_ns);
-  e2e_latency_samples.Set(slot, e2e_ns);
+  if (keep_latency) latency_samples.Set(slot, latency_ns);
+  if (keep_e2e) e2e_latency_samples.Set(slot, e2e_ns);
 }
 
 PhysicalOp::PhysicalOp(Config config, TupleQueue* input,
@@ -70,7 +74,8 @@ PhysicalOp::PhysicalOp(Config config, TupleQueue* input,
       logic_chain_(std::move(logic_chain)),
       rng_(config_.seed),
       egress_(config_.role == OperatorRole::kEgress
-                  ? std::make_unique<EgressMeasurements>(config_.seed)
+                  ? std::make_unique<EgressMeasurements>(config_.seed,
+                                                         config_.reservoirs)
                   : nullptr) {
   assert(input_ != nullptr);
   assert(!logic_chain_.empty());

@@ -51,9 +51,9 @@ struct PhysicalEdge {
 
 // One latency reservoir's samples, whole nanoseconds of simulated time.
 //
-// Every egress tuple adds a sample to two reservoirs, so a run of hundreds
-// of queries keeps millions of them. While every sample lies in
-// [0, 2^32) ns (4.29 s), each is kept in 4 bytes instead of a double's 8.
+// Every egress tuple adds a sample to each reservoir its deploy keeps, so a
+// run of hundreds of queries keeps millions of them. While every sample lies
+// in [0, 2^32) ns (4.29 s), each is kept in 4 bytes instead of a double's 8.
 // The first sample outside that range (a negative difference, or a backlog
 // past 4.29 s) widens the store once to 8-byte integers, copying every
 // earlier sample; the wide side allocates nothing before that. Either way a
@@ -105,13 +105,24 @@ class LatencySamples {
   bool wide_ = false;
 };
 
+// The latency reservoirs an egress keeps; each deploy names them. The
+// running stats and `tuples` are kept whatever the choice.
+enum class LatencyReservoirs : std::uint8_t {
+  kNone = 0,
+  kEndToEnd = 1,
+  kProcessing = 2,
+  kBoth = 3,
+};
+
 // Samples recorded by Egress operators (paper §3.2 latency definitions);
 // only an egress operator carries them, and `Record` is their one writer.
-// Who reads what:
-//  - `latency_samples`: exp::RunScenario copies it per query, for Fig 13's
-//    letter-value analysis (pooled over a setup's runs) and bench_hetero;
-//  - `e2e_latency_samples`: perfbench's sim-scale quantiles;
-//  - the running stats: the average latencies of every experiment.
+// Who reads what, and so what each caller keeps:
+//  - `e2e_latency_samples`: perfbench's sim-scale quantiles, from the
+//    DeployOptions default (kEndToEnd);
+//  - `latency_samples`: exp::RunScenario (kProcessing) copies it per query,
+//    for Fig 13's letter-value analysis and bench_hetero;
+//  - the running stats: the average latencies of every experiment, and all
+//    the fleet reads (kNone).
 //
 // Recording never draws from the operator's own generator, so what a run
 // keeps cannot change what it simulates.
@@ -122,14 +133,17 @@ class EgressMeasurements {
   static constexpr std::size_t kMaxSamples = 100'000;
 
   // `seed` is the operator's; the sampler is a stream split off it.
-  explicit EgressMeasurements(std::uint64_t seed);
+  EgressMeasurements(std::uint64_t seed, LatencyReservoirs reservoirs);
 
-  // Records one delivered tuple in both running stats and both reservoirs.
-  // Past the cap, one draw picks the slot both reservoirs overwrite, so
-  // slot i of each holds the same tuple.
+  // Records one delivered tuple in both running stats and in the kept
+  // reservoirs; an unkept one stays empty. Past the cap, one draw per tuple
+  // picks the slot every kept reservoir overwrites (none at kNone), so
+  // slot i of each holds the same tuple, and a kept reservoir holds the
+  // same samples whatever else is kept.
   void Record(SimDuration latency_ns, SimDuration e2e_ns);
-  // Warmup trim: drops every sample and restarts the sampler from the seed.
-  void Reset() { *this = EgressMeasurements(seed_); }
+  // Warmup trim: drops every sample and restarts the sampler from the
+  // seed; the same reservoirs stay kept.
+  void Reset() { *this = EgressMeasurements(seed_, reservoirs_); }
 
   RunningStat latency;       // processing latency, ns
   RunningStat e2e_latency;   // end-to-end latency, ns
@@ -138,7 +152,13 @@ class EgressMeasurements {
   std::uint64_t tuples = 0;
 
  private:
+  [[nodiscard]] bool Keeps(LatencyReservoirs r) const {
+    return (static_cast<std::uint8_t>(reservoirs_) &
+            static_cast<std::uint8_t>(r)) != 0;
+  }
+
   std::uint64_t seed_;
+  LatencyReservoirs reservoirs_;
   Rng sampler_;  // reservoir slots past the cap, and nothing else
 };
 
@@ -157,6 +177,8 @@ class PhysicalOp {
     SimDuration per_tuple_overhead = 0;  // engine framework overhead
     SimDuration network_delay = 0;       // latency for remote pushes
     std::uint64_t seed = 1;
+    // Egress role only; see DeployOptions::reservoirs.
+    LatencyReservoirs reservoirs = LatencyReservoirs::kEndToEnd;
   };
 
   PhysicalOp(Config config, TupleQueue* input,

@@ -225,6 +225,7 @@ DeployedQuery& SpeInstance::Deploy(const LogicalQuery& query,
       config.per_tuple_overhead = flavor_.per_tuple_overhead;
       config.network_delay = options.network_delay;
       config.seed = options.seed + 7919 * next_op_id_ + 13;
+      config.reservoirs = options.reservoirs;
 
       std::vector<std::unique_ptr<OperatorLogic>> logic;
       logic.reserve(chain.size());

@@ -40,6 +40,11 @@ struct DeployOptions {
   bool create_threads = true;
   SimDuration network_delay = Micros(500);
   std::uint64_t seed = 42;
+  // The latency reservoirs each egress keeps (EgressMeasurements); an
+  // unkept one stays empty and grows no storage. perfbench's sim-scale reads
+  // this default's end-to-end reservoir and sets no option of its own, so
+  // it cannot opt in: the default must stay what it reads.
+  LatencyReservoirs reservoirs = LatencyReservoirs::kEndToEnd;
 };
 
 // One deployed physical operator, with everything a driver may expose.

@@ -12,6 +12,9 @@
 // after warmup. If a future change sneaks a std::map, a std::string build,
 // or a rehash into the hot path, this test fails with the allocation count.
 //
+// The same counter pins the simulated egress's recording: a latency
+// reservoir its deploy does not keep must cost no allocation per tuple.
+//
 // Only this binary installs the counting hooks (they are file-local to the
 // test executable), so the rest of the suite is unaffected.
 #include <gtest/gtest.h>
@@ -36,6 +39,7 @@
 #include "queries/synthetic.h"
 #include "sim/machine.h"
 #include "sim/simulator.h"
+#include "spe/physical.h"
 #include "spe/runtime.h"
 #include "spe/source.h"
 #include "tests/fake_driver.h"
@@ -637,6 +641,49 @@ TEST(AllocRegressionTest, WarmRunnerTickAllocsDoNotGrowWithEntities) {
   EXPECT_EQ(small.per_tick, large.per_tick)
       << "a warm tick must not allocate per entity; first tick at 50: "
       << small.per_tick.front() << ", at 500: " << large.per_tick.front();
+}
+
+// An unkept latency reservoir grows no chunk: 150,000 Records (past the
+// reservoir cap) allocate nothing when no reservoir is kept, and when only
+// the end-to-end one is, exactly as often as a lone store fed the same
+// end-to-end samples.
+TEST(EgressAllocTest, RecordAllocatesOnlyForKeptReservoirs) {
+  constexpr std::size_t kTuples = 150'000;
+  constexpr std::size_t kCap = spe::EgressMeasurements::kMaxSamples;
+  const auto latency_of = [](std::size_t i) {
+    return static_cast<SimDuration>(i % 9973) * 1000;
+  };
+  const auto e2e_of = [](std::size_t i) {
+    return static_cast<SimDuration>(i % 7919) * 3000;
+  };
+  const auto record_allocs = [&](spe::LatencyReservoirs reservoirs) {
+    spe::EgressMeasurements egress(/*seed=*/5, reservoirs);
+    const std::uint64_t before = AllocCount();
+    for (std::size_t i = 0; i < kTuples; ++i) {
+      egress.Record(latency_of(i), e2e_of(i));
+    }
+    const std::uint64_t allocs = AllocCount() - before;
+    EXPECT_EQ(egress.tuples, kTuples);
+    return allocs;
+  };
+
+  EXPECT_EQ(record_allocs(spe::LatencyReservoirs::kNone), 0u)
+      << "an egress that keeps no reservoir must not touch the heap";
+
+  // Past the cap a narrow store only overwrites, so the slots it takes
+  // there do not change its allocations.
+  spe::LatencySamples lone;
+  const std::uint64_t before = AllocCount();
+  for (std::size_t i = 0; i < kTuples; ++i) {
+    if (i < kCap) {
+      lone.Append(e2e_of(i));
+    } else {
+      lone.Set(i % kCap, e2e_of(i));
+    }
+  }
+  const std::uint64_t lone_allocs = AllocCount() - before;
+  ASSERT_GT(lone_allocs, 0u);
+  EXPECT_EQ(record_allocs(spe::LatencyReservoirs::kEndToEnd), lone_allocs);
 }
 
 }  // namespace

@@ -34,6 +34,7 @@ struct PhysicalRig {
     config.role = role;
     config.cost = cost;
     config.cost_jitter = 0;
+    config.reservoirs = LatencyReservoirs::kBoth;
     std::vector<std::unique_ptr<OperatorLogic>> logic;
     logic.push_back(std::make_unique<IdentityLogic>());
     return std::make_unique<PhysicalOp>(config, input, std::move(logic));
@@ -389,6 +390,7 @@ TEST(PhysicalOpTest, RecordingDrawsNothingFromTheSimulatedCosts) {
     config.block_probability = 0.3;
     config.block_max = Millis(10);
     config.seed = 42;
+    config.reservoirs = LatencyReservoirs::kBoth;
     std::vector<std::unique_ptr<OperatorLogic>> logic;
     logic.push_back(std::make_unique<IdentityLogic>());
     return std::make_unique<PhysicalOp>(config, input, std::move(logic));
@@ -484,7 +486,7 @@ TEST(LatencySamplesTest, RangeForYieldsTheIndexSequence) {
 }
 
 TEST(LatencySamplesTest, EgressResetLeavesEmptyNarrowStores) {
-  EgressMeasurements m(/*seed=*/1);
+  EgressMeasurements m(/*seed=*/1, LatencyReservoirs::kBoth);
   m.latency_samples.Append(Seconds(5));
   m.e2e_latency_samples.Append(-1);
   ASSERT_TRUE(m.latency_samples.wide());
@@ -507,11 +509,11 @@ TEST(EgressMeasurementsTest, ResetRestartsTheSampler) {
       m.Record(static_cast<SimDuration>(i), static_cast<SimDuration>(2 * i));
     }
   };
-  EgressMeasurements reset(/*seed=*/9);
+  EgressMeasurements reset(/*seed=*/9, LatencyReservoirs::kBoth);
   record(reset, kTuples);
   reset.Reset();
   record(reset, kTuples);
-  EgressMeasurements fresh(/*seed=*/9);
+  EgressMeasurements fresh(/*seed=*/9, LatencyReservoirs::kBoth);
   record(fresh, kTuples);
   ASSERT_EQ(reset.tuples, fresh.tuples);
   ASSERT_EQ(reset.latency_samples.size(), fresh.latency_samples.size());

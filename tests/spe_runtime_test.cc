@@ -451,6 +451,86 @@ TEST(RuntimeTest, WhenMeasurementsResetDoesNotMoveTheRun) {
   }
 }
 
+// Each deploy names the latency reservoirs its egresses keep, and the
+// choice moves nothing else: the running stats and every operator's
+// counters are the same at each choice, a kept reservoir holds the samples
+// it holds when both are kept, past the cap too, and an unkept one stays
+// empty, across the warmup trim as well.
+TEST(RuntimeTest, EgressKeepsOnlyTheReservoirsItsDeployNames) {
+  struct Run {
+    EgressMeasurements egress;
+    // tuples_in, tuples_out and busy_ns of each operator.
+    std::vector<std::tuple<std::uint64_t, std::uint64_t, SimDuration>> ops;
+  };
+  const auto run = [](LatencyReservoirs reservoirs) {
+    TestRig rig;
+    DeployOptions options;
+    options.reservoirs = reservoirs;
+    // Three operators, each with the default cost jitter.
+    DeployedQuery& dq = rig.instance->Deploy(SimplePipeline(1), options);
+    ExternalSource source(rig.sim, dq.source_channels(),
+                          [](Rng&, std::uint64_t) { return Tuple{}; }, 7);
+    source.Start(12000, Seconds(12));
+    rig.sim.ScheduleAt(Seconds(1), [&dq] { dq.ResetMeasurements(); });
+    rig.sim.RunUntil(Seconds(12));
+    Run result{*dq.Egresses().at(0), {}};
+    for (const DeployedOp& op : dq.ops) {
+      result.ops.emplace_back(op.op->tuples_in(), op.op->tuples_out(),
+                              op.op->busy_ns());
+    }
+    return result;
+  };
+  const auto expect_stat_eq = [](const RunningStat& got,
+                                 const RunningStat& want) {
+    EXPECT_EQ(got.count(), want.count());
+    EXPECT_EQ(got.mean(), want.mean());
+    EXPECT_EQ(got.variance(), want.variance());
+    EXPECT_EQ(got.min(), want.min());
+    EXPECT_EQ(got.max(), want.max());
+  };
+  const auto expect_kept = [](const LatencySamples& got,
+                              const LatencySamples& want, bool kept) {
+    if (!kept) {
+      EXPECT_TRUE(got.empty());
+      EXPECT_FALSE(got.wide());
+      return;
+    }
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      ASSERT_EQ(got[i], want[i]) << "slot " << i;
+    }
+  };
+
+  const Run both = run(LatencyReservoirs::kBoth);
+  // The egress passed its cap, so the kept reservoirs rest on the sampler.
+  ASSERT_GT(both.egress.tuples, EgressMeasurements::kMaxSamples);
+  ASSERT_EQ(both.egress.latency_samples.size(), EgressMeasurements::kMaxSamples);
+  ASSERT_EQ(both.egress.e2e_latency_samples.size(),
+            EgressMeasurements::kMaxSamples);
+  struct Case {
+    LatencyReservoirs reservoirs;
+    const char* name;
+    bool keeps_processing;
+    bool keeps_e2e;
+  };
+  for (const Case& c : {Case{LatencyReservoirs::kNone, "kNone", false, false},
+                        Case{LatencyReservoirs::kEndToEnd, "kEndToEnd", false,
+                             true},
+                        Case{LatencyReservoirs::kProcessing, "kProcessing",
+                             true, false}}) {
+    SCOPED_TRACE(c.name);
+    const Run r = run(c.reservoirs);
+    EXPECT_EQ(r.ops, both.ops);
+    EXPECT_EQ(r.egress.tuples, both.egress.tuples);
+    expect_stat_eq(r.egress.latency, both.egress.latency);
+    expect_stat_eq(r.egress.e2e_latency, both.egress.e2e_latency);
+    expect_kept(r.egress.latency_samples, both.egress.latency_samples,
+                c.keeps_processing);
+    expect_kept(r.egress.e2e_latency_samples, both.egress.e2e_latency_samples,
+                c.keeps_e2e);
+  }
+}
+
 TEST(RuntimeTest, MultiNodeDeploymentSpreadsReplicas) {
   sim::Simulator sim;
   sim::Machine node0(sim, 4, {}, "node0");
