@@ -13,12 +13,11 @@ SRC_DIR=$(CDPATH='' cd -- "$(dirname -- "$0")/.." && pwd)
 BUILD_DIR=${1:-"$SRC_DIR/build-chaos"}
 JOBS=$(nproc 2>/dev/null || echo 2)
 
-cmake -S "$SRC_DIR" -B "$BUILD_DIR" \
-  -DCMAKE_BUILD_TYPE="${CMAKE_BUILD_TYPE:-RelWithDebInfo}" \
-  -DLACHESIS_SANITIZE="${LACHESIS_SANITIZE:-address,undefined}"
-# The container property suites (stable_pool_test, hash_index_test) run
-# here too: linear-probing deletions, pool free-list reuse, and arena
-# block recycling are exactly the code ASan/UBSan catches lying about.
+# The container property suite (hash_index_test) runs here too:
+# linear-probing deletions and the interner's byte-block boundaries are
+# exactly the code ASan/UBSan catches lying about. cfs_machine_test grows
+# the simulator's entity tables past a chunk while the runqueues point into
+# them: a table that moved its elements would leave those pointers dangling.
 # The heterogeneous-core suites run here too: the conformance fuzzer
 # drives random capacity vectors and deadline triples through the sim, and
 # ASan/UBSan is where queue index arithmetic and budget accounting get
@@ -56,8 +55,8 @@ cmake -S "$SRC_DIR" -B "$BUILD_DIR" \
 SUITES=(
   fault_tolerance_test failure_injection_test
   schedule_delta_test runner_dynamic_test
-  stable_pool_test hash_index_test alloc_regression_test
-  hetero_machine_test conformance_test
+  hash_index_test alloc_regression_test
+  cfs_machine_test hetero_machine_test conformance_test
   tsdb_test sim_driver_test spe_physical_test
   spe_runtime_test spe_property_test
   policies_test translators_test transform_test
@@ -69,7 +68,12 @@ SUITES=(
   integration_test ulss_test
   fleet_sim_test fleet_chaos_test
 )
-cmake --build "$BUILD_DIR" -j "$JOBS" --target "${SUITES[@]}"
+# The suites build in parallel as one target, ci_suites (tests/CMakeLists.txt).
+cmake -S "$SRC_DIR" -B "$BUILD_DIR" \
+  -DCMAKE_BUILD_TYPE="${CMAKE_BUILD_TYPE:-RelWithDebInfo}" \
+  -DLACHESIS_SANITIZE="${LACHESIS_SANITIZE:-address,undefined}" \
+  -DLACHESIS_CI_SUITES="${SUITES[*]}"
+cmake --build "$BUILD_DIR" -j "$JOBS" --target ci_suites
 
 # The fleet soak's epoch count is trimmed under sanitizers: the schedule is
 # a pure hash of (seed, machine, epoch), so the shorter run replays an exact

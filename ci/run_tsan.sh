@@ -17,23 +17,27 @@ SRC_DIR=$(CDPATH='' cd -- "$(dirname -- "$0")/.." && pwd)
 BUILD_DIR=${1:-"$SRC_DIR/build-tsan"}
 JOBS=$(nproc 2>/dev/null || echo 2)
 
+# The suites this lane runs. They build in parallel as one target,
+# ci_suites (tests/CMakeLists.txt).
+SUITES=(
+  fleet_sim_test fleet_golden_test fleet_chaos_test
+  hash_index_test hetero_machine_test
+  native_queue_test native_runtime_test
+)
 cmake -S "$SRC_DIR" -B "$BUILD_DIR" \
   -DCMAKE_BUILD_TYPE="${CMAKE_BUILD_TYPE:-RelWithDebInfo}" \
-  -DLACHESIS_SANITIZE=thread
-cmake --build "$BUILD_DIR" -j "$JOBS" \
-  --target fleet_sim_test fleet_golden_test fleet_chaos_test \
-           stable_pool_test hash_index_test hetero_machine_test \
-           native_queue_test native_runtime_test
+  -DLACHESIS_SANITIZE=thread \
+  -DLACHESIS_CI_SUITES="${SUITES[*]}"
+cmake --build "$BUILD_DIR" -j "$JOBS" --target ci_suites
 
 status=0
 export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}"
 "$BUILD_DIR/tests/fleet_sim_test" --gtest_brief=1 || status=$?
 
-# Storage-layer container suites under TSan: the containers are
+# Storage-layer container suite under TSan: the containers are
 # single-writer by contract, but the recorder's interner is called under
 # the recorder lock from concurrent contexts -- build and run the property
-# suites in this lane so any future cross-thread use is instrumented.
-"$BUILD_DIR/tests/stable_pool_test" --gtest_brief=1 || status=$?
+# suite in this lane so any future cross-thread use is instrumented.
 "$BUILD_DIR/tests/hash_index_test" --gtest_brief=1 || status=$?
 
 # Native SPE executor: the SPSC ring's entire correctness story is its

@@ -1,4 +1,4 @@
-// Open-addressing hash index for small POD keys + arena-backed interner.
+// Open-addressing hash index for small POD keys + a string interner.
 //
 // The control plane's hot lookups (delta cache, op-health, scratch
 // membership sets, string interning) were node-based std::map /
@@ -13,10 +13,10 @@
 //    traffic except on growth -- the steady-state contract pinned by
 //    tests/alloc_regression_test.cc;
 //  - FlatSet<K>: membership-only FlatMap;
-//  - StringInterner: string -> dense uint32 id, payload bytes in an Arena
-//    (stable views), collision-verified 64-bit hashing. Lookup() never
-//    allocates and never inserts, which is what makes per-op health-key
-//    resolution allocation-free.
+//  - StringInterner: string -> dense uint32 id, payload bytes copied into
+//    fixed blocks (stable views), collision-verified 64-bit hashing.
+//    Lookup() never allocates and never inserts, which is what makes per-op
+//    health-key resolution allocation-free.
 //
 // Iteration order is table order: deterministic for a fixed operation
 // sequence, NOT insertion order. Nothing that feeds golden traces iterates
@@ -28,16 +28,16 @@
 #ifndef LACHESIS_COMMON_HASH_INDEX_H_
 #define LACHESIS_COMMON_HASH_INDEX_H_
 
+#include <algorithm>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <string_view>
 #include <type_traits>
 #include <utility>
 #include <vector>
-
-#include "common/arena.h"
 
 namespace lachesis {
 
@@ -227,9 +227,10 @@ class FlatSet {
 
 // String -> dense uint32 id interner. Id 0 is reserved for "" (interned at
 // construction), matching the obs recorder's StrId convention. Payload
-// bytes live in an Arena so returned views are stable for the interner's
-// lifetime; the index stores (hash, id) pairs and verifies bytes on every
-// probe, so 64-bit hash collisions cost an extra compare, never a wrong id.
+// bytes are copied into 64 KiB blocks that never move, so returned views
+// are stable for the interner's lifetime; the index stores (hash, id) pairs
+// and verifies bytes on every probe, so 64-bit hash collisions cost an
+// extra compare, never a wrong id.
 // Entries are never removed: growth is bounded by the number of distinct
 // strings ever seen (targets, group names, policy names -- warmup-bounded
 // in practice).
@@ -247,8 +248,7 @@ class StringInterner {
     std::uint32_t id = Probe(hash, s);
     if (id != kAbsent) return id;
     id = static_cast<std::uint32_t>(views_.size());
-    const char* stable = arena_.CopyBytes(s.data(), s.size());
-    views_.push_back(std::string_view(stable, s.size()));
+    views_.push_back(Store(s));
     InsertIndex(hash, id);
     return id;
   }
@@ -276,6 +276,24 @@ class StringInterner {
     std::uint64_t hash = 0;
     std::uint32_t id = kAbsent;
   };
+
+  static constexpr std::size_t kBlockBytes = 1 << 16;
+
+  // Copies `s` into the last block, or into a new one when it does not fit;
+  // a string longer than a block gets a block of its own, which is then
+  // full. Blocks are not zero-filled: their pages become resident only as
+  // strings are written.
+  std::string_view Store(std::string_view s) {
+    if (s.size() > kBlockBytes - block_used_) {
+      blocks_.push_back(std::make_unique_for_overwrite<char[]>(
+          std::max(s.size(), kBlockBytes)));
+      block_used_ = 0;
+    }
+    char* copy = blocks_.back().get() + block_used_;
+    std::memcpy(copy, s.data(), s.size());
+    block_used_ = std::min(block_used_ + s.size(), kBlockBytes);
+    return std::string_view(copy, s.size());
+  }
 
   static std::uint64_t HashOf(std::string_view s) {
     // Hash 0 doubles as the empty-slot sentinel; remap the (vanishingly
@@ -317,7 +335,8 @@ class StringInterner {
     index_[i] = IndexSlot{hash, id};
   }
 
-  Arena arena_;
+  std::vector<std::unique_ptr<char[]>> blocks_;
+  std::size_t block_used_ = kBlockBytes;  // bytes taken of blocks_.back()
   std::vector<std::string_view> views_;
   std::vector<IndexSlot> index_;
 };

@@ -116,8 +116,9 @@ class Recorder {
   std::uint64_t next_seq_ = 0;
   EventRing ring_;
   // Dense ids in intern-call order (StrId == StringInterner id; both
-  // reserve 0 for ""), payload bytes arena-backed so Lookup never copies
-  // the probe string to the heap the way the old unordered_map did.
+  // reserve 0 for ""). The interner keeps its own copy of each string, so
+  // Lookup never copies the probe string to the heap the way the old
+  // unordered_map did.
   StringInterner interner_;
 };
 

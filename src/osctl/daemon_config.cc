@@ -102,6 +102,23 @@ std::string CheckedName(const Entry (&table)[N], const std::string& key,
   return value;
 }
 
+// True when operator `to` is `from` or lies downstream of it in `query`.
+bool Reaches(const NativeQueryConfig& query, int from, int to) {
+  std::vector<bool> seen(query.operators.size());
+  std::vector<int> stack{from};
+  while (!stack.empty()) {
+    const int op = stack.back();
+    stack.pop_back();
+    if (op == to) return true;
+    if (seen[static_cast<std::size_t>(op)]) continue;
+    seen[static_cast<std::size_t>(op)] = true;
+    for (const auto& [up, down] : query.edges) {
+      if (up == op) stack.push_back(down);
+    }
+  }
+  return false;
+}
+
 long ParseLong(const std::string& value, int line, const std::string& key) {
   std::size_t consumed = 0;
   long parsed = 0;
@@ -406,6 +423,11 @@ DaemonConfig ParseDaemonConfig(const std::string& text) {
       const auto to_it = operator_index.find(to);
       if (from_it == operator_index.end() || to_it == operator_index.end()) {
         Fail(line_number, "edge references unknown operator");
+      }
+      // The Highest Rate policy walks every path to a sink, and a path
+      // around a cycle never reaches one.
+      if (Reaches(*current_query, to_it->second, from_it->second)) {
+        Fail(line_number, "edge '" + from + " " + to + "' closes a cycle");
       }
       current_query->edges.emplace_back(from_it->second, to_it->second);
     } else {

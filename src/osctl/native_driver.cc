@@ -52,7 +52,11 @@ void NativeSpeDriver::Refresh(SimTime now) {
   if (size < metrics_offset_) metrics_offset_ = 0;  // file was rotated
   in.seekg(metrics_offset_);
   std::string line;
-  while (std::getline(in, line)) {
+  // Only whole lines are consumed: an exporter that flushes mid-line leaves
+  // an unterminated tail, which getline reads up to end of file. The offset
+  // stays at its start, so the next refresh reads the line once it is whole.
+  while (std::getline(in, line) && !in.eof()) {
+    metrics_offset_ += static_cast<std::streamoff>(line.size()) + 1;
     std::istringstream fields(line);
     std::string series;
     double value = 0;
@@ -66,9 +70,6 @@ void NativeSpeDriver::Refresh(SimTime now) {
       store_.Append(series, when, value);
     }
   }
-  in.clear();
-  metrics_offset_ =
-      in.tellg() == std::streampos(-1) ? size : std::streamoff(in.tellg());
 }
 
 std::vector<core::EntityInfo> NativeSpeDriver::Entities() {

@@ -45,7 +45,7 @@ Machine::Machine(Simulator& sim, int num_cores, CfsParams params,
                               cores_[static_cast<std::size_t>(rhs)].capacity;
                      });
   }
-  CgroupNode& root = cgroups_.Get(cgroups_.Alloc());
+  CgroupNode& root = cgroups_.Append();
   root.name = "/";
   root.is_root = true;
   root.ent.is_group = true;
@@ -66,11 +66,11 @@ CgroupId Machine::CreateCgroup(std::string name, CgroupId parent,
   }
   assert(depth <= kMaxCgroupDepth && "cgroup hierarchy too deep");
 #endif
-  const PoolHandle handle = cgroups_.Alloc();
-  CgroupNode& node = cgroups_.Get(handle);
+  const std::uint64_t idx = cgroups_.size();
+  CgroupNode& node = cgroups_.Append();
   node.name = std::move(name);
   node.ent.is_group = true;
-  node.ent.id = handle.index;  // dense: slot index == creation order
+  node.ent.id = idx;
   node.ent.weight = ClampShares(shares);
   node.ent.parent = parent.value();
   // Start at the parent's current pace so a fresh group neither starves
@@ -79,7 +79,7 @@ CgroupId Machine::CreateCgroup(std::string name, CgroupId parent,
   node.min_vruntime = node.ent.vruntime;
   // Cached thread paths stay valid: creating a leaf group never changes an
   // existing entity's ancestor chain (groups are never reparented).
-  return CgroupId(handle.index);
+  return CgroupId(idx);
 }
 
 void Machine::SetShares(CgroupId group, std::uint64_t shares) {
@@ -193,18 +193,17 @@ ThreadId Machine::CreateThread(std::string name,
                                std::unique_ptr<ThreadBody> body, CgroupId group,
                                int nice) {
   assert(group.value() < cgroups_.size());
-  const PoolHandle handle = threads_.Alloc();
-  ThreadNode& node = threads_.Get(handle);
+  const std::uint64_t idx = threads_.size();
+  ThreadNode& node = threads_.Append();
   node.name = std::move(name);
   node.body = std::move(body);
   node.nice = std::clamp(nice, kMinNice, kMaxNice);
   node.ent.is_group = false;
-  node.ent.id = handle.index;  // dense: slot index == creation order
+  node.ent.id = idx;
   node.ent.weight = NiceToWeight(node.nice);
   node.ent.parent = group.value();
   node.ent.vruntime = Group(group.value()).min_vruntime;
   BuildPath(node);
-  const std::uint64_t idx = handle.index;
   WakeThread(idx, params_.wakeup_check_cost);
   return ThreadId(idx);
 }
@@ -393,12 +392,13 @@ int Machine::IdleCoreCount() const {
 
 int Machine::UnthrottledRunnableCount() const {
   int runnable = 0;
-  threads_.ForEach([&](std::uint32_t, const ThreadNode& t) {
+  for (std::size_t i = 0; i < threads_.size(); ++i) {
+    const ThreadNode& t = threads_[i];
     if (t.state == ThreadState::kRunnable && !PathThrottled(t) &&
         !(t.is_deadline && t.dl_throttled)) {
       ++runnable;
     }
-  });
+  }
   return runnable;
 }
 

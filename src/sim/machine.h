@@ -14,6 +14,8 @@
 #define LACHESIS_SIM_MACHINE_H_
 
 #include <array>
+#include <cassert>
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -23,7 +25,6 @@
 
 #include "common/ids.h"
 #include "common/sim_time.h"
-#include "common/stable_pool.h"
 #include "sim/cfs_params.h"
 #include "sim/event_queue.h"
 #include "sim/runqueue.h"
@@ -265,6 +266,34 @@ class Machine final : public EventSink {
     std::uint32_t path_depth = 0;
   };
 
+  // Append-only entity table: index i is the i-th entity created (the sim
+  // never removes one). Elements live in fixed 256-slot chunks and never
+  // move, because the runqueues hold SchedEntity* into them.
+  template <typename T>
+  class EntityTable {
+   public:
+    T& Append() {
+      if (size_ % kChunk == 0) {
+        chunks_.push_back(std::make_unique<T[]>(kChunk));
+      }
+      return (*this)[size_++];
+    }
+    T& operator[](std::size_t i) {
+      assert(i < size_);
+      return chunks_[i / kChunk][i % kChunk];
+    }
+    const T& operator[](std::size_t i) const {
+      assert(i < size_);
+      return chunks_[i / kChunk][i % kChunk];
+    }
+    [[nodiscard]] std::size_t size() const { return size_; }
+
+   private:
+    static constexpr std::size_t kChunk = 256;
+    std::vector<std::unique_ptr<T[]>> chunks_;
+    std::size_t size_ = 0;
+  };
+
   struct Core {
     std::int64_t running = -1;      // thread index, -1 when idle
     std::int64_t last_thread = -1;  // to skip switch cost on re-pick
@@ -289,18 +318,10 @@ class Machine final : public EventSink {
   // Rebuilds t.path from the current cgroup hierarchy.
   void BuildPath(ThreadNode& t);
 
-  CgroupNode& Group(std::uint64_t idx) {
-    return cgroups_.at(static_cast<std::uint32_t>(idx));
-  }
-  const CgroupNode& Group(std::uint64_t idx) const {
-    return cgroups_.at(static_cast<std::uint32_t>(idx));
-  }
-  ThreadNode& Thread(std::uint64_t idx) {
-    return threads_.at(static_cast<std::uint32_t>(idx));
-  }
-  const ThreadNode& Thread(std::uint64_t idx) const {
-    return threads_.at(static_cast<std::uint32_t>(idx));
-  }
+  CgroupNode& Group(std::uint64_t idx) { return cgroups_[idx]; }
+  const CgroupNode& Group(std::uint64_t idx) const { return cgroups_[idx]; }
+  ThreadNode& Thread(std::uint64_t idx) { return threads_[idx]; }
+  const ThreadNode& Thread(std::uint64_t idx) const { return threads_[idx]; }
 
   void EnqueueEntity(SchedEntity& ent, bool sleeper_clamp);
   void DequeueEntity(SchedEntity& ent);
@@ -375,13 +396,9 @@ class Machine final : public EventSink {
   // it triggers); -1 outside body callbacks.
   std::int64_t current_thread_ = -1;
   std::vector<Core> cores_;
-  // Entity tables: append-only slot pools (the sim never removes entities),
-  // so node addresses are stable across growth, slot indices are dense and
-  // equal creation order (== ThreadId/CgroupId values, exactly like the
-  // vector-of-unique_ptr these replace), and creating an entity costs one
-  // chunked-pool slot instead of a per-node heap allocation.
-  StablePool<CgroupNode> cgroups_;
-  StablePool<ThreadNode> threads_;
+  // Entity tables, indexed by CgroupId/ThreadId value.
+  EntityTable<CgroupNode> cgroups_;
+  EntityTable<ThreadNode> threads_;
   // RT runqueues: fixed priority levels plus bitmap (SCHED_FIFO).
   RtRunQueue rt_queues_;
   // EDF runqueue (SCHED_DEADLINE class, above RT).

@@ -50,7 +50,6 @@ struct SpeFlavor {
   // 0 = unbounded queues; >0 = bounded with producer backpressure.
   std::size_t queue_capacity = 0;
   bool supports_chaining = false;
-  bool chaining_default = false;
   // Engine bookkeeping added to every tuple exchanged between physical
   // operators (serialization, ack tracking, exchange stack).
   SimDuration per_tuple_overhead = Micros(20);
@@ -85,7 +84,6 @@ inline SpeFlavor FlinkFlavor() {
   f.name = "flink";
   f.queue_capacity = 64;
   f.supports_chaining = true;
-  f.chaining_default = false;  // paper disables chaining to match Storm DAGs
   f.per_tuple_overhead = Micros(40);  // network-stack exchange per hop
   f.exposed_metrics = {RawMetric::kTuplesIn, RawMetric::kTuplesOut,
                        RawMetric::kBufferUsage, RawMetric::kBufferCapacity,

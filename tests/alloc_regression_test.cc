@@ -1,13 +1,13 @@
 // Allocation-regression pin for the control plane's steady state.
 //
-// The storage-layer refactor (common/stable_pool.h, common/hash_index.h,
-// common/arena.h) exists to make the per-tick control loop allocation-free
-// once warm: the delta cache's skip-or-forward probe, the forward path of
-// an op whose target has been named, the health tracker's allow/record
-// cycle, recorder interning and the metric provider's Update must not
-// touch the heap in steady state, and a full runner tick must allocate no
-// more at 500 entities than at 50, or a million-target deployment spends
-// its ticks inside the allocator. This binary overrides global operator new to count every heap
+// The storage layer (common/hash_index.h) exists to make the per-tick
+// control loop allocation-free once warm: the delta cache's
+// skip-or-forward probe, the forward path of an op whose target has been
+// named, the health tracker's allow/record cycle, recorder interning and
+// the metric provider's Update must not touch the heap in steady state,
+// and a full runner tick must allocate no more at 500 entities than at 50,
+// or a million-target deployment spends its ticks inside the allocator.
+// This binary overrides global operator new to count every heap
 // allocation and asserts the count stays at ZERO across steady-state ticks
 // after warmup. If a future change sneaks a std::map, a std::string build,
 // or a rehash into the hot path, this test fails with the allocation count.

@@ -1,6 +1,7 @@
 #include "sim/machine.h"
 
 #include <memory>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -392,6 +393,43 @@ TEST(MachineTest, ShrinkQueuedGroupSharesKeepsQueuedWeightConsistent) {
   // either empty or exactly one nice-0 thread -- never a wrapped value.
   const std::uint64_t qw = m.QueuedWeight(g);
   EXPECT_TRUE(qw == 0 || qw == kNice0Weight);
+}
+
+// Both entity tables grow past their first 256-slot chunk while earlier
+// threads sit queued. The runqueues point into the tables, so a table whose
+// elements moved as it grew would leave them pointing at freed nodes.
+TEST(MachineTest, EntityTablesGrowPastAChunkWhileThreadsAreQueued) {
+  Simulator sim;
+  Machine m(sim, 4, NoOverheadParams());
+  constexpr int kEntities = 600;
+  constexpr SimDuration kChunk = Micros(100);
+  for (int i = 0; i < kEntities; ++i) {
+    // Batches of 100, 10 ms apart: each batch joins a machine whose earlier
+    // threads are queued and running.
+    if (i % 100 == 0) sim.RunUntil(Millis(i / 10));
+    const CgroupId group =
+        m.CreateCgroup("g" + std::to_string(i), m.root_cgroup());
+    ASSERT_EQ(group, CgroupId(i + 1)) << "cgroup ids follow creation order";
+    const ThreadId tid = m.CreateThread(
+        "t" + std::to_string(i), std::make_unique<BusyLoop>(kChunk), group);
+    ASSERT_EQ(tid, ThreadId(i)) << "thread ids follow creation order";
+  }
+  sim.RunUntil(Seconds(1));
+  EXPECT_EQ(m.cgroup_count(), kEntities + 1u);
+  EXPECT_EQ(m.thread_count(), static_cast<std::size_t>(kEntities));
+  SimDuration cpu = 0;
+  for (int i = 0; i < kEntities; ++i) {
+    const CgroupId group(i + 1);
+    EXPECT_EQ(m.CgroupName(group), "g" + std::to_string(i));
+    EXPECT_EQ(m.GetCgroup(ThreadId(i)), group);
+    cpu += m.GetStats(ThreadId(i)).cpu_time;
+  }
+  // Four cores stay busy for the whole second. At most one compute chunk
+  // per core is in flight: charged to its core, not yet to its thread.
+  const SimDuration busy = m.total_busy_time();
+  EXPECT_EQ(busy, 4 * Seconds(1));
+  EXPECT_LE(cpu, busy);
+  EXPECT_LE(busy - cpu, 4 * kChunk);
 }
 
 }  // namespace

@@ -440,6 +440,40 @@ TEST(DaemonConfigTest, RejectsDuplicateOperatorInQueryWithLineNumber) {
   EXPECT_EQ(config.spe.queries.size(), 2u);
 }
 
+// The Highest Rate policy walks every path from an operator to a sink, and
+// a path around a cycle never reaches one: the walk never returned.
+TEST(DaemonConfigTest, RejectsEdgeClosingACycleWithLineNumber) {
+  const std::string header =
+      "[query q]\npid = 1\noperator a = pat-a s.a\n"
+      "operator b = pat-b s.b\noperator c = pat-c s.c\n";
+  try {
+    ParseDaemonConfig(header + "edge = a b\nedge = b a\nedge = b c\n");
+    FAIL() << "expected throw";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("line 7"), std::string::npos) << what;
+    EXPECT_NE(what.find("edge 'b a' closes a cycle"), std::string::npos)
+        << what;
+  }
+  // Two paths that meet again are not a cycle.
+  const DaemonConfig diamond = ParseDaemonConfig(
+      header + "edge = a b\nedge = a c\nedge = b c\n");
+  EXPECT_EQ(diamond.spe.queries[0].edges.size(), 3u);
+}
+
+TEST(DaemonConfigTest, RejectsSelfEdgeWithLineNumber) {
+  try {
+    ParseDaemonConfig("[query q]\npid = 1\noperator a = pat-a s.a\n"
+                      "operator b = pat-b s.b\nedge = a b\nedge = b b\n");
+    FAIL() << "expected throw";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("line 6"), std::string::npos) << what;
+    EXPECT_NE(what.find("edge 'b b' closes a cycle"), std::string::npos)
+        << what;
+  }
+}
+
 // The kernel keeps at most 15 bytes of a thread name, so a longer pattern
 // could never match and the operator would never be managed.
 TEST(DaemonConfigTest, RejectsThreadPatternLongerThanAKernelThreadName) {

@@ -1,10 +1,10 @@
-// Property/model tests for FlatMap/FlatSet/StringInterner/Arena
-// (common/hash_index.h, common/arena.h).
+// Property/model tests for FlatMap/FlatSet/StringInterner
+// (common/hash_index.h).
 //
-// Like the stable-pool suite, the FlatMap is pinned by seeded randomized
-// operation sequences replayed against std::unordered_map, with greedy
-// minimization on failure. A degenerate hash functor forces long probe
-// chains so backward-shift deletion is exercised on every wrap case.
+// The FlatMap is pinned by seeded randomized operation sequences replayed
+// against std::unordered_map, with greedy minimization on failure. A
+// degenerate hash functor forces long probe chains so backward-shift
+// deletion is exercised on every wrap case.
 #include "common/hash_index.h"
 
 #include <gtest/gtest.h>
@@ -14,7 +14,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/arena.h"
 #include "common/rng.h"
 
 namespace lachesis {
@@ -255,7 +254,7 @@ TEST(StringInternerTest, ViewsStayStableAcrossGrowth) {
     const std::uint32_t id = interner.Intern(s);
     early.push_back({id, interner.View(id)});
   }
-  // Force many index rehashes and arena block growth.
+  // Force many index rehashes and new byte blocks.
   for (int i = 0; i < 20000; ++i) {
     interner.Intern("grow-" + std::to_string(i));
   }
@@ -263,6 +262,26 @@ TEST(StringInternerTest, ViewsStayStableAcrossGrowth) {
     EXPECT_EQ(interner.View(id).data(), view.data())
         << "interned bytes moved for id " << id;
     EXPECT_EQ(interner.View(id), view);
+  }
+}
+
+// Strings are copied into 64 KiB blocks; one longer than a block gets a
+// block of its own. Sizes around the block size land on every boundary
+// case, and no copy may overlap another.
+TEST(StringInternerTest, StringsAroundTheBlockSizeKeepTheirBytes) {
+  StringInterner interner;
+  const std::size_t sizes[] = {1, 100, 65535, 65536, 65537,
+                               3, 65534, 2, 200000, 7};
+  std::vector<std::pair<std::uint32_t, std::string>> interned;
+  char fill = 'a';
+  for (const std::size_t size : sizes) {
+    std::string s(size, fill++);
+    interned.push_back({interner.Intern(s), std::move(s)});
+  }
+  for (const auto& [id, s] : interned) {
+    EXPECT_EQ(interner.View(id), s) << "the copy of a " << s.size()
+                                    << "-byte string was overwritten";
+    EXPECT_EQ(interner.Lookup(s), id);
   }
 }
 
@@ -281,75 +300,6 @@ TEST(StringInternerTest, DistinctStringsNeverShareIds) {
     }
     ASSERT_EQ(interner.View(id), s);
   }
-}
-
-// --- Arena -------------------------------------------------------------------
-
-TEST(ArenaTest, ResetReusesBlocksWithoutNewAllocations) {
-  Arena arena(1024);
-  for (int i = 0; i < 100; ++i) arena.Allocate(100);
-  const std::size_t warm_blocks = arena.block_count();
-  const std::size_t warm_reserved = arena.bytes_reserved();
-  ASSERT_GT(warm_blocks, 0u);
-  for (int round = 0; round < 10; ++round) {
-    arena.Reset();
-    EXPECT_EQ(arena.bytes_used(), 0u);
-    for (int i = 0; i < 100; ++i) arena.Allocate(100);
-    EXPECT_EQ(arena.block_count(), warm_blocks)
-        << "round " << round << ": Reset must reuse grown blocks";
-    EXPECT_EQ(arena.bytes_reserved(), warm_reserved);
-  }
-}
-
-TEST(ArenaTest, AllocationsAreAlignedAndDisjoint) {
-  Arena arena(256);
-  std::vector<std::pair<char*, std::size_t>> allocations;
-  Rng rng(5);
-  for (int i = 0; i < 500; ++i) {
-    const std::size_t size = 1 + rng.NextU64() % 200;
-    const std::size_t align = std::size_t{1} << (rng.NextU64() % 5);  // 1..16
-    char* p = static_cast<char*>(arena.Allocate(size, align));
-    ASSERT_EQ(reinterpret_cast<std::uintptr_t>(p) % align, 0u);
-    std::fill(p, p + size, static_cast<char>(i));
-    allocations.push_back({p, size});
-  }
-  // No allocation overlaps another: the fill pattern survives.
-  for (std::size_t i = 0; i < allocations.size(); ++i) {
-    const auto& [p, size] = allocations[i];
-    for (std::size_t b = 0; b < size; ++b) {
-      ASSERT_EQ(p[b], static_cast<char>(i)) << "allocation " << i
-                                            << " overwritten";
-    }
-  }
-}
-
-TEST(ArenaTest, OversizedRequestGetsDedicatedBlock) {
-  Arena arena(64);
-  char* big = static_cast<char*>(arena.Allocate(100000));
-  std::fill(big, big + 100000, 'x');
-  // A later small allocation still works and does not touch the big block.
-  char* small = static_cast<char*>(arena.Allocate(16));
-  std::fill(small, small + 16, 'y');
-  EXPECT_EQ(big[99999], 'x');
-}
-
-TEST(ArenaTest, TypedArrayAllocation) {
-  Arena arena;
-  std::uint64_t* arr = arena.AllocateArray<std::uint64_t>(100);
-  ASSERT_EQ(reinterpret_cast<std::uintptr_t>(arr) % alignof(std::uint64_t),
-            0u);
-  for (int i = 0; i < 100; ++i) arr[i] = static_cast<std::uint64_t>(i) * 3;
-  EXPECT_EQ(arr[99], 297u);
-}
-
-TEST(ArenaTest, CopyBytesReturnsStableCopy) {
-  Arena arena;
-  const std::string source = "the-target-key";
-  char* copy = arena.CopyBytes(source.data(), source.size());
-  EXPECT_EQ(std::string_view(copy, source.size()), source);
-  for (int i = 0; i < 1000; ++i) arena.Allocate(64);
-  EXPECT_EQ(std::string_view(copy, source.size()), source)
-      << "copied bytes must survive later growth";
 }
 
 }  // namespace

@@ -196,6 +196,24 @@ TEST(NativeDriverTest, TruncatedLastLineIsNotDuplicated) {
                    50);
 }
 
+// A buffered exporter flushes mid-line, even mid-number. The tail must not
+// be read until its newline arrives: read early, "12" would be taken for
+// the value and the rest of the line, "3 1", for a series named "3".
+TEST(NativeDriverTest, LineFlushedMidNumberIsReadOnceWhole) {
+  NativeRig rig;
+  NativeSpeDriver driver(rig.BaseConfig());
+  std::ofstream(rig.dir() / "metrics.txt", std::ios::app)
+      << "storm.lr.parse.queue_size 12";
+  driver.Refresh(Seconds(1));
+  const auto entities = driver.Entities();
+  EXPECT_DOUBLE_EQ(driver.Fetch(core::MetricId::kQueueSize, entities[1]), 0);
+  std::ofstream(rig.dir() / "metrics.txt", std::ios::app) << "3 1\n";
+  driver.Refresh(Seconds(2));
+  EXPECT_DOUBLE_EQ(driver.Fetch(core::MetricId::kQueueSize, entities[1]),
+                   123);
+  EXPECT_EQ(driver.store().Find("3"), tsdb::kNoSeries);
+}
+
 TEST(NativeDriverTest, FileRotationResetsTailOffset) {
   NativeRig rig;
   NativeSpeDriver driver(rig.BaseConfig());
