@@ -52,6 +52,10 @@ JOBS=$(nproc 2>/dev/null || echo 2)
 # processing reservoir, and ulss_test deploys passive operators and reads
 # their egresses: an unkept reservoir read past its end is what ASan
 # catches.
+# golden_trace_test, cfs_property_test, rt_quota_test and
+# cgroup_property_test drive the direct wake's fallbacks (throttled paths,
+# RT, nested groups) and the rings of tuple queues, wait lists and RT
+# levels: a ring index that wraps wrong reads outside its buffer.
 SUITES=(
   fault_tolerance_test failure_injection_test
   schedule_delta_test runner_dynamic_test
@@ -67,6 +71,7 @@ SUITES=(
   osctl_test exp_report_test
   integration_test ulss_test
   fleet_sim_test fleet_chaos_test
+  golden_trace_test cfs_property_test rt_quota_test cgroup_property_test
 )
 # The suites build in parallel as one target, ci_suites (tests/CMakeLists.txt).
 cmake -S "$SRC_DIR" -B "$BUILD_DIR" \

@@ -451,14 +451,16 @@ SimDuration Machine::total_busy_time() const {
 
 // --- runqueue maintenance -----------------------------------------------------
 
+void Machine::ClampSleeper(SchedEntity& ent) {
+  ent.vruntime = std::max(ent.vruntime,
+                          Group(ent.parent).min_vruntime -
+                              static_cast<double>(params_.sleeper_bonus));
+}
+
 void Machine::EnqueueEntity(SchedEntity& ent, bool sleeper_clamp) {
   assert(!ent.queued);
   CgroupNode& group = Group(ent.parent);
-  if (sleeper_clamp) {
-    ent.vruntime = std::max(
-        ent.vruntime,
-        group.min_vruntime - static_cast<double>(params_.sleeper_bonus));
-  }
+  if (sleeper_clamp) ClampSleeper(ent);
   const bool was_empty = group.rq.empty();
   group.rq.Insert(ent);
   group.total_queued_weight += ent.weight;
@@ -901,7 +903,7 @@ void Machine::AdvanceBody(int core_idx, std::uint64_t thread_idx) {
       }
       case Action::Kind::kWait: {
         assert(action.channel != nullptr);
-        action.channel->waiters_.push_back(ThreadId(thread_idx));
+        action.channel->waiters_.PushBack(ThreadId(thread_idx));
         t.waiting = action.channel;
         t.state = ThreadState::kBlocked;
         ++t.version;
@@ -976,8 +978,46 @@ void Machine::WakeThread(std::uint64_t thread_idx, SimDuration startup_cost) {
   t.state = ThreadState::kRunnable;
   Trace(SchedTransition::kWake, thread_idx);
   t.remaining_compute += startup_cost;
+  // Direct wake. DirectWakeCore finds an idle core only when the root's
+  // runqueue, the RT queues and the deadline queue are empty and every
+  // group on the thread's path has an empty runqueue and no throttle; as a
+  // queued group sits in its parent's runqueue, no path group is queued
+  // either. RequeueRunnable would then enqueue the thread and each path
+  // group into an empty runqueue, each with its sleeper clamp (a group's
+  // only while none of its threads runs), and TryDispatchWake's PickNext on
+  // that core would find no deadline or RT thread and take the same chain
+  // straight back off. Applying the clamps and dispatching leaves the
+  // machine in the same state, without the runqueue operations.
+  const int core = DirectWakeCore(t);
+  if (core >= 0) {
+    assert(t.enqueued_at == 0);  // cleared by the last Dispatch
+    ClampSleeper(t.ent);
+    for (std::uint32_t i = 0; i < t.path_depth; ++i) {
+      CgroupNode& group = Group(t.path[i]);
+      if (group.running_children == 0) ClampSleeper(group.ent);
+    }
+    Dispatch(core, thread_idx);
+    return;
+  }
   RequeueRunnable(t, /*preempted=*/false);
   TryDispatchWake(thread_idx);
+}
+
+int Machine::DirectWakeCore(const ThreadNode& t) const {
+  // Symmetric machines only: there the idle-core order is the index order
+  // and PickNext applies no capacity filter.
+  if (hetero_ || t.rt_priority > 0 || t.is_deadline) return -1;
+  if (!Group(0).rq.empty() || !rt_queues_.empty() || !dl_queue_.empty()) {
+    return -1;
+  }
+  for (std::uint32_t i = 0; i < t.path_depth; ++i) {
+    const CgroupNode& group = Group(t.path[i]);
+    if (group.throttled || !group.rq.empty()) return -1;
+  }
+  for (std::size_t c = 0; c < cores_.size(); ++c) {
+    if (cores_[c].running < 0) return static_cast<int>(c);
+  }
+  return -1;
 }
 
 double Machine::PreemptMargin(const ThreadNode& wakee, const ThreadNode& runner) {
@@ -1152,8 +1192,7 @@ void Machine::TryDispatchWake(std::uint64_t thread_idx) {
 
 void Machine::NotifyChannel(WaitChannel& channel, std::size_t max_wakeups) {
   while (max_wakeups > 0 && !channel.waiters_.empty()) {
-    const ThreadId tid = channel.waiters_.front();
-    channel.waiters_.pop_front();
+    const ThreadId tid = channel.waiters_.PopFront();
     ThreadNode& t = Thread(tid.value());
     assert(t.state == ThreadState::kBlocked && t.waiting == &channel);
     t.waiting = nullptr;

@@ -17,13 +17,13 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/ids.h"
+#include "common/ring.h"
 #include "common/sim_time.h"
 #include "sim/cfs_params.h"
 #include "sim/event_queue.h"
@@ -72,7 +72,7 @@ class WaitChannel {
  private:
   friend class Machine;
   Machine* machine_;
-  std::deque<ThreadId> waiters_;
+  Ring<ThreadId> waiters_;  // in wait order
 };
 
 class Machine final : public EventSink {
@@ -151,6 +151,11 @@ class Machine final : public EventSink {
   }
   [[nodiscard]] double GroupMinVruntime(CgroupId group) const {
     return Group(group.value()).min_vruntime;
+  }
+  // Vruntime of the group's own entity in its parent's runqueue (0 for
+  // the root, which has no parent).
+  [[nodiscard]] double GroupVruntime(CgroupId group) const {
+    return Group(group.value()).ent.vruntime;
   }
   // Cores with no thread dispatched right now.
   [[nodiscard]] int IdleCoreCount() const;
@@ -323,6 +328,9 @@ class Machine final : public EventSink {
   ThreadNode& Thread(std::uint64_t idx) { return threads_[idx]; }
   const ThreadNode& Thread(std::uint64_t idx) const { return threads_[idx]; }
 
+  // Sleeper clamp: a waking entity's vruntime is raised to at least its
+  // group's min_vruntime less the sleeper bonus.
+  void ClampSleeper(SchedEntity& ent);
   void EnqueueEntity(SchedEntity& ent, bool sleeper_clamp);
   void DequeueEntity(SchedEntity& ent);
   void ReinsertQueued(SchedEntity& ent, double new_vruntime);
@@ -340,6 +348,9 @@ class Machine final : public EventSink {
   void AdvanceBody(int core_idx, std::uint64_t thread_idx);
 
   void WakeThread(std::uint64_t thread_idx, SimDuration startup_cost);
+  // The core a waking CFS thread may be dispatched to without passing
+  // through the runqueues (see WakeThread), or -1.
+  [[nodiscard]] int DirectWakeCore(const ThreadNode& t) const;
   void TryDispatchWake(std::uint64_t thread_idx);
   // Remaining work (pending overhead + compute) of a running thread after
   // accounting for the wall time consumed since run_start.

@@ -9,8 +9,9 @@
 // begin() produced -- scheduling decisions are bit-identical.
 //
 // RtRunQueue mirrors the kernel's RT runqueue: a fixed 100-level array of
-// FIFO rings plus a two-word priority bitmap for O(1) highest-priority
-// lookup. Rings grow once to the working-set size and are then reused.
+// FIFO rings (common/ring.h) plus a two-word priority bitmap for O(1)
+// highest-priority lookup. Rings grow once to the working-set size and are
+// then reused.
 #ifndef LACHESIS_SIM_RUNQUEUE_H_
 #define LACHESIS_SIM_RUNQUEUE_H_
 
@@ -20,6 +21,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/ring.h"
 #include "sim/weights.h"
 
 namespace lachesis::sim {
@@ -188,80 +190,23 @@ class RtRunQueue {
   }
 
   std::uint64_t PopFront(int priority) {
-    Fifo& fifo = Level(priority);
-    const std::uint64_t tid = fifo.PopFront();
-    if (fifo.empty()) MarkEmpty(priority);
+    Ring<std::uint64_t>& level = Level(priority);
+    const std::uint64_t tid = level.PopFront();
+    if (level.empty()) MarkEmpty(priority);
     return tid;
   }
 
   // Removes `tid` from wherever it sits in `priority`'s FIFO (priority
   // changes of queued threads; rare, O(level size)).
   void Erase(int priority, std::uint64_t tid) {
-    Fifo& fifo = Level(priority);
-    fifo.Erase(tid);
-    if (fifo.empty()) MarkEmpty(priority);
+    Ring<std::uint64_t>& level = Level(priority);
+    [[maybe_unused]] const bool found = level.Erase(tid);
+    assert(found && "thread not on this RT level");
+    if (level.empty()) MarkEmpty(priority);
   }
 
  private:
-  // Power-of-two ring buffer of thread indices.
-  class Fifo {
-   public:
-    [[nodiscard]] bool empty() const { return count_ == 0; }
-
-    void PushBack(std::uint64_t tid) {
-      GrowIfFull();
-      ring_[(head_ + count_) & (ring_.size() - 1)] = tid;
-      ++count_;
-    }
-
-    void PushFront(std::uint64_t tid) {
-      GrowIfFull();
-      head_ = (head_ + ring_.size() - 1) & (ring_.size() - 1);
-      ring_[head_] = tid;
-      ++count_;
-    }
-
-    std::uint64_t PopFront() {
-      assert(count_ > 0);
-      const std::uint64_t tid = ring_[head_];
-      head_ = (head_ + 1) & (ring_.size() - 1);
-      --count_;
-      return tid;
-    }
-
-    void Erase(std::uint64_t tid) {
-      for (std::size_t i = 0; i < count_; ++i) {
-        const std::size_t slot = (head_ + i) & (ring_.size() - 1);
-        if (ring_[slot] != tid) continue;
-        // Shift the tail segment forward one slot, preserving FIFO order.
-        for (std::size_t j = i + 1; j < count_; ++j) {
-          const std::size_t from = (head_ + j) & (ring_.size() - 1);
-          const std::size_t to = (head_ + j - 1) & (ring_.size() - 1);
-          ring_[to] = ring_[from];
-        }
-        --count_;
-        return;
-      }
-      assert(false && "thread not on this RT level");
-    }
-
-   private:
-    void GrowIfFull() {
-      if (count_ < ring_.size()) return;
-      std::vector<std::uint64_t> grown(ring_.empty() ? 8 : ring_.size() * 2);
-      for (std::size_t i = 0; i < count_; ++i) {
-        grown[i] = ring_[(head_ + i) & (ring_.size() - 1)];
-      }
-      ring_ = std::move(grown);
-      head_ = 0;
-    }
-
-    std::vector<std::uint64_t> ring_;
-    std::size_t head_ = 0;
-    std::size_t count_ = 0;
-  };
-
-  Fifo& Level(int priority) {
+  Ring<std::uint64_t>& Level(int priority) {
     assert(priority > 0 && priority < kLevels);
     return levels_[static_cast<std::size_t>(priority)];
   }
@@ -274,7 +219,7 @@ class RtRunQueue {
     bitmap_[priority / 64] &= ~(1ULL << (priority % 64));
   }
 
-  std::array<Fifo, kLevels> levels_;
+  std::array<Ring<std::uint64_t>, kLevels> levels_;
   std::uint64_t bitmap_[2] = {0, 0};
 };
 

@@ -14,6 +14,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -35,7 +36,9 @@ class PhysicalOp;
 // simulated network hop instead of a direct push.
 struct PhysicalEdge {
   std::vector<TupleQueue*> destinations;  // one per downstream replica
-  std::vector<bool> remote;               // destination on another machine?
+  // Per destination: 1 when it lives on another machine. Bytes, not
+  // std::vector<bool>'s packed bits: every emitted tuple reads one.
+  std::vector<std::uint8_t> remote;
   Partitioning partitioning = Partitioning::kShuffle;
   std::uint64_t rr_counter = 0;
 
@@ -186,15 +189,17 @@ class PhysicalOp {
 
   // --- flow control ----------------------------------------------------------
   // Ingress-side flow control (Storm's max.spout.pending): when configured
-  // and the query's internal queues hold more than `cap` tuples, the ingress
-  // pauses consumption from the source channel.
-  void set_flow_control(std::function<std::size_t()> pending_fn,
+  // and the query's internal queues (`pending`) hold more than `cap` tuples
+  // between them, the ingress pauses consumption from the source channel.
+  void set_flow_control(std::vector<const TupleQueue*> pending,
                         std::size_t cap) {
-    pending_fn_ = std::move(pending_fn);
+    pending_queues_ = std::move(pending);
     pending_cap_ = cap;
   }
   [[nodiscard]] bool Throttled() const {
-    return pending_fn_ && pending_fn_() > pending_cap_;
+    std::size_t pending = 0;
+    for (const TupleQueue* q : pending_queues_) pending += q->size();
+    return pending > pending_cap_;
   }
 
   // --- two-phase execution -------------------------------------------------
@@ -249,7 +254,7 @@ class PhysicalOp {
   std::vector<std::unique_ptr<OperatorLogic>> logic_chain_;
   std::vector<PhysicalEdge> edges_;
   std::function<void(TupleQueue*, const Tuple&, SimDuration)> remote_push_;
-  std::function<std::size_t()> pending_fn_;
+  std::vector<const TupleQueue*> pending_queues_;  // empty: no flow control
   std::size_t pending_cap_ = 0;
   Rng rng_;  // cost jitter (Begin) and blocking (Finish) only
 

@@ -7,9 +7,10 @@
 #ifndef LACHESIS_SPE_QUEUE_H_
 #define LACHESIS_SPE_QUEUE_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <deque>
 
+#include "common/ring.h"
 #include "sim/machine.h"
 #include "spe/tuple.h"
 
@@ -37,7 +38,7 @@ class TupleQueue {
 
   // Precondition: !full(). Producers must check and wait on not_full().
   void Push(const Tuple& tuple) {
-    items_.push_back(tuple);
+    items_.PushBack(tuple);
     ++pushed_;
     // Peak occupancy. Bounded queues are capped by construction, but
     // unbounded (Storm/Liebre) queues previously reported only
@@ -54,14 +55,13 @@ class TupleQueue {
 
   // Precondition: !empty().
   Tuple Pop() {
-    Tuple t = items_.front();
-    items_.pop_front();
+    Tuple t = items_.PopFront();
     ++popped_;
     if (bounded()) not_full_.NotifyOne();
     return t;
   }
 
-  [[nodiscard]] const Tuple& Front() const { return items_.front(); }
+  [[nodiscard]] const Tuple& Front() const { return items_.Front(); }
 
   [[nodiscard]] sim::WaitChannel& not_empty() { return not_empty_; }
   [[nodiscard]] sim::WaitChannel& not_full() { return not_full_; }
@@ -73,13 +73,13 @@ class TupleQueue {
   // Age of the head-of-line tuple (time since it entered the system); 0 when
   // empty. Used by the FCFS policy goal.
   [[nodiscard]] SimDuration HeadAge(SimTime now) const {
-    return items_.empty() ? 0 : now - items_.front().produced;
+    return items_.empty() ? 0 : now - items_.Front().produced;
   }
 
  private:
   sim::Machine* machine_;
   std::size_t capacity_;
-  std::deque<Tuple> items_;
+  Ring<Tuple> items_;
   sim::WaitChannel not_empty_;
   sim::WaitChannel not_full_;
   sim::WaitChannel* push_listener_ = nullptr;

@@ -315,7 +315,7 @@ DeployedQuery& SpeInstance::Deploy(const LogicalQuery& query,
   // --- ingress flow control (flavor's max.spout.pending) ------------------------
   if (flavor_.max_pending > 0) {
     // Sum of internal (non-source-channel) queue sizes of this query. The
-    // captured queue pointers are owned by the DeployedQuery and outlive it.
+    // queues are owned by the DeployedQuery, as is the ingress reading them.
     // Each ingress only observes queues living on its own simulator: in
     // fleet mode an ingress polling a queue another shard's worker is
     // mutating would race, and the remote backlog is invisible to a real
@@ -330,12 +330,7 @@ DeployedQuery& SpeInstance::Deploy(const LogicalQuery& query,
         if (&other.op->input().machine().simulator() != home) continue;
         internal_queues.push_back(&other.op->input());
       }
-      const auto pending = [internal_queues] {
-        std::size_t total = 0;
-        for (const TupleQueue* q : internal_queues) total += q->size();
-        return total;
-      };
-      d.op->set_flow_control(pending, flavor_.max_pending);
+      d.op->set_flow_control(std::move(internal_queues), flavor_.max_pending);
     }
   }
 

@@ -13,7 +13,10 @@
 // or a rehash into the hot path, this test fails with the allocation count.
 //
 // The same counter pins the simulated egress's recording: a latency
-// reservoir its deploy does not keep must cost no allocation per tuple.
+// reservoir its deploy does not keep must cost no allocation per tuple. And
+// it pins the simulated data path under it: once the tuple queues, wait
+// lists, runqueues and event heaps have grown to their working set, a
+// pipeline's tuples and wakes allocate nothing.
 //
 // Only this binary installs the counting hooks (they are file-local to the
 // test executable), so the rest of the suite is unaffected.
@@ -641,6 +644,35 @@ TEST(AllocRegressionTest, WarmRunnerTickAllocsDoNotGrowWithEntities) {
   EXPECT_EQ(small.per_tick, large.per_tick)
       << "a warm tick must not allocate per entity; first tick at 50: "
       << small.per_tick.front() << ", at 500: " << large.per_tick.front();
+}
+
+// A 5-operator SYN query on a 4-core machine, fed by an external source:
+// after a warm-up in which the rings grow to their high water, a further
+// 20 simulated seconds (thousands of pushes, pops, waits and wakes)
+// allocate nothing.
+TEST(AllocRegressionTest, WarmSpePipelineAllocatesNothing) {
+  constexpr SimTime kEnd = Seconds(30);
+  sim::Simulator sim;
+  sim::Machine machine(sim, 4);
+  spe::SpeInstance instance(spe::LiebreFlavor(), {&machine}, "liebre");
+  queries::SyntheticConfig config;
+  config.num_queries = 1;
+  const std::vector<queries::Workload> workloads =
+      queries::MakeSynthetic(config);
+  spe::DeployOptions deploy;
+  deploy.reservoirs = spe::LatencyReservoirs::kNone;
+  spe::DeployedQuery& query = instance.Deploy(workloads[0].query, deploy);
+  spe::ExternalSource source(sim, query.source_channels(),
+                             workloads[0].generator, /*seed=*/17);
+  source.Start(400.0, kEnd);
+
+  sim.RunUntil(Seconds(10));
+  const std::uint64_t egressed = query.Egresses().front()->tuples;
+  const std::uint64_t before = AllocCount();
+  sim.RunUntil(kEnd);
+  const std::uint64_t allocs = AllocCount() - before;
+  EXPECT_GT(query.Egresses().front()->tuples - egressed, 5000u);
+  EXPECT_EQ(allocs, 0u) << "a warm pipeline must not touch the heap";
 }
 
 // An unkept latency reservoir grows no chunk: 150,000 Records (past the

@@ -2,6 +2,7 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -430,6 +431,102 @@ TEST(MachineTest, EntityTablesGrowPastAChunkWhileThreadsAreQueued) {
   EXPECT_EQ(busy, 4 * Seconds(1));
   EXPECT_LE(cpu, busy);
   EXPECT_LE(busy - cpu, 4 * kChunk);
+}
+
+// Each round computes `burst`, waits once on `channel`, then records `id`
+// in `woken`; exits after `rounds` rounds.
+class WaitRounds final : public ThreadBody {
+ public:
+  WaitRounds(WaitChannel& channel, SimDuration burst, int id, int rounds,
+             std::vector<int>& woken)
+      : channel_(&channel),
+        burst_(burst),
+        id_(id),
+        rounds_(rounds),
+        woken_(&woken) {}
+  Action Next(Machine&) override {
+    switch (phase_) {
+      case Phase::kCompute:
+        if (rounds_-- == 0) return Action::Exit();
+        phase_ = Phase::kWait;
+        return Action::Compute(burst_);
+      case Phase::kWait:
+        phase_ = Phase::kRecord;
+        return Action::Wait(*channel_);
+      case Phase::kRecord:
+        woken_->push_back(id_);
+        phase_ = Phase::kCompute;
+        return Action::Compute(0);  // free transition
+    }
+    return Action::Exit();
+  }
+
+ private:
+  enum class Phase { kCompute, kWait, kRecord };
+  WaitChannel* channel_;
+  SimDuration burst_;
+  int id_;
+  int rounds_;
+  std::vector<int>* woken_;
+  Phase phase_ = Phase::kCompute;
+};
+
+// Three threads on four cores whose bursts (30, 10 and 20 us) make them
+// wait in the order 1, 2, 0 rather than their creation order; four rounds
+// are 12 waits, so the wait list's ring wraps.
+struct ThreeWaiters {
+  static constexpr int kRounds = 4;
+  Simulator sim;
+  Machine m{sim, 4, NoOverheadParams()};
+  WaitChannel channel{m};
+  std::vector<int> woken;
+  std::vector<ThreadId> tids;
+
+  ThreeWaiters() {
+    const SimDuration bursts[] = {Micros(30), Micros(10), Micros(20)};
+    for (int i = 0; i < 3; ++i) {
+      tids.push_back(m.CreateThread(
+          "w" + std::to_string(i),
+          std::make_unique<WaitRounds>(channel, bursts[i], i, kRounds, woken),
+          m.root_cgroup()));
+    }
+    sim.RunUntil(Millis(1));
+  }
+};
+
+TEST(MachineTest, NotifyOneWakesWaitersInWaitOrder) {
+  ThreeWaiters rig;
+  for (const ThreadId tid : rig.tids) {
+    EXPECT_EQ(rig.m.GetState(tid), ThreadState::kBlocked);
+  }
+  for (int n = 1; n <= 3 * ThreeWaiters::kRounds; ++n) {
+    rig.channel.NotifyOne();
+    rig.sim.RunUntil(Millis(1 + n));
+    ASSERT_EQ(rig.woken.size(), static_cast<std::size_t>(n));
+  }
+  // A woken thread re-waits behind the two still waiting: FIFO rotation.
+  EXPECT_EQ(rig.woken,
+            (std::vector<int>{1, 2, 0, 1, 2, 0, 1, 2, 0, 1, 2, 0}));
+  rig.channel.NotifyOne();  // nobody waits: no effect
+  rig.sim.RunUntil(Millis(20));
+  for (const ThreadId tid : rig.tids) {
+    EXPECT_EQ(rig.m.GetState(tid), ThreadState::kExited);
+  }
+}
+
+TEST(MachineTest, NotifyAllWakesEveryWaiterInWaitOrder) {
+  ThreeWaiters rig;
+  for (int n = 1; n <= ThreeWaiters::kRounds; ++n) {
+    rig.channel.NotifyAll();
+    rig.sim.RunUntil(Millis(1 + n));
+    ASSERT_EQ(rig.woken.size(), static_cast<std::size_t>(3 * n));
+  }
+  // All three wake together and re-wait in burst order each round.
+  EXPECT_EQ(rig.woken,
+            (std::vector<int>{1, 2, 0, 1, 2, 0, 1, 2, 0, 1, 2, 0}));
+  for (const ThreadId tid : rig.tids) {
+    EXPECT_EQ(rig.m.GetState(tid), ThreadState::kExited);
+  }
 }
 
 }  // namespace

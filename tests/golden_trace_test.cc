@@ -7,6 +7,13 @@
 // values captured from the reference implementation, so any change to the
 // event queue, runqueues, or wakeup path that perturbs the deterministic
 // schedule -- however subtly -- fails loudly here.
+//
+// A second digest pins the sleeper clamps and min_vruntime advances
+// directly, not only through the picks they later change: at every
+// transition it folds the bit patterns of the thread's vruntime and of
+// every cgroup's min_vruntime and entity vruntime. A clamp of a group
+// entity mostly shows in no later pick, and in no min_vruntime either.
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <sstream>
@@ -28,10 +35,21 @@ namespace {
 
 class DigestObserver final : public sim::SchedTraceObserver {
  public:
+  explicit DigestObserver(const sim::Machine& machine) : machine_(&machine) {}
+
   void OnSchedTransition(SimTime time, ThreadId tid,
                          sim::SchedTransition kind) override {
     records_.push_back({time, static_cast<std::int64_t>(tid.value()), 0.0,
                         static_cast<std::uint32_t>(kind)});
+    FoldClamp(tid.value());
+    FoldClamp(static_cast<std::uint64_t>(kind));
+    FoldClamp(std::bit_cast<std::uint64_t>(machine_->ThreadVruntime(tid)));
+    for (std::size_t g = 0; g < machine_->cgroup_count(); ++g) {
+      FoldClamp(std::bit_cast<std::uint64_t>(
+          machine_->GroupMinVruntime(CgroupId(g))));
+      FoldClamp(
+          std::bit_cast<std::uint64_t>(machine_->GroupVruntime(CgroupId(g))));
+    }
   }
 
   [[nodiscard]] std::size_t size() const { return records_.size(); }
@@ -42,16 +60,37 @@ class DigestObserver final : public sim::SchedTraceObserver {
     std::ostringstream out;
     spe::WriteTrace(out, records_);
     const std::string bytes = out.str();
-    std::uint64_t hash = 14695981039346656037ULL;  // FNV-1a 64
+    std::uint64_t hash = kFnvOffset;
     for (const char c : bytes) {
       hash ^= static_cast<unsigned char>(c);
-      hash *= 1099511628211ULL;
+      hash *= kFnvPrime;
     }
     return hash;
   }
 
+  [[nodiscard]] std::uint64_t ClampDigest() const { return clamp_hash_; }
+
  private:
+  static constexpr std::uint64_t kFnvOffset = 14695981039346656037ULL;
+  static constexpr std::uint64_t kFnvPrime = 1099511628211ULL;  // FNV-1a 64
+
+  // Folds the word's eight bytes, least significant first.
+  void FoldClamp(std::uint64_t word) {
+    for (int i = 0; i < 8; ++i) {
+      clamp_hash_ ^= (word >> (8 * i)) & 0xff;
+      clamp_hash_ *= kFnvPrime;
+    }
+  }
+
+  const sim::Machine* machine_;
   std::vector<spe::TraceRecord> records_;
+  std::uint64_t clamp_hash_ = kFnvOffset;
+};
+
+// The two digests of one run of a scenario.
+struct Digests {
+  std::uint64_t trace;
+  std::uint64_t clamps;
 };
 
 spe::LogicalQuery Pipeline(const std::string& name, int transforms,
@@ -74,10 +113,10 @@ spe::LogicalQuery Pipeline(const std::string& name, int transforms,
 // Two queries of different depth and cost sharing one machine, fed by
 // fixed-seed external sources: exercises the event queue's hot (scheduler)
 // and cold (source closure) lanes, CFS runqueues, and wakeup preemption.
-std::uint64_t SpeScenarioDigest(int cores) {
+Digests SpeScenario(int cores) {
   sim::Simulator sim;
   sim::Machine machine(sim, cores);
-  DigestObserver observer;
+  DigestObserver observer(machine);
   machine.set_trace_observer(&observer);
   spe::SpeInstance instance(spe::StormFlavor(),
                             std::vector<sim::Machine*>{&machine}, "golden");
@@ -95,7 +134,7 @@ std::uint64_t SpeScenarioDigest(int cores) {
   s2.Start(1700, Seconds(2));
   sim.RunUntil(Seconds(3));
   EXPECT_GT(observer.size(), 1000u);
-  return observer.Digest();
+  return {observer.Digest(), observer.ClampDigest()};
 }
 
 struct Spinner final : sim::ThreadBody {
@@ -154,10 +193,10 @@ struct Consumer final : sim::ThreadBody {
 // Kernel-feature mix on the bare machine: weighted cgroups, a quota group
 // that throttles, an RT thread, wait-channel producer/consumer pairs, and
 // mid-run SetNice/MoveToCgroup churn (scheduled via cold-lane closures).
-std::uint64_t MachineScenarioDigest(int cores, sim::CfsParams params = {}) {
+Digests MachineScenario(int cores, sim::CfsParams params = {}) {
   sim::Simulator sim;
   sim::Machine machine(sim, cores, params);
-  DigestObserver observer;
+  DigestObserver observer(machine);
   machine.set_trace_observer(&observer);
 
   const CgroupId heavy = machine.CreateCgroup("heavy", machine.root_cgroup(), 2048);
@@ -189,7 +228,57 @@ std::uint64_t MachineScenarioDigest(int cores, sim::CfsParams params = {}) {
 
   sim.RunUntil(Seconds(3));
   EXPECT_GT(observer.size(), 500u);
-  return observer.Digest();
+  return {observer.Digest(), observer.ClampDigest()};
+}
+
+// The SPE scenario laid out as the cpu.shares translator lays it out: each
+// operator thread in its own cgroup, with unequal shares, under one
+// `lachesis` group, next to a nice-19 periodic thread in the root whose
+// fast vruntime keeps the root's min_vruntime ahead of `lachesis`. At about
+// one core of load on four, most wakes find an idle core and their whole
+// cgroup path empty, with `lachesis` sometimes running another operator and
+// sometimes not: the run where the sleeper clamps of a woken thread's
+// groups show.
+Digests GroupedSpeScenario() {
+  sim::Simulator sim;
+  sim::Machine machine(sim, 4);
+  DigestObserver observer(machine);
+  machine.set_trace_observer(&observer);
+  const CgroupId lachesis =
+      machine.CreateCgroup("lachesis", machine.root_cgroup());
+  spe::SpeInstance instance(spe::StormFlavor(),
+                            std::vector<sim::Machine*>{&machine}, "golden");
+  spe::DeployOptions options;
+  options.cgroups = {lachesis};
+  spe::DeployedQuery& q1 =
+      instance.Deploy(Pipeline("q1", 3, Micros(60)), options);
+  spe::DeployedQuery& q2 =
+      instance.Deploy(Pipeline("q2", 2, Micros(90)), options);
+  std::uint64_t shares = 256;
+  for (spe::DeployedQuery* q : {&q1, &q2}) {
+    for (const spe::DeployedOp& d : q->ops) {
+      const CgroupId group =
+          machine.CreateCgroup(d.op->config().name, lachesis, shares);
+      machine.MoveToCgroup(d.thread, group);
+      shares += 256;
+    }
+  }
+  machine.CreateThread(
+      "nice19", std::make_unique<PeriodicSleeper>(Micros(200), Millis(2)),
+      machine.root_cgroup(), 19);
+  auto generator = [](Rng& rng, std::uint64_t seq) {
+    spe::Tuple t;
+    t.key = static_cast<std::int64_t>(seq % 16);
+    t.value = rng.Uniform(0.0, 1.0);
+    return t;
+  };
+  spe::ExternalSource s1(sim, q1.source_channels(), generator, 11);
+  spe::ExternalSource s2(sim, q2.source_channels(), generator, 23);
+  s1.Start(2500, Seconds(2));
+  s2.Start(1700, Seconds(2));
+  sim.RunUntil(Seconds(3));
+  EXPECT_GT(observer.size(), 1000u);
+  return {observer.Digest(), observer.ClampDigest()};
 }
 
 // Golden digests captured from the seed (std::priority_queue + std::set)
@@ -200,24 +289,42 @@ constexpr std::uint64_t kGoldenSpe4Core = 0xb55483fdfadb14a5ULL;
 constexpr std::uint64_t kGoldenMachine1Core = 0x77cb84798206728aULL;
 constexpr std::uint64_t kGoldenMachine2Core = 0x5e96e93104df2819ULL;
 
+// Clamp digests captured before wakes could bypass the runqueues: a wakee
+// that goes straight to an idle core must carry the vruntime the
+// enqueue-then-pick path would have given it.
+constexpr std::uint64_t kClampMachine1Core = 0xbc8ee9768b122e1dULL;
+constexpr std::uint64_t kClampMachine2Core = 0x06a606b20ccb11afULL;
+constexpr std::uint64_t kClampSpe4Core = 0x81434ea2fed0d067ULL;
+constexpr std::uint64_t kGoldenGroupedSpe4Core = 0x7a883b06e2d74053ULL;
+constexpr std::uint64_t kClampGroupedSpe4Core = 0x66b6e2bea3bd73baULL;
+
 TEST(GoldenTraceTest, SpeScenarioIsDeterministicPerCoreCount) {
-  EXPECT_EQ(SpeScenarioDigest(1), SpeScenarioDigest(1));
-  EXPECT_EQ(SpeScenarioDigest(4), SpeScenarioDigest(4));
+  EXPECT_EQ(SpeScenario(1).trace, SpeScenario(1).trace);
+  EXPECT_EQ(SpeScenario(4).trace, SpeScenario(4).trace);
 }
 
 TEST(GoldenTraceTest, SpeScenarioMatchesGoldenDigest) {
-  EXPECT_EQ(SpeScenarioDigest(1), kGoldenSpe1Core);
-  EXPECT_EQ(SpeScenarioDigest(4), kGoldenSpe4Core);
+  EXPECT_EQ(SpeScenario(1).trace, kGoldenSpe1Core);
+  EXPECT_EQ(SpeScenario(4).trace, kGoldenSpe4Core);
 }
 
 TEST(GoldenTraceTest, MachineScenarioIsDeterministicPerCoreCount) {
-  EXPECT_EQ(MachineScenarioDigest(1), MachineScenarioDigest(1));
-  EXPECT_EQ(MachineScenarioDigest(2), MachineScenarioDigest(2));
+  EXPECT_EQ(MachineScenario(1).trace, MachineScenario(1).trace);
+  EXPECT_EQ(MachineScenario(2).trace, MachineScenario(2).trace);
 }
 
 TEST(GoldenTraceTest, MachineScenarioMatchesGoldenDigest) {
-  EXPECT_EQ(MachineScenarioDigest(1), kGoldenMachine1Core);
-  EXPECT_EQ(MachineScenarioDigest(2), kGoldenMachine2Core);
+  EXPECT_EQ(MachineScenario(1).trace, kGoldenMachine1Core);
+  EXPECT_EQ(MachineScenario(2).trace, kGoldenMachine2Core);
+}
+
+TEST(GoldenTraceTest, ClampDigestsMatchGolden) {
+  EXPECT_EQ(MachineScenario(1).clamps, kClampMachine1Core);
+  EXPECT_EQ(MachineScenario(2).clamps, kClampMachine2Core);
+  EXPECT_EQ(SpeScenario(4).clamps, kClampSpe4Core);
+  const Digests grouped = GroupedSpeScenario();
+  EXPECT_EQ(grouped.trace, kGoldenGroupedSpe4Core);
+  EXPECT_EQ(grouped.clamps, kClampGroupedSpe4Core);
 }
 
 // An explicit all-full-capacity vector must be indistinguishable from the
@@ -229,8 +336,8 @@ TEST(GoldenTraceTest, SymmetricCapacityVectorReproducesGoldenDigest) {
   one_core.core_capacities = {1.0};
   sim::CfsParams two_cores;
   two_cores.core_capacities = {1.0, 1.0};
-  EXPECT_EQ(MachineScenarioDigest(1, one_core), kGoldenMachine1Core);
-  EXPECT_EQ(MachineScenarioDigest(2, two_cores), kGoldenMachine2Core);
+  EXPECT_EQ(MachineScenario(1, one_core).trace, kGoldenMachine1Core);
+  EXPECT_EQ(MachineScenario(2, two_cores).trace, kGoldenMachine2Core);
 }
 
 }  // namespace

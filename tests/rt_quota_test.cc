@@ -13,7 +13,30 @@ namespace lachesis::sim {
 namespace {
 
 using testing::BusyLoop;
+using testing::FiniteWork;
 using testing::PeriodicTask;
+
+// Sleeps `delay`, computes `work`, then exits.
+class SleepThenWork final : public ThreadBody {
+ public:
+  SleepThenWork(SimDuration delay, SimDuration work)
+      : delay_(delay), work_(work) {}
+  Action Next(Machine&) override {
+    switch (step_++) {
+      case 0:
+        return Action::Sleep(delay_);
+      case 1:
+        return Action::Compute(work_);
+      default:
+        return Action::Exit();
+    }
+  }
+
+ private:
+  SimDuration delay_;
+  SimDuration work_;
+  int step_ = 0;
+};
 
 CfsParams NoOverheadParams() {
   CfsParams p;
@@ -154,6 +177,28 @@ TEST(QuotaTest, DisablingQuotaUnthrottles) {
   const SimDuration before = m.GetStats(t).cpu_time;
   sim.RunUntil(Seconds(1));
   EXPECT_GT(m.GetStats(t).cpu_time - before, Millis(490));
+}
+
+// The group throttles with nothing queued (its spender exits on exactly
+// the quota), so a thread waking into it finds every core idle and an
+// empty path: only the throttle keeps it off-CPU until the refill.
+TEST(QuotaTest, WakeIntoThrottledEmptyGroupWaitsForRefill) {
+  Simulator sim;
+  Machine m(sim, 2, NoOverheadParams());
+  const CgroupId limited = m.CreateCgroup("limited", m.root_cgroup(), 1024);
+  m.SetQuota(limited, Millis(2), Millis(20));
+  m.CreateThread("spender", std::make_unique<FiniteWork>(1, Millis(2)),
+                 limited);
+  const ThreadId late = m.CreateThread(
+      "late", std::make_unique<SleepThenWork>(Millis(5), Micros(100)),
+      limited);
+  sim.RunUntil(Millis(19));
+  EXPECT_EQ(m.GetState(late), ThreadState::kRunnable);
+  EXPECT_EQ(m.IdleCoreCount(), 2);
+  EXPECT_EQ(m.GetStats(late).cpu_time, 0);
+  sim.RunUntil(Millis(21));
+  EXPECT_EQ(m.GetState(late), ThreadState::kExited);
+  EXPECT_EQ(m.GetStats(late).cpu_time, Micros(100));
 }
 
 TEST(QuotaTest, RtThreadsExemptFromQuota) {

@@ -78,6 +78,43 @@ TEST(TupleQueueTest, HeadAgeTracksOldestTuple) {
   EXPECT_EQ(q->HeadAge(Seconds(5)), Seconds(4));
 }
 
+// The queue's ring grows while its contents wrap past the end of the
+// buffer: order, peak occupancy and the head's age must survive the copy.
+TEST(TupleQueueTest, GrowingWhileWrappedKeepsOrderHighWaterAndHeadAge) {
+  PhysicalRig rig;
+  auto q = rig.Queue();
+  const auto push = [&](int key) {
+    Tuple t;
+    t.key = key;
+    t.produced = Millis(key);
+    q->Push(t);
+  };
+  int next_key = 0;
+  int next_pop = 0;
+  // Cycle the head around the buffer so later pushes wrap, then grow it
+  // twice from wrapped states.
+  for (int round = 0; round < 3; ++round) {
+    for (int i = 0; i < 6; ++i) push(next_key++);
+    for (int i = 0; i < 5; ++i) EXPECT_EQ(q->Pop().key, next_pop++);
+  }
+  for (int i = 0; i < 20; ++i) push(next_key++);
+  EXPECT_EQ(q->size(), 23u);
+  EXPECT_EQ(q->high_water(), 23u);
+  EXPECT_EQ(q->Front().key, next_pop);
+  EXPECT_EQ(q->HeadAge(Seconds(1)), Seconds(1) - Millis(next_pop));
+  for (int i = 0; i < 10; ++i) EXPECT_EQ(q->Pop().key, next_pop++);
+  for (int i = 0; i < 30; ++i) push(next_key++);
+  EXPECT_EQ(q->size(), 43u);
+  EXPECT_EQ(q->high_water(), 43u);
+  EXPECT_EQ(q->HeadAge(Seconds(1)), Seconds(1) - Millis(next_pop));
+  while (!q->empty()) EXPECT_EQ(q->Pop().key, next_pop++);
+  EXPECT_EQ(next_pop, next_key);
+  EXPECT_EQ(q->total_pushed(), static_cast<std::uint64_t>(next_key));
+  EXPECT_EQ(q->total_popped(), static_cast<std::uint64_t>(next_key));
+  EXPECT_EQ(q->high_water(), 43u);
+  EXPECT_EQ(q->HeadAge(Seconds(1)), 0);
+}
+
 TEST(PhysicalOpTest, BeginPopsAndReturnsCost) {
   PhysicalRig rig;
   auto in = rig.Queue();
