@@ -29,25 +29,19 @@ int main() {
 
   std::vector<Variant> variants;
   variants.push_back({"OS", {}});
-  const auto lachesis_variant = [](const char* label, exp::PolicyKind policy,
-                                   exp::TranslatorKind translator) {
+  const auto lachesis_variant = [](const char* label, const char* policy,
+                                   const char* translator) {
     exp::SchedulerSpec s;
     s.kind = exp::SchedulerKind::kLachesis;
-    s.policy = policy;
-    s.translator = translator;
+    s.binding.policy = policy;
+    s.binding.translator = translator;
     return Variant{label, s};
   };
-  variants.push_back(lachesis_variant("QS+nice", exp::PolicyKind::kQueueSize,
-                                      exp::TranslatorKind::kNice));
-  variants.push_back(lachesis_variant("QS+shares", exp::PolicyKind::kQueueSize,
-                                      exp::TranslatorKind::kCpuShares));
-  variants.push_back(lachesis_variant("QS+quota", exp::PolicyKind::kQueueSize,
-                                      exp::TranslatorKind::kQuota));
-  variants.push_back(lachesis_variant("QS+rt", exp::PolicyKind::kQueueSize,
-                                      exp::TranslatorKind::kRtNice));
-  variants.push_back(lachesis_variant("PSI+nice",
-                                      exp::PolicyKind::kPressureStall,
-                                      exp::TranslatorKind::kNice));
+  variants.push_back(lachesis_variant("QS+nice", "queue-size", "nice"));
+  variants.push_back(lachesis_variant("QS+shares", "queue-size", "cpu.shares"));
+  variants.push_back(lachesis_variant("QS+quota", "queue-size", "quota"));
+  variants.push_back(lachesis_variant("QS+rt", "queue-size", "rt"));
+  variants.push_back(lachesis_variant("PSI+nice", "pressure-stall", "nice"));
 
   const std::vector<double> rates =
       mode.full ? std::vector<double>{4000, 5000, 5500, 6000, 6500, 7000}

@@ -29,9 +29,9 @@ int main() {
         std::pair{"L-5s", Seconds(5)}}) {
     exp::SchedulerSpec s;
     s.kind = exp::SchedulerKind::kLachesis;
-    s.policy = exp::PolicyKind::kQueueSize;
-    s.translator = exp::TranslatorKind::kNice;
-    s.period = period;
+    s.binding.policy = "queue-size";
+    s.binding.translator = "nice";
+    s.binding.period = period;
     variants.push_back({label, s});
   }
 

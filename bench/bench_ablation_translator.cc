@@ -24,13 +24,13 @@ int main() {
   std::vector<Variant> variants;
   variants.push_back({"OS", {}});
   for (const auto& [label, translator] :
-       {std::pair{"QS+nice", exp::TranslatorKind::kNice},
-        std::pair{"QS+cpu.shares", exp::TranslatorKind::kCpuShares},
-        std::pair{"QS+both", exp::TranslatorKind::kQuerySharesNice}}) {
+       {std::pair{"QS+nice", "nice"},
+        std::pair{"QS+cpu.shares", "cpu.shares"},
+        std::pair{"QS+both", "cpu.shares+nice"}}) {
     exp::SchedulerSpec s;
     s.kind = exp::SchedulerKind::kLachesis;
-    s.policy = exp::PolicyKind::kQueueSize;
-    s.translator = translator;
+    s.binding.policy = "queue-size";
+    s.binding.translator = translator;
     variants.push_back({label, s});
   }
 

@@ -24,8 +24,8 @@ int main() {
   variants.push_back({"OS (default)", {}});
   exp::SchedulerSpec lachesis;
   lachesis.kind = exp::SchedulerKind::kLachesis;
-  lachesis.policy = exp::PolicyKind::kQueueSize;
-  lachesis.translator = exp::TranslatorKind::kNice;
+  lachesis.binding.policy = "queue-size";
+  lachesis.binding.translator = "nice";
   variants.push_back({"Custom (Lachesis)", lachesis});
 
   const std::vector<double> rates =

@@ -36,8 +36,8 @@ int main() {
   {
     exp::SchedulerSpec lachesis;
     lachesis.kind = exp::SchedulerKind::kLachesis;
-    lachesis.policy = exp::PolicyKind::kQueueSize;
-    lachesis.translator = exp::TranslatorKind::kNice;
+    lachesis.binding.policy = "queue-size";
+    lachesis.binding.translator = "nice";
     variants.push_back({"LACHESIS-QS", lachesis});
   }
 

@@ -28,14 +28,14 @@ int main() {
   {
     exp::SchedulerSpec random;
     random.kind = exp::SchedulerKind::kLachesis;
-    random.policy = exp::PolicyKind::kRandom;
+    random.binding.policy = "random";
     variants.push_back({"RANDOM", random});
   }
   {
     exp::SchedulerSpec lachesis;
     lachesis.kind = exp::SchedulerKind::kLachesis;
-    lachesis.policy = exp::PolicyKind::kQueueSize;
-    lachesis.translator = exp::TranslatorKind::kNice;
+    lachesis.binding.policy = "queue-size";
+    lachesis.binding.translator = "nice";
     variants.push_back({"LACHESIS-QS", lachesis});
   }
 

@@ -33,8 +33,8 @@ int main() {
   variants.push_back({"OS", {}});
   exp::SchedulerSpec lachesis;
   lachesis.kind = exp::SchedulerKind::kLachesis;
-  lachesis.policy = exp::PolicyKind::kQueueSize;
-  lachesis.translator = exp::TranslatorKind::kNice;
+  lachesis.binding.policy = "queue-size";
+  lachesis.binding.translator = "nice";
   variants.push_back({"LACHESIS-QS", lachesis});
 
   std::printf("Fig 13: latency distributions (letter values, ms)\n");

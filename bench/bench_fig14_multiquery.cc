@@ -36,24 +36,24 @@ int main() {
   std::vector<Variant> variants;
   variants.push_back({"OS", {}});
   for (const auto& [label, policy] :
-       {std::pair{"HAREN-QS", exp::PolicyKind::kQueueSize},
-        std::pair{"HAREN-FCFS", exp::PolicyKind::kFcfs},
-        std::pair{"HAREN-HR", exp::PolicyKind::kHighestRate}}) {
+       {std::pair{"HAREN-QS", "queue-size"},
+        std::pair{"HAREN-FCFS", "fcfs"},
+        std::pair{"HAREN-HR", "highest-rate"}}) {
     exp::SchedulerSpec haren;
     haren.kind = exp::SchedulerKind::kHaren;
-    haren.policy = policy;
-    haren.period = Millis(50);
+    haren.binding.policy = policy;
+    haren.binding.period = Millis(50);
     variants.push_back({label, haren});
   }
   for (const auto& [label, policy] :
-       {std::pair{"LACHESIS-QS", exp::PolicyKind::kQueueSize},
-        std::pair{"LACHESIS-FCFS", exp::PolicyKind::kFcfs},
-        std::pair{"LACHESIS-HR", exp::PolicyKind::kHighestRate}}) {
+       {std::pair{"LACHESIS-QS", "queue-size"},
+        std::pair{"LACHESIS-FCFS", "fcfs"},
+        std::pair{"LACHESIS-HR", "highest-rate"}}) {
     exp::SchedulerSpec lachesis;
     lachesis.kind = exp::SchedulerKind::kLachesis;
-    lachesis.policy = policy;
-    lachesis.translator = exp::TranslatorKind::kCpuShares;
-    lachesis.period = Seconds(1);
+    lachesis.binding.policy = policy;
+    lachesis.binding.translator = "cpu.shares";
+    lachesis.binding.period = Seconds(1);
     variants.push_back({label, lachesis});
   }
 

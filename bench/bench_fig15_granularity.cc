@@ -29,23 +29,23 @@ int main() {
   {
     exp::SchedulerSpec haren50;
     haren50.kind = exp::SchedulerKind::kHaren;
-    haren50.policy = exp::PolicyKind::kFcfs;
-    haren50.period = Millis(50);
+    haren50.binding.policy = "fcfs";
+    haren50.binding.period = Millis(50);
     variants.push_back({"HAREN-50", haren50});
   }
   {
     exp::SchedulerSpec haren1000;
     haren1000.kind = exp::SchedulerKind::kHaren;
-    haren1000.policy = exp::PolicyKind::kFcfs;
-    haren1000.period = Seconds(1);
+    haren1000.binding.policy = "fcfs";
+    haren1000.binding.period = Seconds(1);
     variants.push_back({"HAREN-1000", haren1000});
   }
   {
     exp::SchedulerSpec lachesis;
     lachesis.kind = exp::SchedulerKind::kLachesis;
-    lachesis.policy = exp::PolicyKind::kFcfs;
-    lachesis.translator = exp::TranslatorKind::kCpuShares;
-    lachesis.period = Seconds(1);
+    lachesis.binding.policy = "fcfs";
+    lachesis.binding.translator = "cpu.shares";
+    lachesis.binding.period = Seconds(1);
     variants.push_back({"LACHESIS", lachesis});
   }
 

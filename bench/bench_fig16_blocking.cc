@@ -38,15 +38,15 @@ int main() {
   {
     exp::SchedulerSpec haren;
     haren.kind = exp::SchedulerKind::kHaren;
-    haren.policy = exp::PolicyKind::kFcfs;
-    haren.period = Millis(50);
+    haren.binding.policy = "fcfs";
+    haren.binding.period = Millis(50);
     variants.push_back({"HAREN", haren});
   }
   {
     exp::SchedulerSpec lachesis;
     lachesis.kind = exp::SchedulerKind::kLachesis;
-    lachesis.policy = exp::PolicyKind::kFcfs;
-    lachesis.translator = exp::TranslatorKind::kCpuShares;
+    lachesis.binding.policy = "fcfs";
+    lachesis.binding.translator = "cpu.shares";
     variants.push_back({"LACHESIS", lachesis});
   }
 

@@ -37,8 +37,8 @@ int main() {
       variants.push_back({"OS", {}});
       exp::SchedulerSpec lachesis;
       lachesis.kind = exp::SchedulerKind::kLachesis;
-      lachesis.policy = exp::PolicyKind::kQueueSize;
-      lachesis.translator = exp::TranslatorKind::kNice;
+      lachesis.binding.policy = "queue-size";
+      lachesis.binding.translator = "nice";
       variants.push_back({"LACHESIS-QS", lachesis});
 
       // Offered rates scale with the deployment size (cross-node hops add

@@ -74,8 +74,8 @@ int main() {
   variants.push_back({"OS", {}});
   exp::SchedulerSpec lachesis;
   lachesis.kind = exp::SchedulerKind::kLachesis;
-  lachesis.policy = exp::PolicyKind::kQueueSize;
-  lachesis.translator = exp::TranslatorKind::kQuerySharesNice;
+  lachesis.binding.policy = "queue-size";
+  lachesis.binding.translator = "cpu.shares+nice";
   variants.push_back({"LACHESIS", lachesis});
 
   const std::vector<double> percents =

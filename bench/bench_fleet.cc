@@ -36,8 +36,8 @@ int main() {
   spec.warmup = mode.warmup;
   spec.measure = mode.measure;
   spec.scheduler.kind = exp::SchedulerKind::kLachesis;
-  spec.scheduler.policy = exp::PolicyKind::kQueueSize;
-  spec.scheduler.translator = exp::TranslatorKind::kNice;
+  spec.scheduler.binding.policy = "queue-size";
+  spec.scheduler.binding.translator = "nice";
   spec.seed = 12;
 
   std::vector<int> worker_counts{1, 2, 4};

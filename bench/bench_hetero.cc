@@ -160,13 +160,13 @@ int main() {
   exp::SchedulerSpec os_default;
   exp::SchedulerSpec qs_nice;
   qs_nice.kind = exp::SchedulerKind::kLachesis;
-  qs_nice.policy = exp::PolicyKind::kQueueSize;
-  qs_nice.translator = exp::TranslatorKind::kNice;
+  qs_nice.binding.policy = "queue-size";
+  qs_nice.binding.translator = "nice";
   exp::SchedulerSpec qs_deadline = qs_nice;
-  qs_deadline.translator = exp::TranslatorKind::kDeadline;
-  qs_deadline.critical_queries = {critical_query};
-  qs_deadline.dl_runtime = Millis(7);
-  qs_deadline.dl_period = Millis(10);
+  qs_deadline.binding.translator = "deadline";
+  qs_deadline.binding.critical_queries = {critical_query};
+  qs_deadline.binding.dl_runtime = Millis(7);
+  qs_deadline.binding.dl_period = Millis(10);
 
   struct MixedVariant {
     std::string name;

@@ -58,12 +58,11 @@ RowResult Compare(const exp::ScenarioSpec& base_spec,
   return row;
 }
 
-exp::SchedulerSpec LachesisSpec(exp::PolicyKind policy,
-                                exp::TranslatorKind translator) {
+exp::SchedulerSpec LachesisSpec(const char* policy, const char* translator) {
   exp::SchedulerSpec s;
   s.kind = exp::SchedulerKind::kLachesis;
-  s.policy = policy;
-  s.translator = translator;
+  s.binding.policy = policy;
+  s.binding.translator = translator;
   return s;
 }
 
@@ -95,8 +94,7 @@ int main() {
     edgewise.kind = exp::SchedulerKind::kEdgeWise;
     add_row("Single-Query ETL (6.2)", "EdgeWise",
             Compare(spec, edgewise,
-                    LachesisSpec(exp::PolicyKind::kQueueSize,
-                                 exp::TranslatorKind::kNice),
+                    LachesisSpec("queue-size", "nice"),
                     mode));
   }
 
@@ -111,8 +109,7 @@ int main() {
     spec.workloads.push_back(std::move(w));
     add_row("Single-Query VS (6.3)", "OS",
             Compare(spec, exp::SchedulerSpec{},
-                    LachesisSpec(exp::PolicyKind::kQueueSize,
-                                 exp::TranslatorKind::kNice),
+                    LachesisSpec("queue-size", "nice"),
                     mode));
   }
 
@@ -132,12 +129,11 @@ int main() {
     }
     exp::SchedulerSpec haren;
     haren.kind = exp::SchedulerKind::kHaren;
-    haren.policy = exp::PolicyKind::kFcfs;
-    haren.period = Millis(50);
+    haren.binding.policy = "fcfs";
+    haren.binding.period = Millis(50);
     add_row("Multi-Query SYN + blocking (6.4)", "Haren",
             Compare(spec, haren,
-                    LachesisSpec(exp::PolicyKind::kFcfs,
-                                 exp::TranslatorKind::kCpuShares),
+                    LachesisSpec("fcfs", "cpu.shares"),
                     mode));
   }
 
@@ -154,8 +150,7 @@ int main() {
     spec.workloads.push_back(std::move(w));
     add_row("Scale-Out LR, 4 nodes (6.5)", "OS",
             Compare(spec, exp::SchedulerSpec{},
-                    LachesisSpec(exp::PolicyKind::kQueueSize,
-                                 exp::TranslatorKind::kNice),
+                    LachesisSpec("queue-size", "nice"),
                     mode));
   }
 
@@ -190,8 +185,7 @@ int main() {
     }
     add_row("Multi-SPE server (6.6)", "OS",
             Compare(spec, exp::SchedulerSpec{},
-                    LachesisSpec(exp::PolicyKind::kQueueSize,
-                                 exp::TranslatorKind::kQuerySharesNice),
+                    LachesisSpec("queue-size", "cpu.shares+nice"),
                     mode));
   }
 

@@ -167,8 +167,10 @@ int main(int argc, char** argv) {
           runtime->sources().size());
     }
     std::printf("lachesisd: policy=%s translator=%s period=%ldms%s\n",
-                config.policy.c_str(), config.translator.c_str(),
-                config.period_ms, dry_run ? " (dry run)" : "");
+                config.binding.policy.c_str(),
+                config.binding.translator.c_str(),
+                static_cast<long>(config.binding.period / kMillisecond),
+                dry_run ? " (dry run)" : "");
 
     core::LachesisRunner& runner = stack.runner();
     const std::string trace_path =

@@ -145,7 +145,8 @@ core::PolicyBinding BaseBinding(const SchedulerSpec& scheduler,
       return e.query_name != churn_name;
     };
   }
-  return MakeBinding(scheduler, {node.driver.get()}, std::move(filter));
+  return core::MakeBinding(scheduler.binding, {node.driver.get()},
+                           std::move(filter));
 }
 
 }  // namespace
@@ -214,7 +215,7 @@ FleetResult RunFleet(const FleetSpec& spec) {
     if (lachesis) {
       // The driver's counter deltas span one scheduling period.
       node.store = std::make_unique<tsdb::TimeSeriesStore>(
-          std::max(spec.scheduler.period, tsdb::kDeltaWindow));
+          std::max(spec.scheduler.binding.period, tsdb::kDeltaWindow));
       node.scraper = std::make_unique<tsdb::Scraper>(shard, *node.store,
                                                      spec.scrape_period);
       // The instance spans exactly this machine, but pass the explicit
@@ -226,7 +227,7 @@ FleetResult RunFleet(const FleetSpec& spec) {
       node.guard = std::make_unique<DarkGuardAdapter>(*node.os);
       node.executor = std::make_unique<core::SimControlExecutor>(shard);
       node.driver = std::make_unique<core::SimSpeDriver>(
-          *node.instance, *node.store, spec.scheduler.period);
+          *node.instance, *node.store, spec.scheduler.binding.period);
       node.runner = std::make_unique<core::LachesisRunner>(
           *node.executor, *node.guard,
           spec.seed + 3 + static_cast<std::uint64_t>(m));
@@ -276,8 +277,8 @@ FleetResult RunFleet(const FleetSpec& spec) {
               "churn", [&nodes, &spec](std::size_t shard,
                                        core::LachesisRunner& runner) {
                 NodeContext& node = nodes[shard];
-                return runner.AddQuery(MakeBinding(
-                    spec.scheduler, {node.driver.get()},
+                return runner.AddQuery(core::MakeBinding(
+                    spec.scheduler.binding, {node.driver.get()},
                     [name = node.churn_query_name](const core::EntityInfo& e) {
                       return e.query_name == name;
                     }));

@@ -14,70 +14,13 @@
 
 namespace lachesis::exp {
 
-core::PolicyBinding MakeBinding(
-    const SchedulerSpec& spec, std::vector<core::SpeDriver*> drivers,
-    std::function<bool(const core::EntityInfo&)> filter) {
-  core::PolicyBinding binding;
-  binding.policy = [&]() -> std::unique_ptr<core::SchedulingPolicy> {
-    switch (spec.policy) {
-      case PolicyKind::kQueueSize:
-        return std::make_unique<core::QueueSizePolicy>();
-      case PolicyKind::kHighestRate:
-        return std::make_unique<core::HighestRatePolicy>();
-      case PolicyKind::kFcfs:
-        return std::make_unique<core::FcfsPolicy>();
-      case PolicyKind::kRandom:
-        return std::make_unique<core::RandomPolicy>();
-      case PolicyKind::kMinMemory:
-        return std::make_unique<core::MinMemoryPolicy>();
-      case PolicyKind::kPressureStall:
-        return std::make_unique<core::PressureStallPolicy>();
-    }
-    throw std::invalid_argument("unknown policy kind");
-  }();
-  // Operators of the named queries come out tagged latency-critical
-  // (reservation targets for deadline/RT translators).
-  if (!spec.critical_queries.empty()) {
-    binding.policy = std::make_unique<core::CriticalChainPolicy>(
-        std::move(binding.policy), spec.critical_queries);
-  }
-  binding.translator = [&]() -> std::unique_ptr<core::Translator> {
-    switch (spec.translator) {
-      case TranslatorKind::kNice:
-        return std::make_unique<core::NiceTranslator>();
-      case TranslatorKind::kCpuShares:
-        return std::make_unique<core::CpuSharesTranslator>();
-      case TranslatorKind::kQuerySharesNice:
-        return std::make_unique<core::QuerySharesPlusNiceTranslator>();
-      case TranslatorKind::kQuota:
-        return std::make_unique<core::QuotaTranslator>();
-      case TranslatorKind::kRtNice:
-        return std::make_unique<core::RtBoostTranslator>();
-      case TranslatorKind::kDeadline:
-        return std::make_unique<core::DeadlineTranslator>(spec.dl_runtime,
-                                                          spec.dl_period);
-    }
-    throw std::invalid_argument("unknown translator kind");
-  }();
-  binding.period = spec.period;
-  binding.drivers = std::move(drivers);
-  binding.filter = std::move(filter);
-  return binding;
-}
-
 namespace {
 
-ulss::UlssPolicy ToUlssPolicy(PolicyKind kind) {
-  switch (kind) {
-    case PolicyKind::kQueueSize:
-      return ulss::UlssPolicy::kQueueSize;
-    case PolicyKind::kFcfs:
-      return ulss::UlssPolicy::kFcfs;
-    case PolicyKind::kHighestRate:
-      return ulss::UlssPolicy::kHighestRate;
-    default:
-      throw std::invalid_argument("UL-SS supports QS/FCFS/HR only");
-  }
+ulss::UlssPolicy ToUlssPolicy(const std::string& policy) {
+  if (policy == "queue-size") return ulss::UlssPolicy::kQueueSize;
+  if (policy == "fcfs") return ulss::UlssPolicy::kFcfs;
+  if (policy == "highest-rate") return ulss::UlssPolicy::kHighestRate;
+  throw std::invalid_argument("UL-SS supports QS/FCFS/HR only");
 }
 
 }  // namespace
@@ -169,7 +112,7 @@ RunResult RunScenario(const ScenarioSpec& spec) {
   // --- metric reporting pipeline -------------------------------------------------
   // The drivers' counter deltas span one scheduling period.
   tsdb::TimeSeriesStore store(
-      std::max(spec.scheduler.period, tsdb::kDeltaWindow));
+      std::max(spec.scheduler.binding.period, tsdb::kDeltaWindow));
   tsdb::Scraper scraper(sim, store, spec.scrape_period);
   for (auto& [name, instance] : instances) scraper.AddInstance(*instance);
   scraper.Start(end);
@@ -189,18 +132,19 @@ RunResult RunScenario(const ScenarioSpec& spec) {
       std::vector<core::SpeDriver*> driver_ptrs;
       for (auto& [name, instance] : instances) {
         drivers.push_back(std::make_unique<core::SimSpeDriver>(
-            *instance, store, spec.scheduler.period));
+            *instance, store, spec.scheduler.binding.period));
         driver_ptrs.push_back(drivers.back().get());
       }
       if (spec.nodes == 1) {
-        runner->AddQuery(MakeBinding(spec.scheduler, driver_ptrs));
+        runner->AddQuery(core::MakeBinding(spec.scheduler.binding, driver_ptrs));
       } else {
         // Scale-out (§6.5): independent Lachesis instances per node, each
         // scheduling only the local operators (no global knowledge).
         for (int n = 0; n < spec.nodes; ++n) {
           sim::Machine* node = machines[static_cast<std::size_t>(n)];
-          runner->AddQuery(MakeBinding(
-              spec.scheduler, driver_ptrs, [node](const core::EntityInfo& e) {
+          runner->AddQuery(core::MakeBinding(
+              spec.scheduler.binding, driver_ptrs,
+              [node](const core::EntityInfo& e) {
                 return e.thread.machine == node;
               }));
         }
@@ -214,11 +158,11 @@ RunResult RunScenario(const ScenarioSpec& spec) {
       config.flavor = spec.scheduler.kind == SchedulerKind::kEdgeWise
                           ? ulss::UlssFlavor::kEdgeWise
                           : ulss::UlssFlavor::kHaren;
-      config.policy = ToUlssPolicy(spec.scheduler.policy);
+      config.policy = ToUlssPolicy(spec.scheduler.binding.policy);
       config.num_workers = spec.scheduler.ulss_workers > 0
                                ? spec.scheduler.ulss_workers
                                : spec.cores;
-      config.refresh_period = spec.scheduler.period;
+      config.refresh_period = spec.scheduler.binding.period;
       ulss_scheduler =
           std::make_unique<ulss::UlssScheduler>(*machines[0], config);
       for (DeployedWorkload& d : deployed) ulss_scheduler->AddQuery(*d.query);

@@ -9,7 +9,6 @@
 #ifndef LACHESIS_EXP_SCENARIO_H_
 #define LACHESIS_EXP_SCENARIO_H_
 
-#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -17,8 +16,7 @@
 #include <vector>
 
 #include "common/sim_time.h"
-#include "core/policies.h"
-#include "core/runner.h"
+#include "core/bindings.h"
 #include "queries/workload.h"
 #include "spe/flavor.h"
 #include "ulss/ulss.h"
@@ -32,37 +30,14 @@ enum class SchedulerKind {
   kHaren,       // UL-SS baseline (pluggable policies, fresh metrics)
 };
 
-enum class PolicyKind {
-  kQueueSize,
-  kHighestRate,
-  kFcfs,
-  kRandom,
-  kMinMemory,
-  kPressureStall,  // §8 future work: PSI-driven
-};
-
-enum class TranslatorKind {
-  kNice,             // single-priority -> thread nice
-  kCpuShares,        // one cgroup per operator
-  kQuerySharesNice,  // cgroup per query + nice within (Fig 18)
-  kQuota,            // §8: hard CFS-bandwidth budgets per operator group
-  kRtNice,           // §8: RT-boost the top operator + nice for the rest
-  kDeadline,         // SCHED_DEADLINE reservations for critical ops + nice
-};
-
 struct SchedulerSpec {
   SchedulerKind kind = SchedulerKind::kOsDefault;
-  PolicyKind policy = PolicyKind::kQueueSize;
-  TranslatorKind translator = TranslatorKind::kNice;
-  SimDuration period = Seconds(1);  // Lachesis scheduling / Haren refresh
-  int ulss_workers = 0;             // 0 -> #cores
-  // Queries whose operators are tagged latency-critical (the policy is
-  // wrapped in core::CriticalChainPolicy). Feeds the deadline/RT
-  // translators' reservation choice; priority-only translators ignore it.
-  std::vector<std::string> critical_queries;
-  // SCHED_DEADLINE reservation shape for TranslatorKind::kDeadline.
-  SimDuration dl_runtime = Millis(4);
-  SimDuration dl_period = Millis(10);
+  // Lachesis's policy, translator and period, by core's names. Haren
+  // runs binding.policy and refreshes every binding.period. Both UL-SS
+  // baselines take only queue-size, fcfs or highest-rate (EdgeWise then
+  // runs queue size whatever it names).
+  core::BindingSpec binding;
+  int ulss_workers = 0;  // 0 -> #cores
 };
 
 struct WorkloadSpec {
@@ -131,15 +106,6 @@ struct RunResult {
   // fission degrees; Fig 17 reports both.
   std::vector<double> per_node_throughput_tps;
 };
-
-// The Lachesis binding `spec` describes: its policy (wrapped in
-// core::CriticalChainPolicy when critical_queries is set), its translator
-// (the deadline translator reserves dl_runtime every dl_period) and its
-// period, over `drivers` and `filter`. Shared with the fleet harness
-// (exp/fleet.h); throws std::invalid_argument on unknown kinds.
-core::PolicyBinding MakeBinding(
-    const SchedulerSpec& spec, std::vector<core::SpeDriver*> drivers,
-    std::function<bool(const core::EntityInfo&)> filter = {});
 
 // Runs one scenario once.
 RunResult RunScenario(const ScenarioSpec& spec);

@@ -1,82 +1,19 @@
 #include "osctl/daemon_config.h"
 
-#include <array>
+#include <algorithm>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
 
-#include "core/policies.h"
 #include "osctl/procfs.h"
 #include "tsdb/tsdb.h"
 
 namespace lachesis::osctl {
 
 namespace {
-
-template <typename Base, typename T>
-std::unique_ptr<Base> Make(const DaemonConfig&) {
-  return std::make_unique<T>();
-}
-
-template <typename Base>
-using Factory = std::unique_ptr<Base> (*)(const DaemonConfig&);
-
-struct PolicyEntry {
-  const char* name;
-  Factory<core::SchedulingPolicy> make;
-};
-
-struct TranslatorEntry {
-  const char* name;
-  Factory<core::Translator> make;
-  // The capability degradation ladder, best-first: the translators the
-  // runner falls back to while this one's mechanism persistently fails
-  // (e.g. no CAP_SYS_NICE for SCHED_FIFO, an unwritable cgroup root).
-  // nice is the last resort everywhere: lowering priority needs no
-  // privileges and no filesystem.
-  std::array<const char*, 3> fallbacks;
-};
-
-// The accepted `policy` and `translator` names, each with its factory.
-constexpr PolicyEntry kPolicies[] = {
-    {"queue-size", Make<core::SchedulingPolicy, core::QueueSizePolicy>},
-    {"fcfs", Make<core::SchedulingPolicy, core::FcfsPolicy>},
-    {"highest-rate", Make<core::SchedulingPolicy, core::HighestRatePolicy>},
-    {"random", Make<core::SchedulingPolicy, core::RandomPolicy>},
-    {"min-memory", Make<core::SchedulingPolicy, core::MinMemoryPolicy>},
-};
-constexpr TranslatorEntry kTranslators[] = {
-    {"nice", Make<core::Translator, core::NiceTranslator>, {}},
-    {"cpu.shares", Make<core::Translator, core::CpuSharesTranslator>,
-     {"nice"}},
-    {"quota", Make<core::Translator, core::QuotaTranslator>, {"nice"}},
-    {"rt", Make<core::Translator, core::RtBoostTranslator>,
-     {"cpu.shares", "nice"}},
-    // A reservation needs sched_setattr and admission headroom; an RT
-    // boost keeps the "critical work preempts" intent, then weights.
-    {"deadline",
-     [](const DaemonConfig& config) -> std::unique_ptr<core::Translator> {
-       return std::make_unique<core::DeadlineTranslator>(
-           Millis(config.dl_runtime_ms), Millis(config.dl_period_ms));
-     },
-     {"rt", "cpu.shares", "nice"}},
-};
-
-// The entry `table` holds for `name`; any other name throws
-// std::invalid_argument listing the accepted ones.
-template <typename Entry, std::size_t N>
-const Entry& Lookup(const Entry (&table)[N], const std::string& kind,
-                    const std::string& name) {
-  std::string accepted;
-  for (const Entry& entry : table) {
-    if (name == entry.name) return entry;
-    accepted += (accepted.empty() ? "" : "|") + std::string(entry.name);
-  }
-  throw std::invalid_argument("unknown " + kind + " '" + name +
-                              "' (expected " + accepted + ")");
-}
 
 std::string Trim(const std::string& s) {
   const auto begin = s.find_first_not_of(" \t\r");
@@ -88,18 +25,6 @@ std::string Trim(const std::string& s) {
 [[noreturn]] void Fail(int line, const std::string& message) {
   throw std::runtime_error("config line " + std::to_string(line) + ": " +
                            message);
-}
-
-// `value` when `table` holds it; otherwise a line-numbered error.
-template <typename Entry, std::size_t N>
-std::string CheckedName(const Entry (&table)[N], const std::string& key,
-                        const std::string& value, int line) {
-  try {
-    Lookup(table, key, value);
-  } catch (const std::invalid_argument& e) {
-    Fail(line, e.what());
-  }
-  return value;
 }
 
 // True when operator `to` is `from` or lies downstream of it in `query`.
@@ -131,6 +56,19 @@ long ParseLong(const std::string& value, int line, const std::string& key) {
     Fail(line, key + " must be an integer, got '" + value + "'");
   }
   return parsed;
+}
+
+// A positive whole number of milliseconds as a duration. Any other count
+// fails with `message`, and one the duration cannot hold fails too.
+SimDuration ParsePositiveMillis(const std::string& value, int line,
+                                const std::string& key,
+                                const std::string& message) {
+  const long ms = ParseLong(value, line, key);
+  if (ms <= 0) Fail(line, message);
+  if (ms > std::numeric_limits<SimDuration>::max() / kMillisecond) {
+    Fail(line, key + " is out of range, got '" + value + "'");
+  }
+  return Millis(ms);
 }
 
 bool ParseBool(const std::string& value, int line, const std::string& key) {
@@ -192,6 +130,7 @@ DaemonConfig ParseDaemonConfig(const std::string& text) {
   NativeChainConfig* current_chain = nullptr;
   std::map<std::string, int> operator_index;  // within current query
   std::vector<int> query_lines;  // header line of each [query] section
+  int critical_queries_line = 0;
   bool in_lachesis_section = false;
 
   while (std::getline(in, line)) {
@@ -241,8 +180,8 @@ DaemonConfig ParseDaemonConfig(const std::string& text) {
 
     if (in_lachesis_section) {
       if (key == "period_ms") {
-        config.period_ms = ParseLong(value, line_number, key);
-        if (config.period_ms <= 0) Fail(line_number, "period must be positive");
+        config.binding.period = ParsePositiveMillis(
+            value, line_number, key, "period must be positive");
       } else if (key == "backoff_base_ms") {
         config.backoff_base_ms = ParseLong(value, line_number, key);
         if (config.backoff_base_ms <= 0) {
@@ -268,20 +207,17 @@ DaemonConfig ParseDaemonConfig(const std::string& text) {
       } else if (key == "reconcile") {
         config.reconcile = ParseBool(value, line_number, key);
       } else if (key == "dl_runtime_ms") {
-        config.dl_runtime_ms = ParseLong(value, line_number, key);
-        if (config.dl_runtime_ms <= 0) {
-          Fail(line_number, "dl_runtime_ms must be positive");
-        }
+        config.binding.dl_runtime = ParsePositiveMillis(
+            value, line_number, key, "dl_runtime_ms must be positive");
       } else if (key == "dl_period_ms") {
-        config.dl_period_ms = ParseLong(value, line_number, key);
-        if (config.dl_period_ms <= 0) {
-          Fail(line_number, "dl_period_ms must be positive");
-        }
+        config.binding.dl_period = ParsePositiveMillis(
+            value, line_number, key, "dl_period_ms must be positive");
       } else if (key == "critical_queries") {
         std::istringstream names(value);
         std::string name;
-        config.critical_queries.clear();
-        while (names >> name) config.critical_queries.push_back(name);
+        config.binding.critical_queries.clear();
+        while (names >> name) config.binding.critical_queries.push_back(name);
+        critical_queries_line = line_number;
       } else if (key == "native_pin_cores") {
         config.native_pin_cores = ParseCoreList(value, line_number, key);
       } else if (key == "big_cores") {
@@ -309,10 +245,19 @@ DaemonConfig ParseDaemonConfig(const std::string& text) {
         }
       } else if (key == "obs_verbose") {
         config.obs_verbose = ParseBool(value, line_number, key);
-      } else if (key == "policy") {
-        config.policy = CheckedName(kPolicies, key, value, line_number);
-      } else if (key == "translator") {
-        config.translator = CheckedName(kTranslators, key, value, line_number);
+      } else if (key == "policy" || key == "translator") {
+        // Core's table checks the name; its error lists every accepted one.
+        try {
+          if (key == "policy") {
+            core::MakePolicy(value);
+          } else {
+            core::MakeTranslator(value, {});
+          }
+        } catch (const std::invalid_argument& e) {
+          Fail(line_number, e.what());
+        }
+        (key == "policy" ? config.binding.policy : config.binding.translator) =
+            value;
       } else if (key == "metrics_file") {
         config.spe.metrics_file = value;
       } else if (key == "provides") {
@@ -463,7 +408,20 @@ DaemonConfig ParseDaemonConfig(const std::string& text) {
     throw std::runtime_error(
         "backoff_cap_ms must be >= backoff_base_ms when set");
   }
-  if (config.dl_period_ms < config.dl_runtime_ms) {
+  // CriticalChainPolicy tags operators by their query's section name, so a
+  // name no section declares would reserve nothing.
+  for (const std::string& name : config.binding.critical_queries) {
+    const auto named = [&name](const auto& section) {
+      return section.name == name;
+    };
+    if (std::ranges::none_of(config.spe.queries, named) &&
+        std::ranges::none_of(config.native_queries, named)) {
+      Fail(critical_queries_line,
+           "critical_queries names '" + name +
+               "', which no [query] or [native-query] section declares");
+    }
+  }
+  if (config.binding.dl_period < config.binding.dl_runtime) {
     throw std::runtime_error("dl_period_ms must be >= dl_runtime_ms");
   }
   for (const int core : config.big_cores) {
@@ -483,26 +441,6 @@ DaemonConfig LoadDaemonConfig(const std::string& path) {
   std::ostringstream text;
   text << in.rdbuf();
   return ParseDaemonConfig(text.str());
-}
-
-std::unique_ptr<core::SchedulingPolicy> MakePolicy(const std::string& name) {
-  return Lookup(kPolicies, "policy", name).make(DaemonConfig{});
-}
-
-std::unique_ptr<core::Translator> MakeTranslator(const std::string& name,
-                                                 const DaemonConfig& config) {
-  return Lookup(kTranslators, "translator", name).make(config);
-}
-
-std::vector<std::unique_ptr<core::Translator>> MakeFallbackTranslators(
-    const std::string& name, const DaemonConfig& config) {
-  std::vector<std::unique_ptr<core::Translator>> fallbacks;
-  for (const char* fallback :
-       Lookup(kTranslators, "translator", name).fallbacks) {
-    if (fallback == nullptr) break;
-    fallbacks.push_back(MakeTranslator(fallback, config));
-  }
-  return fallbacks;
 }
 
 }  // namespace lachesis::osctl

@@ -5,13 +5,15 @@
 //
 //   [lachesis]
 //   period_ms   = 1000
-//   policy      = queue-size        # queue-size|fcfs|highest-rate|random|min-memory
-//   translator  = nice              # nice|cpu.shares|quota|rt|deadline
+//   policy      = queue-size        # a policy name from core/bindings.h
+//   translator  = nice              # a translator name from core/bindings.h
 //   metrics_file = /var/lib/engine/graphite.log
 //   provides     = queue_size tuples_in   # raw metrics the file holds
 //   cgroup_root  = /sys/fs/cgroup/cpu/lachesis
 //
-// Every knob is documented with defaults, ranges and tuning guidance in
+// The policy and translator names are core's one table, which the
+// experiment harness names its bindings by too. Every knob, and every
+// name, is documented with defaults, ranges and tuning guidance in
 // docs/OPERATIONS.md.
 //
 //   [query my-topology]
@@ -35,12 +37,10 @@
 #ifndef LACHESIS_OSCTL_DAEMON_CONFIG_H_
 #define LACHESIS_OSCTL_DAEMON_CONFIG_H_
 
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "core/policy.h"
-#include "core/translators.h"
+#include "core/bindings.h"
 #include "osctl/native_driver.h"
 
 namespace lachesis::osctl {
@@ -64,9 +64,10 @@ struct NativeChainConfig {
 };
 
 struct DaemonConfig {
-  long period_ms = 1000;
-  std::string policy = "queue-size";
-  std::string translator = "nice";
+  // lachesisd's one binding, from the [lachesis] keys period_ms, policy,
+  // translator, dl_runtime_ms, dl_period_ms and critical_queries. Each
+  // critical_queries name names a [query] or [native-query] section.
+  core::BindingSpec binding;
   std::string cgroup_root;  // empty: cgroup mechanisms unavailable
   // Fault-tolerance knobs (mapped onto core::HealthConfig; see
   // src/core/op_health.h for the semantics of each).
@@ -76,16 +77,6 @@ struct DaemonConfig {
   long breaker_probe_ms = 2000;  // half-open probe interval (>0)
   bool degradation = true;       // capability degradation ladder
   bool reconcile = true;         // seed delta cache from kernel state at boot
-  // SCHED_DEADLINE knobs (translator = deadline): each latency-critical
-  // operator gets a reservation of dl_runtime_ms CPU every dl_period_ms
-  // (deadline == period). Requires root or CAP_SYS_NICE; when the kernel
-  // rejects (EPERM/ENOSYS/EBUSY) the ladder degrades to rt, then shares,
-  // then nice.
-  long dl_runtime_ms = 4;   // must be positive
-  long dl_period_ms = 10;   // must be >= dl_runtime_ms
-  // Queries whose operators are tagged latency-critical (deadline/RT
-  // guarantees, big-core placement). Space-separated query names.
-  std::vector<std::string> critical_queries;
   // big.LITTLE topology for the affinity hints: explicit core id lists.
   // Both empty (default) disables capacity-aware placement.
   std::vector<int> big_cores;
@@ -114,18 +105,6 @@ DaemonConfig ParseDaemonConfig(const std::string& text);
 
 // Convenience: reads and parses a file.
 DaemonConfig LoadDaemonConfig(const std::string& path);
-
-// The policy or translator an accepted `policy` / `translator` value names,
-// from the one table ParseDaemonConfig checks those lines against; any
-// other name throws std::invalid_argument. `deadline` reserves
-// config.dl_runtime_ms every config.dl_period_ms.
-std::unique_ptr<core::SchedulingPolicy> MakePolicy(const std::string& name);
-std::unique_ptr<core::Translator> MakeTranslator(const std::string& name,
-                                                 const DaemonConfig& config);
-// The capability degradation ladder of translator `name`, best-first, as
-// the same table lists it; nice, the last resort, has none.
-std::vector<std::unique_ptr<core::Translator>> MakeFallbackTranslators(
-    const std::string& name, const DaemonConfig& config);
 
 }  // namespace lachesis::osctl
 

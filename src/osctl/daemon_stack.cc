@@ -5,7 +5,6 @@
 #include <limits>
 #include <utility>
 
-#include "core/policies.h"
 #include "core/translators.h"
 #include "osctl/native_runtime_driver.h"
 #include "spe/native_runtime.h"
@@ -36,41 +35,27 @@ spe::LogicalQuery BuildNativeChain(const NativeChainConfig& chain) {
   return query;
 }
 
-// lachesisd's one binding: the configured policy, with critical_queries
-// tagging those queries' operators latency-critical so deadline/RT
-// translators give them hard guarantees; the configured translator, with
-// big-core placement hints when a big.LITTLE topology is configured; and
-// the translator's degradation ladder when degradation is on.
-core::PolicyBinding BuildBinding(const DaemonConfig& config) {
-  core::PolicyBinding binding;
-  binding.policy = MakePolicy(config.policy);
-  if (!config.critical_queries.empty()) {
-    binding.policy = std::make_unique<core::CriticalChainPolicy>(
-        std::move(binding.policy), config.critical_queries);
-  }
-  binding.translator = MakeTranslator(config.translator, config);
-  if (!config.big_cores.empty()) {
-    binding.translator = std::make_unique<core::CapacityHintTranslator>(
-        std::move(binding.translator));
-  }
-  if (config.degradation) {
-    binding.fallback_translators =
-        MakeFallbackTranslators(config.translator, config);
-  }
-  binding.period = Millis(config.period_ms);
-  return binding;
-}
-
 }  // namespace
 
 DaemonStack::DaemonStack(const DaemonConfig& config, core::OsAdapter* os)
-    : period_(Millis(config.period_ms)),
+    : period_(config.binding.period),
       cgroups_(config.cgroup_root, CgroupController::DetectVersion()),
       linux_os_(nice_, cgroups_, &rt_, &deadline_, &affinity_),
       runner_(executor_, os != nullptr ? *os : linux_os_,
               static_cast<std::uint64_t>(::getpid())) {
   linux_os_.SetCoreClasses(config.big_cores, config.little_cores);
-  core::PolicyBinding binding = BuildBinding(config);
+  // The configured binding, plus what only the daemon has: big-core
+  // placement hints when a big.LITTLE topology is configured, and the
+  // translator's degradation ladder when degradation is on.
+  core::PolicyBinding binding = core::MakeBinding(config.binding, {});
+  if (!config.big_cores.empty()) {
+    binding.translator = std::make_unique<core::CapacityHintTranslator>(
+        std::move(binding.translator));
+  }
+  if (config.degradation) {
+    binding.fallback_translators = core::MakeFallbackTranslators(
+        config.binding.translator, config.binding);
+  }
   // External engine processes ([query ...] sections): /proc + graphite.
   if (!config.spe.queries.empty()) {
     file_driver_ = std::make_unique<NativeSpeDriver>(config.spe);

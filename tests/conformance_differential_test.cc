@@ -1,8 +1,12 @@
-// Sim <-> native differential validation as a tier-1 test. Both modes skip
-// gracefully (GTEST_SKIP with the harness's message) on hosts where the
-// required OS control surface is unavailable -- no privileges are ever
-// needed: nice mode only raises each worker's own nice, and cgroup mode
-// detects an unwritable cgroupfs and reports why it skipped.
+// Sim <-> native differential validation on the host itself: the nice case
+// renices real threads and times them, and the cgroup case creates and
+// removes lachesis_diff_* cgroups under /sys/fs/cgroup when that is
+// writable. So the binary is labeled `host`, not tier1, and
+// ci/run_native_smoke.sh runs it. Both modes skip gracefully (GTEST_SKIP
+// with the harness's message) on hosts where the required OS control
+// surface is unavailable -- no privileges are ever needed: nice mode only
+// raises each worker's own nice, and cgroup mode detects an unwritable
+// cgroupfs and reports why it skipped.
 #include <gtest/gtest.h>
 
 #include "src/conformance/differential.h"
@@ -37,13 +41,6 @@ TEST(ConformanceDifferential, CgroupShareRatiosMatchSimulator) {
   EXPECT_EQ(result.status, DiffStatus::kAgree) << result.message;
   ASSERT_EQ(result.shares.size(), 2u);
   EXPECT_LT(result.shares[0].sim_fraction, result.shares[1].sim_fraction);
-}
-
-TEST(ConformanceDifferential, NegativeNiceIsRefusedNotAttempted) {
-  const DiffResult result = RunNiceDifferential({-5, 0}, ShortConfig());
-  EXPECT_EQ(result.status, DiffStatus::kSkipped);
-  EXPECT_NE(result.message.find("CAP_SYS_NICE"), std::string::npos)
-      << result.message;
 }
 
 }  // namespace

@@ -1,12 +1,15 @@
 // Tier-1 conformance suite: a fixed-seed sweep through the randomized
 // scenario generator plus targeted hierarchical-shares, mid-run-mutation and
-// metamorphic cases. The standalone conformance_fuzz binary runs the same
-// checkers over a much larger (and budgeted) seed range.
+// metamorphic cases, and the sim <-> native differential's refusal of a
+// negative nice, which touches nothing on the host. The standalone
+// conformance_fuzz binary runs the same checkers over a much larger (and
+// budgeted) seed range.
 #include <algorithm>
 #include <stdexcept>
 
 #include <gtest/gtest.h>
 
+#include "src/conformance/differential.h"
 #include "src/conformance/harness.h"
 #include "src/conformance/scenario.h"
 #include "src/sim/weights.h"
@@ -244,6 +247,14 @@ TEST(ConformanceEligibility, ClassifiersMatchSpecStructure) {
   mutated.mutations.push_back({});
   EXPECT_FALSE(mutated.FairnessEligible());
   EXPECT_TRUE(mutated.PureBusyContested());  // mutations never truncate slices
+}
+
+// The refusal comes before any worker starts: nothing is reniced or timed.
+TEST(ConformanceDifferential, NegativeNiceIsRefusedNotAttempted) {
+  const DiffResult result = RunNiceDifferential({-5, 0}, DiffConfig{});
+  EXPECT_EQ(result.status, DiffStatus::kSkipped);
+  EXPECT_NE(result.message.find("CAP_SYS_NICE"), std::string::npos)
+      << result.message;
 }
 
 }  // namespace

@@ -3,7 +3,6 @@
 
 #include <gtest/gtest.h>
 
-#include <map>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -37,9 +36,9 @@ edge = parse sink
 
 TEST(DaemonConfigTest, ParsesFullConfig) {
   const DaemonConfig config = ParseDaemonConfig(kGoodConfig);
-  EXPECT_EQ(config.period_ms, 500);
-  EXPECT_EQ(config.policy, "fcfs");
-  EXPECT_EQ(config.translator, "cpu.shares");
+  EXPECT_EQ(config.binding.period, Millis(500));
+  EXPECT_EQ(config.binding.policy, "fcfs");
+  EXPECT_EQ(config.binding.translator, "cpu.shares");
   EXPECT_EQ(config.cgroup_root, "/sys/fs/cgroup/cpu/lachesis");
   EXPECT_EQ(config.spe.name, "storm-prod");
   EXPECT_EQ(config.spe.metrics_file, "/tmp/graphite.log");
@@ -67,9 +66,9 @@ TEST(DaemonConfigTest, DefaultsApply) {
 pid = 1
 operator a = pat series
 )");
-  EXPECT_EQ(config.period_ms, 1000);
-  EXPECT_EQ(config.policy, "queue-size");
-  EXPECT_EQ(config.translator, "nice");
+  EXPECT_EQ(config.binding.period, Millis(1000));
+  EXPECT_EQ(config.binding.policy, "queue-size");
+  EXPECT_EQ(config.binding.translator, "nice");
 }
 
 TEST(DaemonConfigTest, RejectsUnknownSection) {
@@ -270,11 +269,14 @@ little_cores = 0 1 2 3
 [query tolls]
 pid = 1
 operator a = pat series
+[query accidents]
+pid = 2
+operator a = pat series
 )");
-  EXPECT_EQ(config.translator, "deadline");
-  EXPECT_EQ(config.dl_runtime_ms, 2);
-  EXPECT_EQ(config.dl_period_ms, 20);
-  EXPECT_EQ(config.critical_queries,
+  EXPECT_EQ(config.binding.translator, "deadline");
+  EXPECT_EQ(config.binding.dl_runtime, Millis(2));
+  EXPECT_EQ(config.binding.dl_period, Millis(20));
+  EXPECT_EQ(config.binding.critical_queries,
             (std::vector<std::string>{"tolls", "accidents"}));
   EXPECT_EQ(config.big_cores, (std::vector<int>{4, 5, 6, 7}));
   EXPECT_EQ(config.little_cores, (std::vector<int>{0, 1, 2, 3}));
@@ -286,9 +288,9 @@ TEST(DaemonConfigTest, DeadlineAndTopologyKnobDefaults) {
 pid = 1
 operator a = pat series
 )");
-  EXPECT_EQ(config.dl_runtime_ms, 4);
-  EXPECT_EQ(config.dl_period_ms, 10);
-  EXPECT_TRUE(config.critical_queries.empty());
+  EXPECT_EQ(config.binding.dl_runtime, Millis(4));
+  EXPECT_EQ(config.binding.dl_period, Millis(10));
+  EXPECT_TRUE(config.binding.critical_queries.empty());
   EXPECT_TRUE(config.big_cores.empty());
   EXPECT_TRUE(config.little_cores.empty());
 }
@@ -300,6 +302,8 @@ TEST(DaemonConfigTest, RejectsMalformedDeadlineAndTopologyValues) {
       "dl_runtime_ms = slow",   // not a number
       "dl_period_ms = 0",       // must be > 0
       "dl_period_ms = 10ms",    // trailing junk
+      "dl_period_ms = 9300000000000",  // more ms than a SimDuration holds
+      "period_ms = 9300000000000",
       "big_cores = 0 -1",       // negative core id
       "little_cores = one two", // not numbers
   };
@@ -358,19 +362,30 @@ TEST(DaemonConfigTest, ErrorsCarryLineNumbers) {
   }
 }
 
-// A misspelt name used to be stored as is: lachesisd then died in its
-// policy factory after its executor threads had started, with no line.
+// The parser accepts every name of core's table (core/bindings.h, whose
+// own suite checks what each builds). A misspelt name used to be stored as
+// is: lachesisd then died in its policy factory after its executor threads
+// had started, with no line.
 TEST(DaemonConfigTest, RejectsUnknownPolicyAndTranslatorWithLineNumber) {
+  const auto parse = [](const std::string& key, const std::string& name) {
+    return ParseDaemonConfig("[lachesis]\nperiod_ms = 100\n" + key + " = " +
+                             name + "\n[query q]\npid = 1\noperator a = pat s\n");
+  };
+  for (const char* name : {"queue-size", "fcfs", "highest-rate", "random",
+                           "min-memory", "pressure-stall"}) {
+    EXPECT_EQ(parse("policy", name).binding.policy, name);
+  }
+  for (const char* name : {"nice", "cpu.shares", "quota", "rt", "deadline",
+                           "cpu.shares+nice"}) {
+    EXPECT_EQ(parse("translator", name).binding.translator, name);
+  }
   const struct {
     const char* key;
     const char* name;
   } kCases[] = {{"policy", "queue-sise"}, {"translator", "nicee"}};
   for (const auto& c : kCases) {
-    const std::string text = std::string("[lachesis]\nperiod_ms = 100\n") +
-                             c.key + " = " + c.name +
-                             "\n[query q]\npid = 1\noperator a = pat s\n";
     try {
-      ParseDaemonConfig(text);
+      parse(c.key, c.name);
       ADD_FAILURE() << "accepted: " << c.name;
     } catch (const std::runtime_error& e) {
       const std::string what = e.what();
@@ -380,45 +395,35 @@ TEST(DaemonConfigTest, RejectsUnknownPolicyAndTranslatorWithLineNumber) {
   }
 }
 
-TEST(DaemonConfigTest, EveryAcceptedPolicyAndTranslatorBuilds) {
-  const auto parse = [](const std::string& line) {
-    return ParseDaemonConfig("[lachesis]\n" + line +
-                             "\n[query q]\npid = 1\noperator a = pat s\n");
-  };
-  for (const char* name :
-       {"queue-size", "fcfs", "highest-rate", "random", "min-memory"}) {
-    EXPECT_EQ(parse(std::string("policy = ") + name).policy, name);
-    EXPECT_NE(MakePolicy(name), nullptr) << name;
+// CriticalChainPolicy tags operators by their section's query name, so a
+// name that matches no section used to parse and reserve nothing.
+TEST(DaemonConfigTest, RejectsCriticalQueryThatNamesNoSectionWithLineNumber) {
+  try {
+    ParseDaemonConfig(R"(
+[lachesis]
+translator = deadline
+critical_queries = tolls accidnets
+[query tolls]
+pid = 1
+operator a = pat series
+[native-query accidents]
+operators = in:1 out:1
+)");
+    FAIL() << "expected throw";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("line 4"), std::string::npos) << what;
+    EXPECT_NE(what.find("'accidnets'"), std::string::npos) << what;
   }
-  const DaemonConfig defaults;
-  for (const char* name : {"nice", "cpu.shares", "quota", "rt", "deadline"}) {
-    EXPECT_EQ(parse(std::string("translator = ") + name).translator, name);
-    EXPECT_NE(MakeTranslator(name, defaults), nullptr) << name;
-  }
-  EXPECT_THROW(MakePolicy("queue-sise"), std::invalid_argument);
-  EXPECT_THROW(MakeTranslator("nicee", defaults), std::invalid_argument);
-}
-
-// Each translator's degradation ladder, best-first, by the names the
-// fallback translators report.
-TEST(DaemonConfigTest, EachTranslatorHasItsDegradationLadder) {
-  const std::map<std::string, std::vector<std::string>> kLadders = {
-      {"deadline", {"rt+nice", "cpu.shares", "nice"}},
-      {"rt", {"cpu.shares", "nice"}},
-      {"cpu.shares", {"nice"}},
-      {"quota", {"nice"}},
-      {"nice", {}},
-  };
-  const DaemonConfig defaults;
-  for (const auto& [name, expected] : kLadders) {
-    std::vector<std::string> ladder;
-    for (const auto& fallback : MakeFallbackTranslators(name, defaults)) {
-      ladder.push_back(fallback->name());
-    }
-    EXPECT_EQ(ladder, expected) << name;
-  }
-  EXPECT_THROW(MakeFallbackTranslators("nicee", defaults),
-               std::invalid_argument);
+  // A [native-query] section's name counts as much as a [query]'s.
+  const DaemonConfig config = ParseDaemonConfig(R"(
+[lachesis]
+critical_queries = accidents
+[native-query accidents]
+operators = in:1 out:1
+)");
+  EXPECT_EQ(config.binding.critical_queries,
+            std::vector<std::string>{"accidents"});
 }
 
 // Both operators used to become entities, and `edge` lines bound only the
@@ -548,7 +553,7 @@ TEST(DaemonConfigTest, CommentsAndWhitespaceIgnored)
 pid=7
 operator a = pat series
 )");
-  EXPECT_EQ(config.period_ms, 250);
+  EXPECT_EQ(config.binding.period, Millis(250));
   EXPECT_EQ(config.spe.queries[0].name, "spaced name");
   EXPECT_EQ(config.spe.queries[0].pid, 7);
 }

@@ -207,8 +207,8 @@ TEST(PsiIntegrationTest, PressurePolicyRunsEndToEnd) {
   spec.warmup = Seconds(2);
   spec.measure = Seconds(8);
   spec.scheduler.kind = exp::SchedulerKind::kLachesis;
-  spec.scheduler.policy = exp::PolicyKind::kPressureStall;
-  spec.scheduler.translator = exp::TranslatorKind::kNice;
+  spec.scheduler.binding.policy = "pressure-stall";
+  spec.scheduler.binding.translator = "nice";
   const exp::RunResult result = exp::RunScenario(spec);
   EXPECT_GT(result.throughput_tps, 4000);
   EXPECT_GE(result.lachesis_schedules, 8u);

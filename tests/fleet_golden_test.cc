@@ -25,8 +25,8 @@ exp::FleetSpec BaseSpec() {
   spec.measure = Seconds(4);
   spec.seed = 7;
   spec.scheduler.kind = exp::SchedulerKind::kLachesis;
-  spec.scheduler.policy = exp::PolicyKind::kQueueSize;
-  spec.scheduler.translator = exp::TranslatorKind::kNice;
+  spec.scheduler.binding.policy = "queue-size";
+  spec.scheduler.binding.translator = "nice";
   return spec;
 }
 

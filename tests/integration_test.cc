@@ -4,6 +4,9 @@
 // configurations.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
+#include "exp/fleet.h"
 #include "exp/scenario.h"
 #include "queries/linear_road.h"
 #include "queries/synthetic.h"
@@ -28,8 +31,8 @@ ScenarioSpec LrScenario(double rate, SchedulerSpec scheduler) {
 SchedulerSpec LachesisQs() {
   SchedulerSpec s;
   s.kind = SchedulerKind::kLachesis;
-  s.policy = PolicyKind::kQueueSize;
-  s.translator = TranslatorKind::kNice;
+  s.binding.policy = "queue-size";
+  s.binding.translator = "nice";
   return s;
 }
 
@@ -100,8 +103,8 @@ TEST(IntegrationTest, MultiSpeSchedulingWorks) {
   }
   SchedulerSpec scheduler;
   scheduler.kind = SchedulerKind::kLachesis;
-  scheduler.policy = PolicyKind::kQueueSize;
-  scheduler.translator = TranslatorKind::kQuerySharesNice;
+  scheduler.binding.policy = "queue-size";
+  scheduler.binding.translator = "cpu.shares+nice";
   spec.scheduler = scheduler;
   spec.warmup = Seconds(3);
   spec.measure = Seconds(8);
@@ -143,12 +146,12 @@ TEST(IntegrationTest, BlockingHurtsUlssMoreThanLachesis) {
   };
   SchedulerSpec haren;
   haren.kind = SchedulerKind::kHaren;
-  haren.policy = PolicyKind::kFcfs;
-  haren.period = Millis(50);
+  haren.binding.policy = "fcfs";
+  haren.binding.period = Millis(50);
   SchedulerSpec lachesis;
   lachesis.kind = SchedulerKind::kLachesis;
-  lachesis.policy = PolicyKind::kFcfs;
-  lachesis.translator = TranslatorKind::kCpuShares;
+  lachesis.binding.policy = "fcfs";
+  lachesis.binding.translator = "cpu.shares";
   const RunResult haren_result = RunScenario(make(haren));
   const RunResult lachesis_result = RunScenario(make(lachesis));
   EXPECT_GT(lachesis_result.throughput_tps, haren_result.throughput_tps);
@@ -159,6 +162,34 @@ TEST(IntegrationTest, RepetitionsVaryWithSeed) {
   ASSERT_EQ(runs.size(), 2u);
   // Different seeds -> different (but close) measurements.
   EXPECT_NE(runs[0].avg_latency_ms, runs[1].avg_latency_ms);
+}
+
+// Both harnesses build their bindings from core's name table before the
+// first simulated instant, so a misspelt name throws there.
+TEST(IntegrationTest, UnknownPolicyOrTranslatorNameThrowsBeforeSimulating) {
+  SchedulerSpec bad_policy = LachesisQs();
+  bad_policy.binding.policy = "queue-sise";
+  SchedulerSpec bad_translator = LachesisQs();
+  bad_translator.binding.translator = "nicee";
+  for (const SchedulerSpec& scheduler : {bad_policy, bad_translator}) {
+    EXPECT_THROW(RunScenario(LrScenario(2000, scheduler)),
+                 std::invalid_argument);
+    FleetSpec fleet;
+    fleet.machines = 2;
+    fleet.scheduler = scheduler;
+    EXPECT_THROW(RunFleet(fleet), std::invalid_argument);
+  }
+}
+
+// The UL-SS baselines run only the policies they implement.
+TEST(IntegrationTest, UlssBaselineRejectsAPolicyItLacks) {
+  for (const SchedulerKind kind :
+       {SchedulerKind::kEdgeWise, SchedulerKind::kHaren}) {
+    SchedulerSpec ulss;
+    ulss.kind = kind;
+    ulss.binding.policy = "min-memory";
+    EXPECT_THROW(RunScenario(LrScenario(2000, ulss)), std::invalid_argument);
+  }
 }
 
 }  // namespace

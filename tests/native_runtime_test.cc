@@ -19,6 +19,7 @@
 #include <sys/prctl.h>
 #endif
 
+#include "core/metric_provider.h"
 #include "core/os_adapter.h"
 #include "osctl/daemon_config.h"
 #include "osctl/daemon_stack.h"
@@ -412,14 +413,21 @@ TEST(NativeRuntimeDriverTest, PollThenFetchReadsWhatTheRegistryReports) {
   EXPECT_EQ(fetched, entities.size() * kLatest.size());
 }
 
-// Records every nice decision with the tid it landed on.
+// Records every nice decision with the tid it landed on. With
+// `groups_fail`, every cgroup write fails, as it does on a host without a
+// writable cgroup_root.
 class RecordingOsAdapter final : public core::OsAdapter {
  public:
   void SetNice(const core::ThreadHandle& thread, int nice) override {
     set_nice.emplace_back(thread.os_tid, nice);
   }
-  void SetGroupShares(const std::string&, std::uint64_t) override {}
-  void MoveToGroup(const core::ThreadHandle&, const std::string&) override {}
+  void SetGroupShares(const std::string&, std::uint64_t) override {
+    if (groups_fail) throw std::runtime_error("no cgroup hierarchy");
+  }
+  void MoveToGroup(const core::ThreadHandle&, const std::string&) override {
+    if (groups_fail) throw std::runtime_error("no cgroup hierarchy");
+  }
+  bool groups_fail = false;
   std::vector<std::pair<long, int>> set_nice;
 };
 
@@ -490,6 +498,56 @@ operators = in:5 work:200 out:5
     EXPECT_GT(query.ingested, 0u) << query.name;
     EXPECT_GT(query.scraped_tps, 0) << query.name;
   }
+}
+
+// No native driver provides cpu_pressure (only the simulator's does), and
+// nothing derives it, so a pressure-stall daemon fails at its first tick
+// with the configuration error that names the metric.
+TEST(DaemonStackTest, PressureStallFailsAtTheFirstTickNamingCpuPressure) {
+  RecordingOsAdapter os;
+  osctl::DaemonStack stack(osctl::ParseDaemonConfig(R"(
+[lachesis]
+period_ms = 50
+policy = pressure-stall
+[native-query served]
+rate_tps = 1000
+operators = in:0 out:0
+)"),
+                           &os);
+  try {
+    stack.Run(/*periods=*/4);
+    ADD_FAILURE() << "Run returned";
+  } catch (const core::ConfigurationError& e) {
+    EXPECT_NE(std::string(e.what()).find("cpu_pressure"), std::string::npos)
+        << e.what();
+  }
+  stack.Stop();
+  EXPECT_EQ(stack.runner().schedules_applied(), 0u);
+  EXPECT_TRUE(os.set_nice.empty());
+}
+
+// The query-shares + nice translator runs under lachesisd, and its ladder
+// is nice: once the cgroup writes fail, the binding drops one rung, to a
+// translator that needs no cgroup.
+TEST(DaemonStackTest, QuerySharesPlusNiceDegradesToNice) {
+  RecordingOsAdapter os;
+  os.groups_fail = true;
+  osctl::DaemonStack stack(osctl::ParseDaemonConfig(R"(
+[lachesis]
+period_ms = 50
+translator = cpu.shares+nice
+breaker_threshold = 1
+[native-query served]
+rate_tps = 1000
+operators = in:0 mid:10 out:0
+)"),
+                           &os);
+  stack.Run(/*periods=*/10);
+  stack.Stop();
+
+  EXPECT_GT(stack.runner().schedules_applied(), 1u);
+  EXPECT_EQ(stack.runner().binding_level(0), 1u);
+  EXPECT_FALSE(os.set_nice.empty());
 }
 
 }  // namespace

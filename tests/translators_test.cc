@@ -1,20 +1,28 @@
 // Tests of the translators (paper §5.3): nice for single-priority
 // schedules, cpu.shares and quotas over entity groups, and the combined
-// multi-dimensional scheme, against a recording OS adapter.
+// multi-dimensional scheme, against a recording OS adapter; and of the one
+// name table (core/bindings.h) that builds policies, translators and their
+// degradation ladders for lachesisd and the experiment harness alike.
 #include "core/translators.h"
 
 #include <deque>
 #include <limits>
+#include <map>
 #include <memory>
+#include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/bindings.h"
 #include "tests/fake_driver.h"
 
 namespace lachesis::core {
 namespace {
 
+using testing::FakeDriver;
 using testing::RecordingOsAdapter;
 
 // Schedules borrow their entities, so every entity a test makes lives as
@@ -306,6 +314,98 @@ TEST(QuerySharesPlusNiceTest, QueriesGetEqualGroupsAndOperatorsGetNice) {
   // Nice applied across all operators (effective within each cgroup).
   EXPECT_EQ(os.nices.at(1), -20);
   EXPECT_EQ(os.nices.at(0), 19);
+}
+
+// --- the binding name table ---------------------------------------------------
+
+TEST(BindingTableTest, EveryPolicyAndTranslatorBuildsUnderItsName) {
+  for (const char* name : {"queue-size", "fcfs", "highest-rate", "random",
+                           "min-memory", "pressure-stall"}) {
+    const std::unique_ptr<SchedulingPolicy> policy = MakePolicy(name);
+    ASSERT_NE(policy, nullptr) << name;
+    EXPECT_EQ(policy->name(), name);
+  }
+  // A translator's config name, then the name() it reports.
+  const std::pair<const char*, const char*> kReportedNames[] = {
+      {"nice", "nice"},
+      {"cpu.shares", "cpu.shares"},
+      {"quota", "cpu.quota"},
+      {"rt", "rt+nice"},
+      {"deadline", "deadline+nice"},
+      {"cpu.shares+nice", "cpu.shares+nice"},
+  };
+  for (const auto& [name, reported] : kReportedNames) {
+    const std::unique_ptr<Translator> translator = MakeTranslator(name, {});
+    ASSERT_NE(translator, nullptr) << name;
+    EXPECT_EQ(translator->name(), reported) << name;
+  }
+}
+
+// Each translator's degradation ladder, best-first, by the names the
+// fallback translators report.
+TEST(BindingTableTest, EachTranslatorHasItsDegradationLadder) {
+  const std::map<std::string, std::vector<std::string>> kLadders = {
+      {"deadline", {"rt+nice", "cpu.shares", "nice"}},
+      {"rt", {"cpu.shares", "nice"}},
+      {"cpu.shares", {"nice"}},
+      {"quota", {"nice"}},
+      {"cpu.shares+nice", {"nice"}},
+      {"nice", {}},
+  };
+  for (const auto& [name, expected] : kLadders) {
+    std::vector<std::string> ladder;
+    for (const auto& fallback : MakeFallbackTranslators(name, {})) {
+      ladder.push_back(fallback->name());
+    }
+    EXPECT_EQ(ladder, expected) << name;
+  }
+}
+
+TEST(BindingTableTest, UnknownNameThrowsListingEveryAcceptedName) {
+  const auto message = [](const auto& make) -> std::string {
+    try {
+      make();
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "no throw";
+  };
+  EXPECT_EQ(message([] { MakePolicy("queue-sise"); }),
+            "unknown policy 'queue-sise' (expected queue-size|fcfs|"
+            "highest-rate|random|min-memory|pressure-stall)");
+  const std::string unknown_translator =
+      "unknown translator 'nicee' (expected nice|cpu.shares|quota|rt|"
+      "deadline|cpu.shares+nice)";
+  EXPECT_EQ(message([] { MakeTranslator("nicee", {}); }), unknown_translator);
+  EXPECT_EQ(message([] { MakeFallbackTranslators("nicee", {}); }),
+            unknown_translator);
+}
+
+TEST(BindingTableTest, MakeBindingWrapsCriticalQueriesAndBuildsNoLadder) {
+  BindingSpec spec;
+  spec.policy = "fcfs";
+  spec.translator = "deadline";
+  spec.period = Millis(250);
+  spec.critical_queries = {"q0"};
+  spec.dl_runtime = Millis(7);
+  spec.dl_period = Millis(20);
+  FakeDriver driver;
+  PolicyBinding binding =
+      MakeBinding(spec, {&driver}, [](const EntityInfo&) { return true; });
+  EXPECT_EQ(binding.policy->name(), "critical+fcfs");
+  EXPECT_EQ(binding.translator->name(), "deadline+nice");
+  EXPECT_TRUE(binding.fallback_translators.empty());
+  EXPECT_EQ(binding.period, Millis(250));
+  EXPECT_EQ(binding.drivers, std::vector<SpeDriver*>{&driver});
+  EXPECT_TRUE(binding.filter);
+  // The reservation is the spec's dl_runtime every dl_period.
+  RecordingOsAdapter os;
+  binding.translator->Apply(MakeSchedule({1.0}), os);
+  ASSERT_EQ(os.deadlines.size(), 1u);
+  EXPECT_EQ(os.deadlines.at(0).runtime, Millis(7));
+  EXPECT_EQ(os.deadlines.at(0).period, Millis(20));
+  // With no critical queries the policy is the table's own.
+  EXPECT_EQ(MakeBinding(BindingSpec{}, {}).policy->name(), "queue-size");
 }
 
 }  // namespace
